@@ -305,7 +305,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     from .corpus import Batch
-    from .memory import _entry_matrix, _memory_scores, merge_memory, LocalMemoryEntry
+    from .memory import entry_matrix, memory_scores, merge_memory, LocalMemoryEntry
     from .numerics import constant, cross_entropy_rows, reshape, sum_all
 
     seed = args.seed if args.seed is not None else 0
@@ -337,12 +337,12 @@ def _cmd_gradcheck(args) -> int:
         for i in range(4)
     ]
     mem = merge_memory(entries)
-    u = _entry_matrix(mem, params["tgt_embed"].data)
+    u = entry_matrix(mem, params["tgt_embed"].data)
     s_vec = rng.standard_normal(cfg.hidden_dim)
     y_emb = params["tgt_embed"].data[5]
 
     def mem_loss(pset):
-        e = _memory_scores(constant(s_vec), constant(y_emb), constant(u), pset)
+        e = memory_scores(constant(s_vec), constant(y_emb), constant(u), pset)
         return sum_all(cross_entropy_rows(reshape(e, (1, -1)), np.array([1])))
 
     err_mem = grad_check(mem_loss, mparams.pset, seed=seed)

@@ -25,15 +25,8 @@ import numpy as np
 
 from .corpus import BOS_ID, Vocabulary, encode_sentence
 from .lexicon import Lexicon, lexicon_lookup
-from .model import (
-    EncodedSource,
-    NmtConfig,
-    _attention,
-    _decoder_step,
-    _init_state,
-    encode,
-    encode_batch,
-)
+from .model import EncodedSource, NmtConfig, encode, teacher_forced_steps
+from .model import encode_batch  # unused here; bench/layers.py wraps this name to trace it
 from .numerics import (
     ParamSet,
     Tensor,
@@ -46,12 +39,10 @@ from .numerics import (
     matmul,
     no_grad,
     reshape,
-    rows,
     scale,
     softmax,
     sum_all,
     tanh,
-    weighted_sum,
 )
 
 logger = logging.getLogger(__name__)
@@ -103,10 +94,6 @@ class MergedMemory:
     def embed_proxy(self, token_id: int) -> int:
         info = self.oov_labels.get(token_id)
         return token_id if info is None else info[1]
-
-    def label_string(self, token_id: int, vocab: Vocabulary) -> str:
-        info = self.oov_labels.get(token_id)
-        return vocab.token_of(token_id) if info is None else info[0]
 
 
 @dataclass
@@ -233,14 +220,14 @@ def merge_memory(entries: list[LocalMemoryEntry]) -> MergedMemory:
 # --- attention and interpolation ------------------------------------------
 
 
-def _entry_matrix(mem: MergedMemory, tgt_embed: np.ndarray) -> np.ndarray:
+def entry_matrix(mem: MergedMemory, tgt_embed: np.ndarray) -> np.ndarray:
     """Stack u_k = [target embedding; blended source state] as a [K, E+2H] matrix."""
     return np.stack(
         [np.concatenate([tgt_embed[e.embed_id], e.h_blend]) for e in mem.entries]
     )
 
 
-def _memory_scores(s_prev: Tensor, y_emb: Tensor, u: Tensor, pset: ParamSet) -> Tensor:
+def memory_scores(s_prev: Tensor, y_emb: Tensor, u: Tensor, pset: ParamSet) -> Tensor:
     """Relevance of each memory element to the current decoding step."""
     pre = add(add(matmul(u, pset["mem_Wu"]), matmul(s_prev, pset["mem_Ws"])),
               matmul(y_emb, pset["mem_Wy"]))
@@ -259,9 +246,9 @@ def memory_attention(
         raise ValueError("memory_attention over an empty memory; skip interpolation instead")
     tgt_embed = nmt_params["tgt_embed"].data
     with no_grad():
-        u = constant(_entry_matrix(mem, tgt_embed))
+        u = constant(entry_matrix(mem, tgt_embed))
         y_emb = constant(tgt_embed[mem.embed_proxy(y_prev)])
-        e = _memory_scores(constant(s_prev), y_emb, u, mparams.pset)
+        e = memory_scores(constant(s_prev), y_emb, u, mparams.pset)
         alpha = softmax(e)
     return alpha.data
 
@@ -449,28 +436,6 @@ class _PairRecord:
     u: np.ndarray                  # [K, E + 2H]
 
 
-def _teacher_forced_states(
-    src_ids: list[int], tgt_ids: list[int], nmt_params: ParamSet
-) -> list[np.ndarray]:
-    """Decoder states s_{i-1} for each target position, under the frozen model."""
-    with no_grad():
-        ids = np.asarray(src_ids, dtype=np.int64)[None, :]
-        enc_states, b0 = encode_batch(ids, np.ones_like(ids, dtype=np.float64), nmt_params)
-        uh = [matmul(h, nmt_params["att_U"]) for h in enc_states]
-        mask = np.ones((1, len(src_ids)))
-        s = _init_state(b0, nmt_params)
-        out = []
-        y_in = BOS_ID
-        for i in range(len(tgt_ids)):
-            out.append(s.data[0].copy())
-            alpha = _attention(s, uh, mask, nmt_params)
-            c = weighted_sum(alpha, enc_states)
-            y_emb = rows(nmt_params["tgt_embed"], np.array([y_in]))
-            s, _ = _decoder_step(y_emb, s, c, nmt_params)
-            y_in = tgt_ids[i]
-    return out
-
-
 def train_memory_attention(
     pairs: list[tuple[list[str], list[str]]],
     src_vocab: Vocabulary,
@@ -505,17 +470,18 @@ def train_memory_attention(
             continue
         entry_of_label = {e.label_id: i for i, e in enumerate(mem.entries)}
         tgt_ids = encode_sentence(tgt_tokens, tgt_vocab, append_eos=True)
-        states = _teacher_forced_states(src_ids, tgt_ids, nmt_params)
         step_states, y_prevs, entry_idx = [], [], []
-        for i, tid in enumerate(tgt_ids):
-            if tid not in entry_of_label:
-                continue
-            step_states.append(states[i])
-            y_prevs.append(BOS_ID if i == 0 else tgt_ids[i - 1])
-            entry_idx.append(entry_of_label[tid])
+        with no_grad():
+            steps = teacher_forced_steps(enc, np.array([tgt_ids]), nmt_params)
+            for i, (tid, (s_prev, _)) in enumerate(zip(tgt_ids, steps)):
+                if tid not in entry_of_label:
+                    continue
+                step_states.append(s_prev.data[0])
+                y_prevs.append(BOS_ID if i == 0 else tgt_ids[i - 1])
+                entry_idx.append(entry_of_label[tid])
         if not entry_idx:
             continue
-        records.append(_PairRecord(step_states, y_prevs, entry_idx, _entry_matrix(mem, tgt_embed)))
+        records.append(_PairRecord(step_states, y_prevs, entry_idx, entry_matrix(mem, tgt_embed)))
 
     n_positions = sum(len(r.target_entry) for r in records)
     if n_positions == 0:
@@ -533,7 +499,7 @@ def train_memory_attention(
             for rec in chunk:
                 u = constant(rec.u)
                 for s_vec, y_prev, k_idx in zip(rec.states, rec.y_prev_ids, rec.target_entry):
-                    e = _memory_scores(
+                    e = memory_scores(
                         constant(s_vec), constant(tgt_embed[y_prev]), u, mparams.pset
                     )
                     terms.append(cross_entropy_rows(reshape(e, (1, -1)), np.array([k_idx])))

@@ -10,7 +10,8 @@ equals the embedding width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,10 +73,17 @@ class NmtConfig:
 
 @dataclass
 class EncodedSource:
-    """Per-position encoder states for one sentence (row j is h_j)."""
+    """Encoder output for a [B, S] batch plus what every decoder step reads."""
 
-    h: np.ndarray     # [T, 2 * hidden_dim]
-    mask: np.ndarray  # [T]
+    states: list[Tensor]  # per source position, [B, 2 * hidden_dim]
+    uh: list[Tensor]      # states[j] @ att_U, per source position
+    mask: np.ndarray      # [B, S]
+    s0: Tensor            # initial decoder state, [B, hidden_dim]
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """[S, 2 * hidden_dim] states of the first sentence; row j is h_j."""
+        return np.stack([st.data[0] for st in self.states])
 
 
 @dataclass
@@ -128,11 +136,11 @@ def _mask_mix(mask_col: np.ndarray, new: Tensor, old: Tensor) -> Tensor:
     return add(mul(constant(m), new), mul(constant(1.0 - m), old))
 
 
-def encode_batch(src: np.ndarray, src_mask: np.ndarray, params: ParamSet):
+def encode_batch(src: np.ndarray, src_mask: np.ndarray, params: ParamSet) -> EncodedSource:
     """Bidirectional encoding of a [B, S] id matrix.
 
-    Returns the per-position states (list of [B, 2H] tensors) and the
-    backward-direction state at position 0, which seeds the decoder.
+    The decoder starts from tanh(b_0 @ dec_init_W), where b_0 is the
+    backward-direction state at position 0.
     """
     b, s_len = src.shape
     hidden = params["enc_f_Uz"].data.shape[0]
@@ -149,49 +157,35 @@ def encode_batch(src: np.ndarray, src_mask: np.ndarray, params: ParamSet):
         h = _mask_mix(src_mask[:, t], gru_step(xs[t], h, params, "enc_b_"), h)
         bwd[t] = h
     states = [concat([fwd[t], bwd[t]], axis=1) for t in range(s_len)]
-    return states, bwd[0]
+    uh = [matmul(st, params["att_U"]) for st in states]
+    s0 = tanh(matmul(bwd[0], params["dec_init_W"]))
+    return EncodedSource(states, uh, src_mask, s0)
 
 
 def encode(src_ids: Sequence[int], params: ParamSet) -> EncodedSource:
-    """Encode a single sentence (ids, usually ending with EOS)."""
+    """Encode a single sentence (ids, usually ending with EOS), without gradients."""
     if len(src_ids) == 0:
         raise ValueError("cannot encode an empty sentence")
     vocab_size = params["src_embed"].data.shape[0]
     ids = np.asarray(src_ids, dtype=np.int64)
     if ids.min() < 0 or ids.max() >= vocab_size:
         raise ValueError(f"source id outside vocabulary range [0, {vocab_size})")
-    mask = np.ones((1, len(ids)))
     with no_grad():
-        states, _ = encode_batch(ids[None, :], mask, params)
-        h = np.stack([st.data[0] for st in states])
-    return EncodedSource(h=h, mask=np.ones(len(ids)))
+        return encode_batch(ids[None, :], np.ones((1, len(ids))), params)
 
 
-def _attention(s_prev: Tensor, uh: Sequence[Tensor], mask: np.ndarray,
-               params: ParamSet) -> Tensor:
-    """Alignment weights over source positions for the current decoder state."""
+def decode_step(s_prev: Tensor, y_prev_ids: np.ndarray, enc: EncodedSource,
+                params: ParamSet) -> tuple[Tensor, Tensor]:
+    """One decoder step for every row: returns (next state, maxout readout z).
+
+    Attention over the source is scored from s_{i-1}; the GRU reads the
+    previous target embedding and the attention context.
+    """
     sa = matmul(s_prev, params["att_W"])
-    scores = [matmul(tanh(add(sa, uh_t)), params["att_v"]) for uh_t in uh]
-    return softmax(stack_cols(scores), mask)
-
-
-def attention_weights(s_prev: np.ndarray, enc: EncodedSource, params: ParamSet) -> np.ndarray:
-    if enc.h.shape[0] == 0:
-        raise ValueError("empty encoding")
-    with no_grad():
-        uh = [matmul(constant(enc.h[t : t + 1]), params["att_U"]) for t in range(enc.h.shape[0])]
-        alpha = _attention(constant(s_prev[None, :]), uh, enc.mask[None, :], params)
-    return alpha.data[0]
-
-
-def context_vector(alpha: np.ndarray, enc: EncodedSource) -> np.ndarray:
-    if len(alpha) != enc.h.shape[0]:
-        raise ValueError("attention weights and encoder states disagree on length")
-    return alpha @ enc.h
-
-
-def _decoder_step(y_emb: Tensor, s_prev: Tensor, c: Tensor, params: ParamSet):
-    """One decoder update; returns (next state, maxout readout)."""
+    scores = [matmul(tanh(add(sa, uh_t)), params["att_v"]) for uh_t in enc.uh]
+    alpha = softmax(stack_cols(scores), enc.mask)
+    c = weighted_sum(alpha, enc.states)
+    y_emb = rows(params["tgt_embed"], y_prev_ids)
     s_new = gru_step(concat([y_emb, c], axis=1), s_prev, params, "dec_")
     pre = add(
         add(add(matmul(y_emb, params["out_U"]), matmul(s_prev, params["out_V"])),
@@ -201,23 +195,16 @@ def _decoder_step(y_emb: Tensor, s_prev: Tensor, c: Tensor, params: ParamSet):
     return s_new, maxout(pre)
 
 
-def decoder_step(y_prev: int, s_prev: np.ndarray, c: np.ndarray, params: ParamSet):
-    with no_grad():
-        y_emb = rows(params["tgt_embed"], np.array([y_prev]))
-        s_new, z = _decoder_step(y_emb, constant(s_prev[None, :]), constant(c[None, :]), params)
-    return s_new.data[0], z.data[0]
-
-
-def output_distribution(z: np.ndarray, params: ParamSet) -> np.ndarray:
-    """p(y) = softmax(E_t z): logits come from the target embedding itself."""
-    with no_grad():
-        logits = matmul(constant(z[None, :]), transpose(params["tgt_embed"]))
-        p = softmax(logits)
-    return p.data[0]
-
-
-def _init_state(enc_b0: Tensor, params: ParamSet) -> Tensor:
-    return tanh(matmul(enc_b0, params["dec_init_W"]))
+def teacher_forced_steps(enc: EncodedSource, tgt: np.ndarray,
+                         params: ParamSet) -> Iterator[tuple[Tensor, Tensor]]:
+    """Yield (s_{i-1}, z_i) for each target column i, feeding the reference."""
+    s = enc.s0
+    y_in = np.full(tgt.shape[0], BOS_ID, dtype=np.int64)
+    for i in range(tgt.shape[1]):
+        s_new, z = decode_step(s, y_in, enc, params)
+        yield s, z
+        s = s_new
+        y_in = tgt[:, i]
 
 
 def train_step(batch: Batch, params: ParamSet, lr: float,
@@ -234,24 +221,14 @@ def train_step(batch: Batch, params: ParamSet, lr: float,
 
 def teacher_forced_loss(batch: Batch, params: ParamSet) -> Tensor:
     """Mask-weighted mean -log p(reference token) over a batch."""
-    b, t_len = batch.tgt.shape
-    states, b0 = encode_batch(batch.src, batch.src_mask, params)
-    uh = [matmul(h, params["att_U"]) for h in states]
+    enc = encode_batch(batch.src, batch.src_mask, params)
     e_t_T = transpose(params["tgt_embed"])
-    s = _init_state(b0, params)
     total = None
-    y_in = np.full(b, BOS_ID, dtype=np.int64)
-    for i in range(t_len):
-        alpha = _attention(s, uh, batch.src_mask, params)
-        c = weighted_sum(alpha, states)
-        y_emb = rows(params["tgt_embed"], y_in)
-        s_new, z = _decoder_step(y_emb, s, c, params)
+    for i, (_, z) in enumerate(teacher_forced_steps(enc, batch.tgt, params)):
         logits = matmul(z, e_t_T)
         ce = mul(cross_entropy_rows(logits, batch.tgt[:, i]), constant(batch.tgt_mask[:, i]))
         term = sum_all(ce)
         total = term if total is None else add(total, term)
-        s = s_new
-        y_in = batch.tgt[:, i]
     return scale(total, 1.0 / batch.tgt_mask.sum())
 
 
@@ -285,26 +262,20 @@ def beam_search(
     proxy = getattr(memory_hook, "embed_proxy", None)
 
     with no_grad():
-        enc_states, b0 = encode_batch(
+        enc = encode_batch(
             np.asarray(src_ids, dtype=np.int64)[None, :], np.ones((1, len(src_ids))), params
         )
-        uh = [matmul(h, params["att_U"]) for h in enc_states]
         e_t_T = transpose(params["tgt_embed"])
-        src_mask = np.ones((1, len(src_ids)))
-        s0 = _init_state(b0, params)
 
-        live = [Hypothesis([], 0.0, s0.data[0])]
+        live = [Hypothesis([], 0.0, enc.s0.data[0])]
         finished: list[Hypothesis] = []
         while live and len(finished) < beam:
             pool: list[Hypothesis] = []
             for hyp in live:
                 y_prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
                 emb_id = proxy(y_prev) if proxy is not None else y_prev
-                s_prev = constant(hyp.state[None, :])
-                alpha = _attention(s_prev, uh, src_mask, params)
-                c = weighted_sum(alpha, enc_states)
-                y_emb = rows(params["tgt_embed"], np.array([emb_id]))
-                s_new, z = _decoder_step(y_emb, s_prev, c, params)
+                s_new, z = decode_step(constant(hyp.state[None, :]), np.array([emb_id]),
+                                       enc, params)
                 p = softmax(matmul(z, e_t_T)).data[0]
                 if memory_hook is not None:
                     p = memory_hook(hyp.state, y_prev, p)
@@ -325,4 +296,6 @@ def beam_search(
                     finished.append(cand)
                 elif len(live) < beam:
                     live.append(cand)
+    if not finished:
+        raise ValueError("beam search found no hypothesis with positive probability")
     return max(finished, key=lambda h: (h.normalized_score(), [-t for t in h.tokens]))

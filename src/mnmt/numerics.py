@@ -128,16 +128,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, -_unbroadcast(g, b.data.shape))
-
-    return Tensor(out, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 

@@ -5,16 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mnmt.corpus import BOS_ID, EOS_ID, Vocabulary, build_vocabulary, encode_sentence, make_batches
-from mnmt.model import (
-    NmtConfig,
-    attention_weights,
-    context_vector,
-    decoder_step,
-    encode,
-    init_nmt_params,
-    output_distribution,
-    train_model,
-)
+from mnmt.model import NmtConfig, encode, init_nmt_params, train_model
 
 
 def desk_config(src_vocab: int, tgt_vocab: int, embed: int = 12, hidden: int = 16,
@@ -131,19 +122,47 @@ def quick_train(task: SynthTask, cfg: NmtConfig, seed: int, steps: int):
     return params, losses
 
 
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def reference_step(s_prev, y_prev, h, params):
+    """One decoder step of a single sentence in plain numpy, from the equations.
+
+    ``h`` is the [S, 2H] encoder state matrix.  Returns the next state and
+    the maxout readout.
+    """
+    p = {name: params[name].data for name in params.names()}
+    scores = np.tanh(s_prev @ p["att_W"] + h @ p["att_U"]) @ p["att_v"]
+    e = np.exp(scores - scores.max())
+    alpha = e / e.sum()
+    c = alpha @ h
+    emb = p["tgt_embed"][y_prev]
+    x = np.concatenate([emb, c])
+
+    def gate(g, s):
+        return x @ p[f"dec_W{g}"] + s @ p[f"dec_U{g}"] + p[f"dec_b{g}"]
+
+    zg = _sigmoid(gate("z", s_prev))
+    rg = _sigmoid(gate("r", s_prev))
+    ng = np.tanh(x @ p["dec_Wh"] + (rg * s_prev) @ p["dec_Uh"] + p["dec_bh"])
+    s_new = (1 - zg) * s_prev + zg * ng
+    pre = emb @ p["out_U"] + s_prev @ p["out_V"] + c @ p["out_C"] + p["out_b"]
+    return s_new, pre.reshape(-1, 2).max(axis=1)
+
+
 def greedy_reference(src_ids, params, max_len):
-    """Independent greedy decoder composed from the public per-sentence ops."""
-    enc = encode(src_ids, params)
+    """Independent greedy decoder built on `reference_step`."""
+    h = encode(src_ids, params).h
     hidden = params["dec_init_W"].data.shape[0]
-    s = np.tanh(enc.h[0, hidden:] @ params["dec_init_W"].data)
+    s = np.tanh(h[0, hidden:] @ params["dec_init_W"].data)
     tokens = []
     y_prev = BOS_ID
     while len(tokens) < max_len:
-        alpha = attention_weights(s, enc, params)
-        c = context_vector(alpha, enc)
-        s_new, z = decoder_step(y_prev, s, c, params)
-        p = output_distribution(z, params)
-        tid = int(np.argmax(p))
+        s_new, z = reference_step(s, y_prev, h, params)
+        logits = params["tgt_embed"].data @ z
+        p = np.exp(logits - logits.max())
+        tid = int(np.argmax(p / p.sum()))
         tokens.append(tid)
         if tid == EOS_ID:
             break

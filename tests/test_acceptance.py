@@ -30,8 +30,8 @@ from mnmt.memory import (
     LocalMemoryEntry,
     MemoryHook,
     SimilarWordMap,
-    _entry_matrix,
-    _memory_scores,
+    entry_matrix,
+    memory_scores,
     init_memory_params,
     merge_memory,
     sentence_memory,
@@ -82,12 +82,12 @@ def test_c01_gradient_fidelity():
             for i in range(5)  # K = 5
         ]
         mem = merge_memory(entries)
-        u = _entry_matrix(mem, params["tgt_embed"].data)
+        u = entry_matrix(mem, params["tgt_embed"].data)
         s_vec = rng.standard_normal(cfg.hidden_dim)
         y_emb = params["tgt_embed"].data[6]
 
         def mem_loss(pset):
-            e = _memory_scores(constant(s_vec), constant(y_emb), constant(u), pset)
+            e = memory_scores(constant(s_vec), constant(y_emb), constant(u), pset)
             return sum_all(cross_entropy_rows(reshape(e, (1, -1)), np.array([3])))
 
         err_mem = grad_check(mem_loss, mparams.pset, seed=0)

@@ -1,0 +1,19 @@
+"""Module boundaries inside the package."""
+
+import ast
+from pathlib import Path
+
+import mnmt
+
+SRC = Path(mnmt.__file__).parent
+
+
+def test_no_module_imports_another_modules_private_names():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders += [f"{path.name}: from {'.' * node.level}{node.module or ''} "
+                              f"import {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []

@@ -11,8 +11,8 @@ from mnmt.memory import (
     MemoryParams,
     MergedMemory,
     SimilarWordMap,
-    _entry_matrix,
-    _memory_scores,
+    entry_matrix,
+    memory_scores,
     apply_oov_substitution,
     build_local_memory,
     init_memory_params,
@@ -165,10 +165,10 @@ class TestMemoryAttention:
         mparams = init_memory_params(cfg, 3)
         mparams.pset["mem_v"].data[...] = rng.normal(size=cfg.hidden_dim)
         mem = self._mem(rng, cfg.hidden_dim)
-        u = constant(_entry_matrix(mem, params["tgt_embed"].data))
+        u = constant(entry_matrix(mem, params["tgt_embed"].data))
         s = constant(rng.normal(size=cfg.hidden_dim))
         y = constant(params["tgt_embed"].data[4])
-        e = _memory_scores(s, y, u, mparams.pset).data
+        e = memory_scores(s, y, u, mparams.pset).data
         soft = np.exp(e - e.max()) / np.exp(e - e.max()).sum()
         shifted = e + 17.3
         soft2 = np.exp(shifted - shifted.max()) / np.exp(shifted - shifted.max()).sum()
@@ -187,12 +187,12 @@ class TestMemoryAttention:
         for t in mparams.pset.params.values():
             t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
         mem = self._mem(rng, cfg.hidden_dim)
-        u = _entry_matrix(mem, params["tgt_embed"].data)
+        u = entry_matrix(mem, params["tgt_embed"].data)
         s = rng.normal(size=cfg.hidden_dim)
         y_emb = params["tgt_embed"].data[5]
 
         def loss(pset):
-            e = _memory_scores(constant(s), constant(y_emb), constant(u), pset)
+            e = memory_scores(constant(s), constant(y_emb), constant(u), pset)
             return sum_all(cross_entropy_rows(reshape(e, (1, -1)), np.array([2])))
 
         assert grad_check(loss, mparams.pset, seed=0) < 1e-4

@@ -1,22 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import desk_config, greedy_reference, make_copy_task
+from conftest import desk_config, greedy_reference, make_copy_task, reference_step
 from mnmt.corpus import BOS_ID, EOS_ID, Batch, make_batches
 from mnmt.model import (
-    EncodedSource,
     NmtConfig,
-    attention_weights,
     beam_search,
-    context_vector,
-    decoder_step,
+    decode_step,
     encode,
+    encode_batch,
     init_nmt_params,
-    output_distribution,
     teacher_forced_loss,
     train_step,
 )
-from mnmt.numerics import ParamSet, grad_check
+from mnmt.numerics import ParamSet, constant, grad_check, no_grad
 
 
 def tiny_params(seed=0, src_v=10, tgt_v=10, embed=6, hidden=8):
@@ -79,133 +76,41 @@ class TestEncode:
             np.testing.assert_allclose(h_rev[j, n:], h[t_len - 1 - j, :n], atol=1e-12)
 
 
-class TestAttention:
-    def test_single_position_gets_full_weight(self):
-        cfg, params = tiny_params()
-        enc = encode([EOS_ID], params)
-        alpha = attention_weights(np.zeros(cfg.hidden_dim), enc, params)
-        np.testing.assert_allclose(alpha, [1.0])
-
-    def test_zero_score_vector_gives_uniform(self):
-        cfg, params = tiny_params()  # att_v starts at zero
-        enc = encode([4, 5, 6, EOS_ID], params)
-        alpha = attention_weights(np.ones(cfg.hidden_dim), enc, params)
-        np.testing.assert_allclose(alpha, np.full(4, 0.25), atol=1e-12)
-
-    def test_masked_positions_exactly_zero(self):
-        cfg, params = tiny_params(seed=6)
-        params["att_v"].data[...] = np.random.default_rng(6).normal(size=cfg.hidden_dim)
-        enc = encode([4, 5, 6], params)
-        enc.mask = np.array([1.0, 0.0, 1.0])
-        alpha = attention_weights(np.ones(cfg.hidden_dim), enc, params)
-        assert alpha[1] == 0.0
-        assert (alpha >= 0.0).all()
-        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_direct_evaluation(self):
-        cfg, params = tiny_params(seed=11)
-        params["att_v"].data[...] = np.random.default_rng(11).normal(size=cfg.hidden_dim)
-        enc = encode([4, 5], params)
-        s = np.random.default_rng(5).normal(size=cfg.hidden_dim)
-        alpha = attention_weights(s, enc, params)
-
-        scores = np.array([
-            params["att_v"].data @ np.tanh(
-                s @ params["att_W"].data + enc.h[j] @ params["att_U"].data
-            )
-            for j in range(2)
-        ])
-        e = np.exp(scores - scores.max())
-        np.testing.assert_allclose(alpha, e / e.sum(), atol=1e-12)
-        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestContextVector:
-    ENC = EncodedSource(h=np.array([[1.0, 0.0], [0.0, 1.0]]), mask=np.ones(2))
-
-    def test_one_hot_selects_state(self):
-        np.testing.assert_array_equal(context_vector(np.array([0.0, 1.0]), self.ENC), [0.0, 1.0])
-
-    def test_uniform_gives_mean(self):
-        np.testing.assert_allclose(context_vector(np.array([0.5, 0.5]), self.ENC), [0.5, 0.5])
-
-    def test_weighted_blend(self):
-        np.testing.assert_allclose(context_vector(np.array([0.7, 0.3]), self.ENC), [0.7, 0.3])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            context_vector(np.array([1.0]), self.ENC)
-
-    def test_stays_in_convex_hull(self):
-        rng = np.random.default_rng(0)
-        h = rng.normal(size=(5, 6))
-        enc = EncodedSource(h=h, mask=np.ones(5))
-        for _ in range(20):
-            w = rng.dirichlet(np.ones(5))
-            c = context_vector(w, enc)
-            assert (c >= h.min(axis=0) - 1e-12).all()
-            assert (c <= h.max(axis=0) + 1e-12).all()
+def _step(s_prev, y_prev, enc, params):
+    """decode_step on one row, as numpy vectors."""
+    with no_grad():
+        s_new, z = decode_step(constant(s_prev[None, :]), np.array([y_prev]), enc, params)
+    return s_new.data[0], z.data[0]
 
 
 class TestDecoderStep:
+    def test_matches_direct_evaluation(self):
+        # attention, context, GRU and maxout readout against plain numpy,
+        # with a non-zero score vector so attention is not uniform
+        rng = np.random.default_rng(9)
+        for seed, src in ((9, [4, 5, 6, EOS_ID]), (10, [EOS_ID])):
+            cfg, params = tiny_params(seed=seed)
+            params["att_v"].data[...] = rng.normal(size=cfg.hidden_dim)
+            enc = encode(src, params)
+            s_prev = rng.normal(size=cfg.hidden_dim)
+            s, z = _step(s_prev, 6, enc, params)
+            s_ref, z_ref = reference_step(s_prev, 6, enc.h, params)
+            np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-12)
+
     def test_zero_params_halve_state_and_zero_readout(self):
         cfg, params = tiny_params()
         zeroed(params)
+        enc = encode([4, 5, EOS_ID], params)
         s_prev = np.linspace(-1, 1, cfg.hidden_dim)
-        s, z = decoder_step(4, s_prev, np.ones(2 * cfg.hidden_dim), params)
+        s, z = _step(s_prev, 4, enc, params)
         np.testing.assert_allclose(s, 0.5 * s_prev, atol=1e-15)
         np.testing.assert_array_equal(z, np.zeros(cfg.embed_dim))
 
     def test_readout_width_is_output_dim(self):
         cfg, params = tiny_params(seed=2)
-        _, z = decoder_step(5, np.zeros(cfg.hidden_dim), np.zeros(2 * cfg.hidden_dim), params)
+        _, z = _step(np.zeros(cfg.hidden_dim), 5, encode([4, EOS_ID], params), params)
         assert z.shape == (cfg.output_dim,)
-
-    def test_matches_direct_evaluation(self):
-        cfg, params = tiny_params(seed=9)
-        rng = np.random.default_rng(9)
-        s_prev = rng.normal(size=cfg.hidden_dim)
-        c = rng.normal(size=2 * cfg.hidden_dim)
-        y = 6
-        s, z = decoder_step(y, s_prev, c, params)
-
-        def sig(v):
-            return 1.0 / (1.0 + np.exp(-v))
-
-        emb = params["tgt_embed"].data[y]
-        x = np.concatenate([emb, c])
-        g = {k: params[f"dec_{k}"].data for k in
-             ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")}
-        zg = sig(x @ g["Wz"] + s_prev @ g["Uz"] + g["bz"])
-        rg = sig(x @ g["Wr"] + s_prev @ g["Ur"] + g["br"])
-        ng = np.tanh(x @ g["Wh"] + (rg * s_prev) @ g["Uh"] + g["bh"])
-        s_ref = (1 - zg) * s_prev + zg * ng
-        pre = (emb @ params["out_U"].data + s_prev @ params["out_V"].data
-               + c @ params["out_C"].data + params["out_b"].data)
-        z_ref = pre.reshape(-1, 2).max(axis=1)
-        np.testing.assert_allclose(s, s_ref, atol=1e-12)
-        np.testing.assert_allclose(z, z_ref, atol=1e-12)
-
-
-class TestOutputDistribution:
-    def test_zero_embedding_gives_uniform(self):
-        cfg, params = tiny_params()
-        params["tgt_embed"].data[...] = 0.0
-        p = output_distribution(np.ones(cfg.embed_dim), params)
-        np.testing.assert_allclose(p, np.full(cfg.tgt_vocab_size, 1 / cfg.tgt_vocab_size))
-
-    def test_sums_to_one(self):
-        cfg, params = tiny_params(seed=4)
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            p = output_distribution(rng.normal(size=cfg.embed_dim), params)
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_identity_rows_reduce_to_plain_softmax(self):
-        cfg, params = tiny_params(src_v=5, tgt_v=3, embed=3)
-        params["tgt_embed"].data[...] = np.eye(3)
-        p = output_distribution(np.array([np.log(2.0), 0.0, 0.0]), params)
-        np.testing.assert_allclose(p, [0.5, 0.25, 0.25], atol=1e-12)
 
 
 def _toy_batch(rng, b=2, s=5, t=5, vocab=20):
@@ -225,20 +130,20 @@ class TestBatchingConsistency:
 
     def test_encode_matches_batched_rows(self):
         cfg, params = tiny_params(seed=12, src_v=15, tgt_v=15)
-        from mnmt.model import encode_batch
-
         short = [4, 7, EOS_ID]
         long = [5, 6, 8, 9, EOS_ID]
         src = np.zeros((2, 5), dtype=np.int64)
         src[0, :3] = short
         src[1, :] = long
         mask = np.array([[1.0, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
-        states, b0 = encode_batch(src, mask, params)
-        batched = np.stack([s.data for s in states], axis=1)  # [B, T, 2H]
+        enc = encode_batch(src, mask, params)
+        batched = np.stack([s.data for s in enc.states], axis=1)  # [B, T, 2H]
         np.testing.assert_allclose(batched[0, :3], encode(short, params).h, atol=1e-12)
         np.testing.assert_allclose(batched[1], encode(long, params).h, atol=1e-12)
+        # the decoder starts from the backward state at position 0
+        b0 = encode(short, params).h[0, cfg.hidden_dim :]
         np.testing.assert_allclose(
-            b0.data[0], encode(short, params).h[0, cfg.hidden_dim :], atol=1e-12
+            enc.s0.data[0], np.tanh(b0 @ params["dec_init_W"].data), atol=1e-12
         )
 
     def test_batch_loss_is_token_weighted_mean_of_singles(self):
@@ -372,6 +277,11 @@ class TestBeamSearch:
                 stack.append((toks + [tid], lp + np.log(prob)))
         assert wide.tokens == best[0]
         assert wide.normalized_score() == pytest.approx(best[1], abs=1e-12)
+
+    def test_all_zero_hook_raises(self):
+        _, params = tiny_params()
+        with pytest.raises(ValueError, match="no hypothesis with positive probability"):
+            beam_search([4, EOS_ID], params, beam=2, memory_hook=lambda s, y, p: np.zeros_like(p))
 
     def test_beam_must_be_positive(self):
         _, params = tiny_params()
