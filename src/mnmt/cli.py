@@ -78,6 +78,11 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
+        return cls(**cls.file_values(path))
+
+    @classmethod
+    def file_values(cls, path: str) -> dict:
+        """The keys a config file sets, with their values cast to the field types."""
         types = {f.name: f.type for f in fields(cls)}
         casts = {"int": int, "float": float, "str": str}
         values = {}
@@ -92,7 +97,7 @@ class RunConfig:
                 if key not in types:
                     raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
                 values[key] = casts[types[key]](raw)
-        return cls(**values)
+        return values
 
     def nmt_config(self) -> NmtConfig:
         return NmtConfig(
@@ -141,6 +146,16 @@ def _load_or_build_vocab(path: str, side: list[list[str]], max_size: int) -> Voc
     if path:
         return Vocabulary.load(path)
     return build_vocabulary(side, max_size)
+
+
+def _load_vocab_for(path: str, params: ParamSet, embed_name: str) -> Vocabulary:
+    """Load a vocabulary file that must index exactly the checkpoint's embedding rows."""
+    vocab = Vocabulary.load(path)
+    n_rows = params[embed_name].data.shape[0]
+    if len(vocab) != n_rows:
+        raise ValueError(f"{path}: vocabulary has {len(vocab)} tokens, but the checkpoint's "
+                         f"{embed_name} has {n_rows} rows")
+    return vocab
 
 
 # --- translation pipeline ---------------------------------------------------
@@ -236,10 +251,10 @@ def _cmd_train_memory(args) -> int:
     cfg = _resolve_config(args)
     _require(cfg, "src", "tgt", "vocab_src", "vocab_tgt", "lexicon", "ckpt", "mem_ckpt")
     corpus = load_parallel_corpus(cfg.src, cfg.tgt)
-    src_vocab = Vocabulary.load(cfg.vocab_src)
-    tgt_vocab = Vocabulary.load(cfg.vocab_tgt)
     ck_cfg, arrays = load_checkpoint(cfg.ckpt)
     nmt_params = params_from_arrays(arrays)
+    src_vocab = _load_vocab_for(cfg.vocab_src, nmt_params, "src_embed")
+    tgt_vocab = _load_vocab_for(cfg.vocab_tgt, nmt_params, "tgt_embed")
     model_cfg = _nmt_config_from_snapshot(ck_cfg)
     lex = load_lexicon(cfg.lexicon)
     mparams = init_memory_params(model_cfg, cfg.seed, cfg.beta)
@@ -261,15 +276,18 @@ def _cmd_translate(args) -> int:
     if cfg.mem_ckpt and not cfg.lexicon:
         print("error: --mem-ckpt needs --lexicon to build sentence memories", file=sys.stderr)
         raise SystemExit(2)
-    src_vocab = Vocabulary.load(cfg.vocab_src)
-    tgt_vocab = Vocabulary.load(cfg.vocab_tgt)
-    ck_cfg, arrays = load_checkpoint(cfg.ckpt)
+    _, arrays = load_checkpoint(cfg.ckpt)
     nmt_params = params_from_arrays(arrays)
+    src_vocab = _load_vocab_for(cfg.vocab_src, nmt_params, "src_embed")
+    tgt_vocab = _load_vocab_for(cfg.vocab_tgt, nmt_params, "tgt_embed")
     lexicon = load_lexicon(cfg.lexicon) if cfg.lexicon else None
     mparams = None
     if cfg.mem_ckpt:
         mem_cfg, mem_arrays = load_checkpoint(cfg.mem_ckpt)
-        beta = cfg.beta if args.beta is not None else float(mem_cfg.get("beta", cfg.beta))
+        # --beta, then the config file, then the value stored with the memory
+        beta_set = args.beta is not None or (
+            bool(args.config) and "beta" in RunConfig.file_values(args.config))
+        beta = cfg.beta if beta_set else float(mem_cfg.get("beta", cfg.beta))
         mparams = MemoryParams(params_from_arrays(mem_arrays), beta)
     sim = None
     if cfg.sim_src or cfg.sim_tgt:
@@ -305,8 +323,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     from .corpus import Batch
-    from .memory import entry_matrix, memory_scores, merge_memory, LocalMemoryEntry
-    from .numerics import constant, cross_entropy_rows, reshape, sum_all
+    from .memory import TrainingRecord, chunk_loss, training_chunk
 
     seed = args.seed if args.seed is not None else 0
     cfg = NmtConfig(src_vocab_size=20, tgt_vocab_size=20, embed_dim=8, hidden_dim=12,
@@ -332,20 +349,17 @@ def _cmd_gradcheck(args) -> int:
     mparams = init_memory_params(cfg, seed)
     for t in mparams.pset.params.values():
         t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
-    entries = [
-        LocalMemoryEntry(f"w{i}", 4 + i, i % 3, rng.standard_normal(2 * cfg.hidden_dim), 0.5, 0.5)
-        for i in range(4)
-    ]
-    mem = merge_memory(entries)
-    u = entry_matrix(mem, params["tgt_embed"].data)
-    s_vec = rng.standard_normal(cfg.hidden_dim)
-    y_emb = params["tgt_embed"].data[5]
-
-    def mem_loss(pset):
-        e = memory_scores(constant(s_vec), constant(y_emb), constant(u), pset)
-        return sum_all(cross_entropy_rows(reshape(e, (1, -1)), np.array([1])))
-
-    err_mem = grad_check(mem_loss, mparams.pset, seed=seed)
+    # the loss memory training minimizes, over two records of K = 4 and K = 2,
+    # so the shorter record's pad slots are in play
+    e, h = cfg.embed_dim, cfg.hidden_dim
+    chunk = training_chunk([
+        TrainingRecord(u=rng.standard_normal((n_entries, e + 2 * h)),
+                       s_prev=rng.standard_normal((len(target), h)),
+                       y_emb=params["tgt_embed"].data[rng.integers(4, 20, size=len(target))],
+                       target=np.array(target))
+        for n_entries, target in ((4, [1, 3, 0]), (2, [1, 0]))
+    ])
+    err_mem = grad_check(lambda p: chunk_loss(chunk, p), mparams.pset, seed=seed)
     print(f"memory loss max relative gradient error: {err_mem:.3e}")
     ok = err_nmt < 1e-4 and err_mem < 1e-4
     print("gradient check:", "PASS" if ok else "FAIL")

@@ -205,11 +205,12 @@ def make_batches(
     batches = []
     for start in range(0, len(kept), batch_size):
         group = [kept[i] for i in order[start : start + batch_size]]
-        batches.append(_pad_batch(group))
+        batches.append(pad_batch(group))
     return batches
 
 
-def _pad_batch(group: list[tuple[list[int], list[int]]]) -> Batch:
+def pad_batch(group: list[tuple[list[int], list[int]]]) -> Batch:
+    """Pad encoded (source, target) pairs, in order, into one batch."""
     b = len(group)
     s_len = max(len(s) for s, _ in group)
     t_len = max(len(t) for _, t in group)

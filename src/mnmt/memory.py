@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS_ID, Vocabulary, encode_sentence
+from .corpus import BOS_ID, Vocabulary, encode_sentence, pad_batch
 from .lexicon import Lexicon, lexicon_lookup
-from .model import EncodedSource, NmtConfig, encode, teacher_forced_steps
-from .model import encode_batch  # unused here; bench/layers.py wraps this name to trace it
+from .model import EncodedSource, NmtConfig, encode_batch, teacher_forced_steps
+from .model import encode  # unused here; bench/layers.py wraps this name to trace it
 from .numerics import (
     ParamSet,
     Tensor,
@@ -39,6 +39,7 @@ from .numerics import (
     matmul,
     no_grad,
     reshape,
+    rows,
     scale,
     softmax,
     sum_all,
@@ -163,13 +164,14 @@ def init_memory_params(cfg: NmtConfig, seed: int, beta: float = 1.0 / 3.0) -> Me
 
 def build_local_memory(
     tokens: list[str],
-    enc: EncodedSource,
+    h: np.ndarray,
     lex: Lexicon,
     k: int,
     tgt_vocab: Vocabulary,
 ) -> list[LocalMemoryEntry]:
     """Top-k lexicon candidates per source position (real tokens only).
 
+    ``h`` holds the sentence's [S, 2H] encoder states; row j is h_j.
     Candidates outside the target vocabulary are skipped here; only OOV
     injection can give such targets a usable embedding.
     """
@@ -180,7 +182,7 @@ def build_local_memory(
                 continue
             p_st = lex.entries[(tok, tgt_tok)][1]
             entries.append(
-                LocalMemoryEntry(tgt_tok, tgt_vocab.id_of(tgt_tok), pos, enc.h[pos], p_ts, p_st)
+                LocalMemoryEntry(tgt_tok, tgt_vocab.id_of(tgt_tok), pos, h[pos], p_ts, p_st)
             )
     return entries
 
@@ -417,7 +419,7 @@ def sentence_memory(
     sim: SimilarWordMap | None = None,
 ) -> MergedMemory:
     """Local memory -> merge -> (optional) OOV injection, in one call."""
-    mem = merge_memory(build_local_memory(tokens, enc, lex, k, tgt_vocab))
+    mem = merge_memory(build_local_memory(tokens, enc.h, lex, k, tgt_vocab))
     if record is not None and record.substitutions and sim is not None:
         mem = inject_oov_targets(mem, record, enc, lex, tgt_vocab, sim, k)
     return mem
@@ -427,13 +429,113 @@ def sentence_memory(
 
 
 @dataclass
-class _PairRecord:
-    """Frozen-model quantities cached once per sentence pair."""
+class TrainingRecord:
+    """Frozen-model quantities of one sentence pair's trainable positions."""
 
-    states: list[np.ndarray]       # s_{i-1} per target step
-    y_prev_ids: list[int]
-    target_entry: list[int]        # index into the merged memory, per step
-    u: np.ndarray                  # [K, E + 2H]
+    u: np.ndarray           # [K, E + 2H] entry matrix of the merged memory
+    s_prev: np.ndarray      # [n, H] decoder state s_{i-1} at each position
+    y_emb: np.ndarray       # [n, E] embedding of the previous reference word
+    target: np.ndarray      # [n] index of the reference word's entry
+
+
+@dataclass
+class TrainingChunk:
+    """Records padded to one [N, K_max] score table, N positions in all."""
+
+    u: np.ndarray           # [sum of K, E + 2H] every record's entry rows, stacked
+    s_prev: np.ndarray      # [N, H]
+    y_emb: np.ndarray       # [N, E]
+    slot_entry: np.ndarray  # [N * K_max] row of ``u`` scored in each slot
+    slot_pos: np.ndarray    # [N * K_max] position each slot belongs to
+    pad_bias: np.ndarray    # [N, K_max] 0 on a record's own entries, -1e30 past them
+    target: np.ndarray      # [N]
+
+    @property
+    def n_positions(self) -> int:
+        return len(self.target)
+
+
+def training_chunk(records: list[TrainingRecord]) -> TrainingChunk:
+    """Stack records into one chunk; a pad slot repeats its record's first entry."""
+    k_max = max(len(r.u) for r in records)
+    offsets = np.cumsum([0] + [len(r.u) for r in records[:-1]])
+    slots = np.arange(k_max)
+    slot_entry, pad_bias = [], []
+    for rec, off in zip(records, offsets):
+        real = slots < len(rec.u)
+        slot_entry.append(np.tile(np.where(real, off + slots, off), (len(rec.target), 1)))
+        pad_bias.append(np.tile(np.where(real, 0.0, -1e30), (len(rec.target), 1)))
+    n = sum(len(r.target) for r in records)
+    return TrainingChunk(
+        u=np.concatenate([r.u for r in records]),
+        s_prev=np.concatenate([r.s_prev for r in records]),
+        y_emb=np.concatenate([r.y_emb for r in records]),
+        slot_entry=np.concatenate(slot_entry).reshape(-1),
+        slot_pos=np.repeat(np.arange(n), k_max),
+        pad_bias=np.concatenate(pad_bias),
+        target=np.concatenate([r.target for r in records]),
+    )
+
+
+def chunk_loss(chunk: TrainingChunk, pset: ParamSet) -> Tensor:
+    """Mean over the chunk's positions of -log(attention at the reference entry).
+
+    Scores follow `memory_scores`; each entry's u @ mem_Wu and each
+    position's s @ mem_Ws + y @ mem_Wy are computed once and gathered into
+    the slots.
+    """
+    uw = matmul(constant(chunk.u), pset["mem_Wu"])
+    sy = add(matmul(constant(chunk.s_prev), pset["mem_Ws"]),
+             matmul(constant(chunk.y_emb), pset["mem_Wy"]))
+    pre = add(rows(uw, chunk.slot_entry), rows(sy, chunk.slot_pos))
+    scores = reshape(matmul(tanh(pre), pset["mem_v"]), chunk.pad_bias.shape)
+    nll = cross_entropy_rows(add(scores, constant(chunk.pad_bias)), chunk.target)
+    return scale(sum_all(nll), 1.0 / chunk.n_positions)
+
+
+def _training_records(
+    pairs: list[tuple[list[str], list[str]]],
+    src_vocab: Vocabulary,
+    tgt_vocab: Vocabulary,
+    nmt_params: ParamSet,
+    lex: Lexicon,
+    k: int,
+    batch_pairs: int,
+) -> list[TrainingRecord]:
+    """One frozen encoding per batch of pairs, decoded up to its last memory position."""
+    tgt_embed = nmt_params["tgt_embed"].data
+    records: list[TrainingRecord] = []
+    for start in range(0, len(pairs), batch_pairs):
+        group = pairs[start : start + batch_pairs]
+        ids = [(encode_sentence(s, src_vocab, append_eos=True),
+                encode_sentence(t, tgt_vocab, append_eos=True)) for s, t in group]
+        batch = pad_batch(ids)
+        with no_grad():
+            enc = encode_batch(batch.src, batch.src_mask, nmt_params)
+        h = np.stack([st.data for st in enc.states], axis=1)  # [B, S, 2H]
+        hits = []  # (row, merged memory, target columns, entry per column)
+        for row, ((src_tokens, _), (src_ids, tgt_ids)) in enumerate(zip(group, ids)):
+            mem = merge_memory(
+                build_local_memory(src_tokens, h[row, : len(src_ids)], lex, k, tgt_vocab))
+            entry_of_label = {e.label_id: i for i, e in enumerate(mem.entries)}
+            cols = [i for i, tid in enumerate(tgt_ids) if tid in entry_of_label]
+            if cols:
+                hits.append((row, mem, cols, [entry_of_label[tgt_ids[i]] for i in cols]))
+        if not hits:
+            continue
+        last = max(hit_cols[-1] for _, _, hit_cols, _ in hits)
+        with no_grad():
+            s_prev = np.stack([s.data for s, _ in
+                               teacher_forced_steps(enc, batch.tgt[:, : last + 1], nmt_params)])
+        y_prev = np.concatenate([np.full((len(group), 1), BOS_ID), batch.tgt[:, :last]], axis=1)
+        for row, mem, cols, entries in hits:
+            records.append(TrainingRecord(
+                u=entry_matrix(mem, tgt_embed),
+                s_prev=s_prev[cols, row],
+                y_emb=tgt_embed[y_prev[row, cols]],
+                target=np.array(entries),
+            ))
+    return records
 
 
 def train_memory_attention(
@@ -454,70 +556,36 @@ def train_memory_attention(
     For every target position whose reference word is present in the merged
     memory, the net pays -log(attention at that entry); positions absent
     from the memory are skipped.  Only the memory parameters move; the
-    translation model is read, never written.  Returns the per-epoch mean
-    loss over trainable positions.
+    translation model is read, never written.  Pairs are encoded
+    ``batch_pairs`` at a time, and each Adam step covers ``batch_pairs``
+    pairs that have trainable positions.  Returns the per-epoch mean loss
+    over trainable positions.
     """
     if not lex.entries:
         raise EmptyLexiconError("cannot train memory attention with an empty lexicon")
-    tgt_embed = nmt_params["tgt_embed"].data
-
-    records: list[_PairRecord] = []
-    for src_tokens, tgt_tokens in pairs:
-        src_ids = encode_sentence(src_tokens, src_vocab, append_eos=True)
-        enc = encode(src_ids, nmt_params)
-        mem = merge_memory(build_local_memory(src_tokens, enc, lex, k, tgt_vocab))
-        if not mem.entries:
-            continue
-        entry_of_label = {e.label_id: i for i, e in enumerate(mem.entries)}
-        tgt_ids = encode_sentence(tgt_tokens, tgt_vocab, append_eos=True)
-        step_states, y_prevs, entry_idx = [], [], []
-        with no_grad():
-            steps = teacher_forced_steps(enc, np.array([tgt_ids]), nmt_params)
-            for i, (tid, (s_prev, _)) in enumerate(zip(tgt_ids, steps)):
-                if tid not in entry_of_label:
-                    continue
-                step_states.append(s_prev.data[0])
-                y_prevs.append(BOS_ID if i == 0 else tgt_ids[i - 1])
-                entry_idx.append(entry_of_label[tid])
-        if not entry_idx:
-            continue
-        records.append(_PairRecord(step_states, y_prevs, entry_idx, entry_matrix(mem, tgt_embed)))
-
-    n_positions = sum(len(r.target_entry) for r in records)
+    records = _training_records(pairs, src_vocab, tgt_vocab, nmt_params, lex, k, batch_pairs)
+    n_positions = sum(len(r.target) for r in records)
     if n_positions == 0:
         warnings.warn("no target word ever appears in its sentence memory; nothing to train")
         return []
     logger.info("memory training: %d sentences, %d positions", len(records), n_positions)
+    n_tokens = sum(len(t) + 1 for _, t in pairs)
+    logger.info("memory coverage: %d of %d target tokens (with EOS) are in their memory, %.3f",
+                n_positions, n_tokens, n_positions / n_tokens)
 
+    chunks = [training_chunk(records[i : i + batch_pairs])
+              for i in range(0, len(records), batch_pairs)]
     epoch_losses = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
         total_nll = 0.0
-        for start in range(0, len(records), batch_pairs):
-            chunk = records[start : start + batch_pairs]
-            terms = []
-            n_chunk = 0
-            for rec in chunk:
-                u = constant(rec.u)
-                for s_vec, y_prev, k_idx in zip(rec.states, rec.y_prev_ids, rec.target_entry):
-                    e = memory_scores(
-                        constant(s_vec), constant(tgt_embed[y_prev]), u, mparams.pset
-                    )
-                    terms.append(cross_entropy_rows(reshape(e, (1, -1)), np.array([k_idx])))
-                    n_chunk += 1
-            total = terms[0] if len(terms) == 1 else _sum_terms(terms)
-            loss = scale(sum_all(total), 1.0 / n_chunk)
+        for chunk in chunks:
+            loss = chunk_loss(chunk, mparams.pset)
             backward(loss)
             grads = mparams.pset.grads()
             mparams.pset.zero_grads()
             clip_gradients(grads, clip_norm)
             adam_step(mparams.pset, grads, lr)
-            total_nll += float(loss.data) * n_chunk
+            total_nll += float(loss.data) * chunk.n_positions
         epoch_losses.append(total_nll / n_positions)
+        logger.info("memory epoch %d/%d: loss %.6f", epoch + 1, epochs, epoch_losses[-1])
     return epoch_losses
-
-
-def _sum_terms(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = add(total, t)
-    return total

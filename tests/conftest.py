@@ -168,3 +168,46 @@ def greedy_reference(src_ids, params, max_len):
             break
         s, y_prev = s_new, tid
     return tokens
+
+
+def reference_memory_loss(pairs, src_vocab, tgt_vocab, params, lex, k, mparams):
+    """Mean -log memory attention at the reference word, in plain numpy.
+
+    One sentence and one target position at a time, from the equations:
+    the top-k lexicon candidates of each source word (by p(t|s), ties by
+    target token) that are in the target vocabulary, merged per target word
+    into [target embedding; p(s|t)-weighted mean of source states]; decoder
+    states from `reference_step` on the reference prefix.  Returns
+    (mean loss, number of scored positions).
+    """
+    p = {name: params[name].data for name in params.names()}
+    m = {name: mparams[name].data for name in mparams.names()}
+    hidden = p["dec_init_W"].shape[0]
+    ranked = {}
+    for (s, t), (p_ts, p_st) in lex.entries.items():
+        ranked.setdefault(s, []).append((-p_ts, t, p_st))
+    nll = []
+    for src, tgt in pairs:
+        h = encode(encode_sentence(src, src_vocab, True), params).h
+        groups = {}  # target id -> [(source position, p(s|t))]
+        for pos, word in enumerate(src):
+            for _, t, p_st in sorted(ranked.get(word, []))[:k]:
+                if t in tgt_vocab:
+                    groups.setdefault(tgt_vocab.id_of(t), []).append((pos, p_st))
+        labels = list(groups)
+        u = []
+        for tid in labels:
+            w = np.array([p_st for _, p_st in groups[tid]])
+            w = w / w.sum() if w.sum() > 0 else np.full(len(w), 1.0 / len(w))
+            blend = sum(wi * h[pos] for wi, (pos, _) in zip(w, groups[tid]))
+            u.append(np.concatenate([p["tgt_embed"][tid], blend]))
+        s = np.tanh(h[0, hidden:] @ p["dec_init_W"])
+        y_prev = BOS_ID
+        for tid in encode_sentence(tgt, tgt_vocab, True):
+            if tid in groups:
+                pre = np.stack(u) @ m["mem_Wu"] + s @ m["mem_Ws"] + p["tgt_embed"][y_prev] @ m["mem_Wy"]
+                e = np.tanh(pre) @ m["mem_v"]
+                nll.append(e.max() + np.log(np.exp(e - e.max()).sum()) - e[labels.index(tid)])
+            s, _ = reference_step(s, y_prev, h, params)
+            y_prev = tid
+    return float(np.mean(nll)), len(nll)

@@ -1,8 +1,13 @@
 import pytest
 
-from conftest import make_mapped_task
+from conftest import desk_config, make_mapped_task
+from mnmt import cli
 from mnmt.cli import RunConfig, main
-from mnmt.checkpoint import checkpoint_checksum
+from mnmt.checkpoint import checkpoint_checksum, save_checkpoint
+from mnmt.corpus import build_vocabulary
+from mnmt.lexicon import Lexicon, save_lexicon
+from mnmt.memory import init_memory_params
+from mnmt.model import init_nmt_params
 
 
 @pytest.fixture
@@ -136,3 +141,64 @@ class TestCommands:
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+@pytest.fixture
+def model_files(workdir):
+    """Vocabularies, lexicon, an untrained model and a memory stored with beta 0.25."""
+    d, task = workdir
+    src_vocab = build_vocabulary([s for s, _ in task.train_pairs], max_size=40)
+    tgt_vocab = build_vocabulary([t for _, t in task.train_pairs], max_size=40)
+    src_vocab.save(str(d / "vocab.src"))
+    tgt_vocab.save(str(d / "vocab.tgt"))
+    save_lexicon(Lexicon({("s00", "t00"): (0.9, 0.9)}), str(d / "lex.tsv"))
+    cfg = desk_config(len(src_vocab), len(tgt_vocab), embed=8, hidden=10)
+    save_checkpoint(str(d / "model.ckpt"), init_nmt_params(cfg, 0), {"kind": "nmt"})
+    save_checkpoint(str(d / "mem.ckpt"), init_memory_params(cfg, 0).pset,
+                    {"kind": "memory", "beta": 0.25})
+    (d / "test.src").write_text(" ".join(task.train_pairs[0][0]) + "\n", encoding="utf-8")
+    return d, src_vocab, tgt_vocab
+
+
+class TestTranslateBeta:
+    @pytest.mark.parametrize("file_beta, flag, want", [
+        (None, None, 0.25),   # only the memory checkpoint stores beta
+        (0.5, None, 0.5),     # the config file overrides the checkpoint
+        (0.5, "0.75", 0.75),  # the flag overrides both
+    ])
+    def test_flag_then_file_then_checkpoint(self, model_files, monkeypatch, file_beta, flag, want):
+        d, _, _ = model_files
+        if file_beta is not None:
+            with open(d / "desk.cfg", "a", encoding="utf-8") as f:
+                f.write(f"beta = {file_beta}\n")
+        seen = []
+        monkeypatch.setattr(cli, "translate_lines",
+                            lambda lines, *a, mparams, **kw: seen.append(mparams.beta) or lines)
+        argv = ["translate", "--config", str(d / "desk.cfg"), "--src", str(d / "test.src"),
+                "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
+                "--ckpt", str(d / "model.ckpt"), "--lexicon", str(d / "lex.tsv"),
+                "--mem-ckpt", str(d / "mem.ckpt"), "--out", str(d / "out.txt")]
+        assert main(argv + (["--beta", flag] if flag else [])) == 0
+        assert seen == [want]
+
+
+class TestVocabularyMismatch:
+    @pytest.mark.parametrize("command", ["translate", "train-memory"])
+    @pytest.mark.parametrize("side, extra", [("src", ["zz1"]), ("tgt", None)])
+    def test_rejected_naming_the_file(self, model_files, command, side, extra):
+        d, src_vocab, tgt_vocab = model_files
+        vocab = src_vocab if side == "src" else tgt_vocab
+        # one token more than the checkpoint's rows, or one fewer
+        tokens = vocab.tokens + extra if extra else vocab.tokens[:-1]
+        bad = d / f"bad.{side}"
+        bad.write_text("".join(t + "\n" for t in tokens), encoding="utf-8")
+        vocabs = {"src": str(d / "vocab.src"), "tgt": str(d / "vocab.tgt"), side: str(bad)}
+        argv = [command, "--vocab-src", vocabs["src"], "--vocab-tgt", vocabs["tgt"],
+                "--ckpt", str(d / "model.ckpt"), "--lexicon", str(d / "lex.tsv"),
+                "--mem-ckpt", str(d / "mem.ckpt")]
+        if command == "translate":
+            argv += ["--src", str(d / "test.src"), "--out", str(d / "out.txt")]
+        else:
+            argv += ["--src", str(d / "train.src"), "--tgt", str(d / "train.tgt")]
+        with pytest.raises(ValueError, match=f"bad.{side}"):
+            main(argv)

@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
-from conftest import desk_config, make_mapped_task, quick_train
+from conftest import desk_config, make_mapped_task, quick_train, reference_memory_loss
+from mnmt import model
 from mnmt.corpus import EOS_ID, build_vocabulary
 from mnmt.lexicon import Lexicon, train_ibm1
 from mnmt.corpus import ParallelCorpus
@@ -11,6 +14,8 @@ from mnmt.memory import (
     MemoryParams,
     MergedMemory,
     SimilarWordMap,
+    TrainingRecord,
+    chunk_loss,
     entry_matrix,
     memory_scores,
     apply_oov_substitution,
@@ -21,9 +26,10 @@ from mnmt.memory import (
     merge_memory,
     sentence_memory,
     train_memory_attention,
+    training_chunk,
 )
 from mnmt.model import encode, init_nmt_params
-from mnmt.numerics import ParamSet, constant, cross_entropy_rows, grad_check, reshape, sum_all
+from mnmt.numerics import ParamSet, Tensor, constant, cross_entropy_rows, grad_check, reshape, sum_all
 
 
 def small_lexicon():
@@ -52,20 +58,20 @@ class TestBuildLocalMemory:
     def test_top_k_per_position(self, setup):
         cfg, params, src_vocab, tgt_vocab = setup
         enc = encode([src_vocab.id_of("a"), EOS_ID], params)
-        entries = build_local_memory(["a"], enc, small_lexicon(), 2, tgt_vocab)
+        entries = build_local_memory(["a"], enc.h, small_lexicon(), 2, tgt_vocab)
         assert [(e.target_token, e.source_pos) for e in entries] == [("x", 0), ("y", 0)]
         np.testing.assert_array_equal(entries[0].h_src, enc.h[0])
 
     def test_unknown_tokens_contribute_nothing(self, setup):
         cfg, params, src_vocab, tgt_vocab = setup
         enc = encode([3, EOS_ID], params)
-        assert build_local_memory(["qqq"], enc, small_lexicon(), 3, tgt_vocab) == []
+        assert build_local_memory(["qqq"], enc.h, small_lexicon(), 3, tgt_vocab) == []
 
     def test_repeated_word_keeps_both_positions(self, setup):
         cfg, params, src_vocab, tgt_vocab = setup
         a = src_vocab.id_of("a")
         enc = encode([a, a, EOS_ID], params)
-        entries = build_local_memory(["a", "a"], enc, small_lexicon(), 1, tgt_vocab)
+        entries = build_local_memory(["a", "a"], enc.h, small_lexicon(), 1, tgt_vocab)
         assert [e.source_pos for e in entries] == [0, 1]
         assert not np.array_equal(entries[0].h_src, entries[1].h_src)
 
@@ -73,7 +79,7 @@ class TestBuildLocalMemory:
         cfg, params, src_vocab, _ = setup
         tgt_vocab = vocab_of(["y"])  # "x" is not representable
         enc = encode([src_vocab.id_of("a"), EOS_ID], params)
-        entries = build_local_memory(["a"], enc, small_lexicon(), 2, tgt_vocab)
+        entries = build_local_memory(["a"], enc.h, small_lexicon(), 2, tgt_vocab)
         assert [e.target_token for e in entries] == ["y"]
 
 
@@ -340,7 +346,87 @@ class TestInjectOovTargets:
         assert mem.injection_skipped == [(0, "oov_s", "")]
 
 
+def oracle_task():
+    """Five pairs, encoded as one padded batch, covering every record shape."""
+    src_vocab = vocab_of(["a", "b", "c", "d", "q"])
+    tgt_vocab = vocab_of(["x", "y", "z", "w", "v"])
+    lex = Lexicon({
+        ("a", "x"): (0.6, 0.5),
+        ("a", "y"): (0.3, 0.4),
+        ("a", "z"): (0.1, 0.1),
+        ("b", "y"): (0.8, 0.6),
+        ("c", "z"): (0.9, 0.7),
+        ("d", "w"): (0.9, 0.9),
+    })
+    pairs = [
+        (["a", "b", "c", "a"], ["y", "z", "x", "y", "v"]),  # K=3, longest source
+        (["c"], ["z", "v"]),                                 # K=1: pad slots carry the bias
+        (["q", "q"], ["v"]),                                 # empty memory
+        (["d"], ["x", "x", "y", "v", "v", "v"]),             # an entry, no hit; longest target
+        (["b", "c"], ["z", "y"]),                            # K=2
+    ]
+    cfg = desk_config(len(src_vocab), len(tgt_vocab), embed=6, hidden=5)
+    rng = np.random.default_rng(8)
+    params = init_nmt_params(cfg, 8)
+    mparams = init_memory_params(cfg, 8)
+    for t in [*params.params.values(), *mparams.pset.params.values()]:
+        t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
+    return pairs, src_vocab, tgt_vocab, params, mparams, lex
+
+
+def tape_nodes(root: Tensor) -> int:
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
 class TestTrainMemoryAttention:
+    def test_first_epoch_matches_per_position_reference(self, monkeypatch):
+        pairs, src_vocab, tgt_vocab, params, mparams, lex = oracle_task()
+        want, n_positions = reference_memory_loss(pairs, src_vocab, tgt_vocab, params, lex, 3,
+                                                  mparams.pset)
+        assert n_positions == 7
+        steps = []
+        decode_step = model.decode_step
+        monkeypatch.setattr(model, "decode_step",
+                            lambda *a: steps.append(1) or decode_step(*a))
+        (got,) = train_memory_attention(pairs, src_vocab, tgt_vocab, params, mparams, lex,
+                                        epochs=1, lr=0.01, k=3, batch_pairs=16)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        # the last memory position is column 3 of the first pair; nothing decodes past it
+        assert len(steps) == 4
+
+    def test_logs_positions_coverage_and_epochs(self, caplog):
+        pairs, src_vocab, tgt_vocab, params, mparams, lex = oracle_task()
+        with caplog.at_level(logging.INFO, logger="mnmt.memory"):
+            losses = train_memory_attention(pairs, src_vocab, tgt_vocab, params, mparams, lex,
+                                            epochs=2, batch_pairs=2)
+        records = [r for r in caplog.records if r.name == "mnmt.memory"]
+        assert [r.args for r in records if r.msg.startswith("memory training:")] == [(3, 7)]
+        coverage = next(r for r in records if r.msg.startswith("memory coverage:"))
+        assert coverage.args[:2] == (7, 21)
+        epochs = [r.args for r in records if r.msg.startswith("memory epoch")]
+        assert epochs == [(1, 2, losses[0]), (2, 2, losses[1])]
+
+    def test_chunk_tape_does_not_grow_with_positions(self, setup):
+        cfg, params, _, _ = setup
+        rng = np.random.default_rng(4)
+        e, h = cfg.embed_dim, cfg.hidden_dim
+        pset = init_memory_params(cfg, 4).pset
+
+        def record(k, n):
+            return TrainingRecord(rng.normal(size=(k, e + 2 * h)), rng.normal(size=(n, h)),
+                                  rng.normal(size=(n, e)), rng.integers(0, k, size=n))
+
+        one = training_chunk([record(1, 1)])
+        many = training_chunk([record(3, 9), record(1, 4), record(5, 7)])
+        assert many.pad_bias.shape == (20, 5)
+        assert tape_nodes(chunk_loss(one, pset)) == tape_nodes(chunk_loss(many, pset))
+
     def test_degenerate_single_entry_memory_has_zero_loss(self):
         src_vocab = vocab_of(["a"])
         tgt_vocab = vocab_of(["x"])
