@@ -2,7 +2,8 @@
 
 Any change to how the decoder step is computed (refactoring, batching the
 beam, hoisting GEMMs out of the recurrence) must reproduce these numbers:
-tokens exactly, floats within 1e-9 relative.  The literals were captured
+tokens exactly, floats within 1e-9 relative, and the output strings of
+`translate_lines` with memory and OOV borrowing exactly.  The literals were captured
 from the per-sentence implementation and must never be re-captured to make
 a change pass.
 """
@@ -11,9 +12,16 @@ import numpy as np
 import pytest
 
 from conftest import desk_config, make_mapped_task, quick_train
+from mnmt.cli import translate_lines
 from mnmt.corpus import ParallelCorpus, encode_sentence, make_batches
-from mnmt.lexicon import train_ibm1
-from mnmt.memory import init_memory_params, make_memory_hook, sentence_memory, train_memory_attention
+from mnmt.lexicon import Lexicon, train_ibm1
+from mnmt.memory import (
+    SimilarWordMap,
+    init_memory_params,
+    make_memory_hook,
+    sentence_memory,
+    train_memory_attention,
+)
 from mnmt.model import beam_search, encode, teacher_forced_loss
 from mnmt.numerics import no_grad
 
@@ -21,6 +29,7 @@ REL = 1e-9
 SEED = 0
 STEPS = 60
 BEAMS = (1, 4, 12)
+LINE_BEAMS = (4, 12)
 N_SENTENCES = 10
 
 
@@ -49,8 +58,23 @@ def _capture() -> dict:
             mem = sentence_memory(src_toks, encode(ids, params), lex, task.tgt_vocab, 3)
             hyp = beam_search(ids, params, beam, None, make_memory_hook(mem, mparams, params))
             hooked[beam].append((hyp.tokens, hyp.log_prob))
+
+    # whole lines through memory and OOV borrowing: every held-out sentence
+    # with one word replaced by an OOV whose planted lexicon translation is
+    # itself OOV, so it decodes through an extended label backed by t05
+    oov_lex = Lexicon({**lex.entries, ("oov_s", "oov_t"): (0.9, 0.9)})
+    sim = SimilarWordMap(source={"oov_s": ["s05", "s06"]}, target={"oov_t": ["t05"]})
+    lines = []
+    for j, (src_toks, _) in enumerate(task.heldout_pairs):
+        toks = list(src_toks)
+        toks[j % len(toks)] = "oov_s"
+        lines.append(" ".join(toks))
+    lines += [" ".join(src_toks) for src_toks, _ in task.heldout_pairs[:3]]
+    translated = {beam: translate_lines(lines, task.src_vocab, task.tgt_vocab, params, beam,
+                                        lexicon=oov_lex, mparams=mparams, k=3, sim=sim)
+                  for beam in LINE_BEAMS}
     return {"fixed_loss": fixed_loss, "losses": losses, "mem_losses": mem_losses,
-            "plain": plain, "hooked": hooked}
+            "plain": plain, "hooked": hooked, "translated": translated}
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +106,11 @@ def test_decodes(run, kind, beam):
     got, want = run[kind][beam], GOLDEN[kind][beam]
     assert [t for t, _ in got] == [t for t, _ in want]
     _close([lp for _, lp in got], [lp for _, lp in want])
+
+
+@pytest.mark.parametrize("beam", LINE_BEAMS)
+def test_translated_lines_with_memory_and_oov(run, beam):
+    assert run["translated"][beam] == GOLDEN["translated"][beam]
 
 
 GOLDEN = {
@@ -183,6 +212,38 @@ GOLDEN = {
             ([5, 6, 6, 10, 11, 2], -8.40016553361674),
             ([6, 17, 17, 16, 16, 2], -11.192862228473832),
             ([9, 10, 6, 6, 17, 17, 2], -9.874555446603209),
+        ],
+    },
+    "translated": {
+        4: [
+            "oov_t t15 t15 t02",
+            "t07 oov_t t13 t13",
+            "t04 t12 t12 oov_t",
+            "t06 t13 t13 oov_t",
+            "t14 t06 t07 t03 oov_t",
+            "t04 t13 t08 t08 oov_t",
+            "t07 t07 t13 t13",
+            "t15 oov_t oov_t t06 t14",
+            "t11 t11 t01 t01 t15",
+            "t04 oov_t t11 t11 t12 t12",
+            "t15 t15 t02 t13 t13",
+            "t07 t07 t13 t10 t10",
+            "t04 t12 t05 t05",
+        ],
+        12: [
+            "oov_t t15 t15 t02",
+            "t07 oov_t t13 t13 t10",
+            "t04 t12 t12 oov_t",
+            "t06 t13 t13 oov_t",
+            "t14 t06 t07 t03 oov_t",
+            "t04 t13 t08 t08 oov_t",
+            "t07 t07 t13 t13",
+            "t15 oov_t oov_t t06 t14",
+            "t11 t11 t01 t01 t15",
+            "t04 oov_t t11 t11 t12 t12",
+            "t15 t15 t02 t13 t13",
+            "t07 t07 t13 t10 t10",
+            "t04 t12 t05 t05",
         ],
     },
 }
