@@ -158,6 +158,22 @@ def _load_vocab_for(path: str, params: ParamSet, embed_name: str) -> Vocabulary:
     return vocab
 
 
+def _memory_params_for(path: str, arrays: dict[str, np.ndarray], nmt_params: ParamSet) -> ParamSet:
+    """Memory-net parameters whose shapes fit the translation model's E and H."""
+    e = nmt_params["tgt_embed"].data.shape[1]
+    h = nmt_params["dec_init_W"].data.shape[0]
+    missing = [n for n in ("mem_Ws", "mem_Wu", "mem_Wy", "mem_v") if n not in arrays]
+    if missing:
+        raise ValueError(f"{path}: not a memory checkpoint, missing {', '.join(missing)}")
+    a = arrays["mem_v"].size  # the attention width
+    want = {"mem_Ws": (h, a), "mem_Wu": (e + 2 * h, a), "mem_Wy": (e, a), "mem_v": (a,)}
+    for name, shape in want.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, but the "
+                             f"translation model (E={e}, H={h}) needs {shape}")
+    return params_from_arrays(arrays)
+
+
 # --- translation pipeline ---------------------------------------------------
 
 
@@ -173,7 +189,11 @@ def translate_lines(
     k: int = 3,
     sim: SimilarWordMap | None = None,
 ) -> list[str]:
-    """Translate text lines; memory interpolation and OOV handling optional."""
+    """Translate text lines; memory interpolation and OOV handling optional.
+
+    Each sentence is encoded once; the sentence memory and the beam search
+    share that encoding.
+    """
     out_lines = []
     for line in lines:
         tokens = line.split()
@@ -181,14 +201,14 @@ def translate_lines(
         if sim is not None and sim.source:
             tokens, record = apply_oov_substitution(tokens, src_vocab, sim)
         src_ids = encode_sentence(tokens, src_vocab, append_eos=True)
+        enc = encode(src_ids, nmt_params)
         hook = None
         mem = None
         if lexicon is not None and mparams is not None:
-            enc = encode(src_ids, nmt_params)
             mem = sentence_memory(tokens, enc, lexicon, tgt_vocab, k, record, sim)
             hook = make_memory_hook(mem, mparams, nmt_params)
         hyp = beam_search(src_ids, nmt_params, beam,
-                          max_decode_len if max_decode_len > 0 else None, hook)
+                          max_decode_len if max_decode_len > 0 else None, hook, enc=enc)
         toks = []
         for tid in hyp.tokens:
             if tid == EOS_ID:
@@ -288,7 +308,8 @@ def _cmd_translate(args) -> int:
         beta_set = args.beta is not None or (
             bool(args.config) and "beta" in RunConfig.file_values(args.config))
         beta = cfg.beta if beta_set else float(mem_cfg.get("beta", cfg.beta))
-        mparams = MemoryParams(params_from_arrays(mem_arrays), beta)
+        pset = _memory_params_for(cfg.mem_ckpt, mem_arrays, nmt_params)
+        mparams = MemoryParams(pset, beta)
     sim = None
     if cfg.sim_src or cfg.sim_tgt:
         sim = SimilarWordMap.load(cfg.sim_src or None, cfg.sim_tgt or None)

@@ -26,7 +26,8 @@ import numpy as np
 from .corpus import BOS_ID, Vocabulary, encode_sentence, pad_batch
 from .lexicon import Lexicon, lexicon_lookup
 from .model import EncodedSource, NmtConfig, encode_batch, teacher_forced_steps
-from .model import encode  # unused here; bench/layers.py wraps this name to trace it
+# not called here: bench/layers.py wraps memory.encode by name and needs it to exist
+from .model import encode  # noqa: F401
 from .numerics import (
     ParamSet,
     Tensor,
@@ -229,30 +230,24 @@ def entry_matrix(mem: MergedMemory, tgt_embed: np.ndarray) -> np.ndarray:
     )
 
 
-def memory_scores(s_prev: Tensor, y_emb: Tensor, u: Tensor, pset: ParamSet) -> Tensor:
-    """Relevance of each memory element to the current decoding step."""
-    pre = add(add(matmul(u, pset["mem_Wu"]), matmul(s_prev, pset["mem_Ws"])),
-              matmul(y_emb, pset["mem_Wy"]))
-    return matmul(tanh(pre), pset["mem_v"])
+def memory_scores(s_prev: Tensor, y_emb: Tensor, uw: Tensor, pset: ParamSet) -> Tensor:
+    """[n, K] relevance of each of K memory elements to each of n decoding rows.
+
+    ``uw`` is the [K, A] product of the entry matrix and mem_Wu; it does not
+    change from step to step, so decoding computes it once per memory.
+    """
+    n, (k, a) = s_prev.shape[0], uw.shape
+    pre = add(add(uw, reshape(matmul(s_prev, pset["mem_Ws"]), (n, 1, a))),
+              reshape(matmul(y_emb, pset["mem_Wy"]), (n, 1, a)))
+    return reshape(matmul(reshape(tanh(pre), (n * k, a)), pset["mem_v"]), (n, k))
 
 
-def memory_attention(
-    s_prev: np.ndarray,
-    y_prev: int,
-    mem: MergedMemory,
-    mparams: MemoryParams,
-    nmt_params: ParamSet,
-) -> np.ndarray:
-    """Attention over the K merged entries; proper distribution for K >= 1."""
-    if not mem.entries:
-        raise ValueError("memory_attention over an empty memory; skip interpolation instead")
-    tgt_embed = nmt_params["tgt_embed"].data
+def memory_attention(s_prev: np.ndarray, y_emb: np.ndarray, uw: Tensor,
+                     pset: ParamSet) -> np.ndarray:
+    """[n, K] attention of n decoder states (with their previous-word embeddings)
+    over the K merged entries whose u @ mem_Wu is ``uw``; each row sums to 1."""
     with no_grad():
-        u = constant(entry_matrix(mem, tgt_embed))
-        y_emb = constant(tgt_embed[mem.embed_proxy(y_prev)])
-        e = memory_scores(constant(s_prev), y_emb, u, mparams.pset)
-        alpha = softmax(e)
-    return alpha.data
+        return softmax(memory_scores(constant(s_prev), constant(y_emb), uw, pset)).data
 
 
 def interpolate_posterior(
@@ -261,34 +256,46 @@ def interpolate_posterior(
     mem: MergedMemory,
     beta: float,
 ) -> np.ndarray:
-    """beta * memory attention + (1 - beta) * model posterior.
+    """beta * memory attention + (1 - beta) * model posterior, row by row.
 
-    Memory mass lands on each entry's output label; OOV labels extend the
-    distribution past the vocabulary and receive memory mass only.
+    ``p_nmt`` is [n, V] and ``alpha_m`` [n, K].  Memory mass lands on each
+    entry's output label; OOV labels extend the rows past the vocabulary
+    and receive memory mass only.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     if not mem.entries:
         return p_nmt
-    out = np.zeros(len(p_nmt) + len(mem.oov_labels))
-    out[: len(p_nmt)] = (1.0 - beta) * p_nmt
-    for entry, a in zip(mem.entries, alpha_m):
-        if entry.label_id >= len(out):
-            raise ValueError("memory label id beyond the extended distribution")
-        out[entry.label_id] += beta * a
+    labels = np.array([e.label_id for e in mem.entries])
+    assert len(np.unique(labels)) == len(labels), "merged memory labels must be unique"
+    n, vocab = p_nmt.shape
+    out = np.zeros((n, vocab + len(mem.oov_labels)))
+    if labels.max() >= out.shape[1]:
+        raise ValueError("memory label id beyond the extended distribution")
+    out[:, :vocab] = (1.0 - beta) * p_nmt
+    out[:, labels] += beta * alpha_m
     return out
 
 
 class MemoryHook:
-    """Posterior transformer plugged into beam search."""
+    """Row-wise posterior transformer plugged into beam search.
+
+    Each entry's u @ mem_Wu is computed once, here; a call scores every row
+    against it and interpolates.
+    """
 
     def __init__(self, mem: MergedMemory, mparams: MemoryParams, nmt_params: ParamSet):
+        if not mem.entries:
+            raise ValueError("memory hook over an empty memory; skip interpolation instead")
         self.mem = mem
         self.mparams = mparams
-        self.nmt_params = nmt_params
+        self.tgt_embed = nmt_params["tgt_embed"].data
+        with no_grad():
+            self.uw = matmul(constant(entry_matrix(mem, self.tgt_embed)), mparams.pset["mem_Wu"])
 
-    def __call__(self, s_prev: np.ndarray, y_prev: int, p_nmt: np.ndarray) -> np.ndarray:
-        alpha = memory_attention(s_prev, y_prev, self.mem, self.mparams, self.nmt_params)
+    def __call__(self, s_prev: np.ndarray, y_prev: np.ndarray, p_nmt: np.ndarray) -> np.ndarray:
+        y_emb = self.tgt_embed[[self.mem.embed_proxy(int(y)) for y in y_prev]]
+        alpha = memory_attention(s_prev, y_emb, self.uw, self.mparams.pset)
         return interpolate_posterior(p_nmt, alpha, self.mem, self.mparams.beta)
 
     def embed_proxy(self, token_id: int) -> int:

@@ -85,6 +85,14 @@ class EncodedSource:
         """[S, 2 * hidden_dim] states of the first sentence; row j is h_j."""
         return np.stack([st.data[0] for st in self.states])
 
+    def repeat(self, n: int) -> "EncodedSource":
+        """A one-sentence encoding broadcast to n identical rows."""
+        def rep(t: Tensor) -> Tensor:
+            return constant(np.repeat(t.data, n, axis=0))
+
+        return EncodedSource([rep(st) for st in self.states], [rep(u) for u in self.uh],
+                             np.repeat(self.mask, n, axis=0), rep(self.s0))
+
 
 @dataclass
 class Hypothesis:
@@ -237,7 +245,23 @@ def train_model(batches: list[Batch], params: ParamSet, lr: float, steps: int) -
     return [train_step(batches[i % len(batches)], params, lr) for i in range(steps)]
 
 
-PosteriorHook = Callable[[np.ndarray, int, np.ndarray], np.ndarray]
+PosteriorHook = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+"""hook(S_prev [n, H], y_prev [n], P [n, V]) -> [n, V'] with V' >= V, row by row."""
+
+
+def _top_candidates(lp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, token) of each row's k largest entries; ties at the boundary go to lower ids.
+
+    Row-major, so tokens ascend within a row.
+    """
+    if k >= lp.shape[1]:
+        return np.nonzero(np.ones(lp.shape, dtype=bool))
+    neg = -lp
+    kth = np.take_along_axis(neg, np.argpartition(neg, k - 1, axis=1)[:, k - 1 : k], axis=1)
+    below = neg < kth
+    at = neg == kth
+    room = k - below.sum(axis=1, keepdims=True)
+    return np.nonzero(below | (at & (np.cumsum(at, axis=1) <= room)))
 
 
 def beam_search(
@@ -246,56 +270,69 @@ def beam_search(
     beam: int = 1,
     max_len: int | None = None,
     memory_hook: PosteriorHook | None = None,
+    *,
+    enc: EncodedSource | None = None,
 ) -> Hypothesis:
     """Length-normalized beam search; beam=1 is greedy decoding.
 
-    ``memory_hook(s_prev, y_prev, p)`` may transform each step's posterior,
-    possibly extending it beyond the vocabulary; ``memory_hook.embed_proxy``
-    (when present) maps extended token ids to in-vocabulary ids whose
-    embeddings feed the next decoder step.  Ties break toward lower token
-    ids.
+    The live hypotheses advance together: each step is one `decode_step`
+    over their stacked states and one softmax into a [n_live, V] posterior.
+    ``memory_hook(S_prev, y_prev, P)`` may transform those rows, possibly
+    extending them beyond the vocabulary; ``memory_hook.embed_proxy`` (when
+    present) maps extended token ids to in-vocabulary ids whose embeddings
+    feed the next decoder step.  Each row offers its ``beam`` most probable
+    tokens, ties toward lower ids; the pool is ranked by (-log_prob, tokens).
+    ``enc`` is the sentence's encoding when the caller already has it;
+    otherwise ``src_ids`` is encoded here.
     """
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
+    if enc is None:
+        enc = encode(src_ids, params)
+    elif enc.mask.shape != (1, len(src_ids)):
+        raise ValueError(f"encoding mask has shape {enc.mask.shape}, "
+                         f"expected (1, {len(src_ids)}) for the source ids")
     if max_len is None or max_len <= 0:
         max_len = 2 * len(src_ids) + 5
     proxy = getattr(memory_hook, "embed_proxy", None)
+    encodings = {1: enc}
 
+    tokens = np.zeros((1, 0), dtype=np.int64)  # [n_live, step]
+    log_probs = np.zeros(1)
+    states = enc.s0.data
+    finished: list[Hypothesis] = []
     with no_grad():
-        enc = encode_batch(
-            np.asarray(src_ids, dtype=np.int64)[None, :], np.ones((1, len(src_ids))), params
-        )
         e_t_T = transpose(params["tgt_embed"])
-
-        live = [Hypothesis([], 0.0, enc.s0.data[0])]
-        finished: list[Hypothesis] = []
-        while live and len(finished) < beam:
-            pool: list[Hypothesis] = []
-            for hyp in live:
-                y_prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
-                emb_id = proxy(y_prev) if proxy is not None else y_prev
-                s_new, z = decode_step(constant(hyp.state[None, :]), np.array([emb_id]),
-                                       enc, params)
-                p = softmax(matmul(z, e_t_T)).data[0]
-                if memory_hook is not None:
-                    p = memory_hook(hyp.state, y_prev, p)
-                with np.errstate(divide="ignore"):
-                    lp = np.log(p)
-                order = np.lexsort((np.arange(len(p)), -lp))
-                for tid in order[:beam]:
-                    tid = int(tid)
-                    if p[tid] <= 0.0:
-                        continue
-                    toks = hyp.tokens + [tid]
-                    done = tid == EOS_ID or len(toks) >= max_len
-                    pool.append(Hypothesis(toks, hyp.log_prob + lp[tid], s_new.data[0], done))
-            pool.sort(key=lambda h: (-h.log_prob, h.tokens))
-            live = []
-            for cand in pool:
-                if cand.finished:
-                    finished.append(cand)
-                elif len(live) < beam:
-                    live.append(cand)
+        while len(tokens) and len(finished) < beam:
+            n, length = tokens.shape
+            y_prev = tokens[:, -1] if length else np.full(n, BOS_ID, dtype=np.int64)
+            emb_ids = y_prev if proxy is None else np.array([proxy(int(y)) for y in y_prev])
+            if n not in encodings:
+                encodings[n] = enc.repeat(n)
+            s_new, z = decode_step(constant(states), emb_ids, encodings[n], params)
+            p = softmax(matmul(z, e_t_T)).data
+            if memory_hook is not None:
+                p = memory_hook(states, y_prev, p)
+            with np.errstate(divide="ignore"):
+                lp = np.log(p)
+            row, tid = _top_candidates(lp, beam)
+            keep = p[row, tid] > 0.0
+            row, tid = row[keep], tid[keep]
+            cand_lp = log_probs[row] + lp[row, tid]
+            # the pool order (-log_prob, tokens): all prefixes have one length,
+            # so tokens compare as (rank of the prefix, new token)
+            prefix_rank = np.zeros(n, dtype=np.int64)
+            if length:
+                prefix_rank[np.lexsort(tokens.T[::-1])] = np.arange(n)
+            order = np.lexsort((tid, prefix_rank[row], -cand_lp))
+            done = (tid[order] == EOS_ID) | (length + 1 >= max_len)
+            for i in order[done]:
+                finished.append(Hypothesis(tokens[row[i]].tolist() + [int(tid[i])],
+                                           float(cand_lp[i]), s_new.data[row[i]], True))
+            live = order[~done][:beam]
+            tokens = np.concatenate([tokens[row[live]], tid[live, None]], axis=1)
+            log_probs = cand_lp[live]
+            states = s_new.data[row[live]]
     if not finished:
         raise ValueError("beam search found no hypothesis with positive probability")
     return max(finished, key=lambda h: (h.normalized_score(), [-t for t in h.tokens]))

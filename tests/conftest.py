@@ -138,17 +138,93 @@ def reference_step(s_prev, y_prev, h, params):
     alpha = e / e.sum()
     c = alpha @ h
     emb = p["tgt_embed"][y_prev]
-    x = np.concatenate([emb, c])
-
-    def gate(g, s):
-        return x @ p[f"dec_W{g}"] + s @ p[f"dec_U{g}"] + p[f"dec_b{g}"]
-
-    zg = _sigmoid(gate("z", s_prev))
-    rg = _sigmoid(gate("r", s_prev))
-    ng = np.tanh(x @ p["dec_Wh"] + (rg * s_prev) @ p["dec_Uh"] + p["dec_bh"])
-    s_new = (1 - zg) * s_prev + zg * ng
+    s_new = _reference_gru(np.concatenate([emb, c]), s_prev, p, "dec_")
     pre = emb @ p["out_U"] + s_prev @ p["out_V"] + c @ p["out_C"] + p["out_b"]
     return s_new, pre.reshape(-1, 2).max(axis=1)
+
+
+def _reference_gru(x, s, p, prefix):
+    def gate(g):
+        return x @ p[f"{prefix}W{g}"] + s @ p[f"{prefix}U{g}"] + p[f"{prefix}b{g}"]
+
+    zg = _sigmoid(gate("z"))
+    rg = _sigmoid(gate("r"))
+    ng = np.tanh(x @ p[f"{prefix}Wh"] + (rg * s) @ p[f"{prefix}Uh"] + p[f"{prefix}bh"])
+    return (1 - zg) * s + zg * ng
+
+
+def reference_encode(src_ids, params):
+    """[S, 2H] bidirectional encoder states of one sentence, in plain numpy."""
+    p = {name: params[name].data for name in params.names()}
+    xs = p["src_embed"][list(src_ids)]
+    hidden = p["enc_f_Uz"].shape[0]
+    fwd, bwd = [], []
+    s = np.zeros(hidden)
+    for x in xs:
+        s = _reference_gru(x, s, p, "enc_f_")
+        fwd.append(s)
+    s = np.zeros(hidden)
+    for x in xs[::-1]:
+        s = _reference_gru(x, s, p, "enc_b_")
+        bwd.append(s)
+    return np.concatenate([np.stack(fwd), np.stack(bwd[::-1])], axis=1)
+
+
+def table_hook(table, vocab):
+    """Row hook that replaces each row's posterior with ``table[previous token]``,
+    a {token: probability} map, over ``vocab`` tokens."""
+
+    def hook(s_prev, y_prev, p_nmt):
+        out = np.zeros((len(y_prev), vocab))
+        for row, y in enumerate(y_prev):
+            for tid, prob in table[int(y)].items():
+                out[row, tid] = prob
+        return out
+
+    return hook
+
+
+def reference_beam(src_ids, params, beam, max_len, hook=None):
+    """Independent one-row beam search; returns (tokens, log_prob) of the best.
+
+    Expands one hypothesis at a time with `reference_step`; each offers its
+    ``beam`` best tokens by a full lexsort (ties toward lower ids), skipping
+    zero probabilities; the pool is ranked by (-log_prob, tokens); the
+    winner maximises log_prob / length, ties toward lower tokens.  A row
+    hook is called on one row at a time.
+    """
+    p = {name: params[name].data for name in params.names()}
+    h = reference_encode(src_ids, params)
+    hidden = p["dec_init_W"].shape[0]
+    proxy = getattr(hook, "embed_proxy", lambda tid: tid)
+    live = [([], 0.0, np.tanh(h[0, hidden:] @ p["dec_init_W"]))]
+    finished = []
+    while live and len(finished) < beam:
+        pool = []
+        for toks, lp_sum, s in live:
+            y_prev = toks[-1] if toks else BOS_ID
+            s_new, z = reference_step(s, proxy(y_prev), h, params)
+            logits = p["tgt_embed"] @ z
+            probs = np.exp(logits - logits.max())
+            probs = probs / probs.sum()
+            if hook is not None:
+                probs = hook(s[None, :], np.array([y_prev]), probs[None, :])[0]
+            with np.errstate(divide="ignore"):
+                lp = np.log(probs)
+            for tid in np.lexsort((np.arange(len(lp)), -lp))[:beam]:
+                if probs[tid] > 0.0:
+                    new = toks + [int(tid)]
+                    done = tid == EOS_ID or len(new) >= max_len
+                    pool.append((new, lp_sum + lp[tid], s_new, done))
+        pool.sort(key=lambda c: (-c[1], c[0]))
+        live = []
+        for toks, lp_sum, s, done in pool:
+            if done:
+                finished.append((toks, lp_sum))
+            elif len(live) < beam:
+                live.append((toks, lp_sum, s))
+    best = max(finished, key=lambda f: (f[1] / len(f[0]), [-t for t in f[0]]))
+    return best[0], float(best[1])
 
 
 def greedy_reference(src_ids, params, max_len):

@@ -19,6 +19,7 @@ from conftest import (
     make_mapped_task,
     plant_word_pair,
     quick_train,
+    table_hook,
 )
 from mnmt.bleu import bleu, brevity_penalty, ngram_precisions, recalled_words
 from mnmt.checkpoint import checkpoint_checksum, save_checkpoint
@@ -38,7 +39,7 @@ from mnmt.memory import (
     train_memory_attention,
 )
 from mnmt.model import NmtConfig, beam_search, encode, init_nmt_params, teacher_forced_loss
-from mnmt.numerics import constant, cross_entropy_rows, grad_check, reshape, sum_all
+from mnmt.numerics import constant, cross_entropy_rows, grad_check, matmul, sum_all
 
 
 @contextmanager
@@ -87,8 +88,9 @@ def test_c01_gradient_fidelity():
         y_emb = params["tgt_embed"].data[6]
 
         def mem_loss(pset):
-            e = memory_scores(constant(s_vec), constant(y_emb), constant(u), pset)
-            return sum_all(cross_entropy_rows(reshape(e, (1, -1)), np.array([3])))
+            uw = matmul(constant(u), pset["mem_Wu"])
+            e = memory_scores(constant(s_vec[None]), constant(y_emb[None]), uw, pset)
+            return sum_all(cross_entropy_rows(e, np.array([3])))
 
         err_mem = grad_check(mem_loss, mparams.pset, seed=0)
         assert err_mem < 1e-4, f"memory loss gradient error {err_mem:.2e}"
@@ -162,7 +164,8 @@ def test_c03_memory_benefit_on_rare_words():
 
 
 class _MassSpy:
-    """Wraps a memory hook and records total posterior mass per step."""
+    """Wraps a memory hook and records the posterior mass of every row:
+    one entry per hypothesis and step."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -170,7 +173,8 @@ class _MassSpy:
 
     def __call__(self, s_prev, y_prev, p):
         out = self.inner(s_prev, y_prev, p)
-        self.sums.append(float(out.sum()))
+        assert out.shape[0] == len(y_prev) == len(s_prev) == len(p)
+        self.sums.extend(out.sum(axis=1).tolist())
         return out
 
     def embed_proxy(self, tid):
@@ -305,12 +309,7 @@ def test_c09_beam_contract():
             a: {EOS_ID: 0.9, a: 0.05, b: 0.05},
             b: {EOS_ID: 0.009, a: 0.98, b: 0.011},
         }
-
-        def hook(s_prev, y_prev, p_nmt):
-            out = np.zeros(6)
-            for tid, prob in table[y_prev].items():
-                out[tid] = prob
-            return out
+        hook = table_hook(table, 6)
 
         greedy = beam_search([4, EOS_ID], params, beam=1, max_len=3, memory_hook=hook)
         wide = beam_search([4, EOS_ID], params, beam=2, max_len=3, memory_hook=hook)

@@ -202,3 +202,31 @@ class TestVocabularyMismatch:
             argv += ["--src", str(d / "train.src"), "--tgt", str(d / "train.tgt")]
         with pytest.raises(ValueError, match=f"bad.{side}"):
             main(argv)
+
+
+class TestMemoryCheckpointMismatch:
+    def _translate(self, d, mem_ckpt):
+        return main(["translate", "--src", str(d / "test.src"),
+                     "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
+                     "--ckpt", str(d / "model.ckpt"), "--lexicon", str(d / "lex.tsv"),
+                     "--mem-ckpt", str(mem_ckpt), "--out", str(d / "out.txt")])
+
+    def test_other_hidden_size_rejected_naming_the_file(self, model_files):
+        d, src_vocab, tgt_vocab = model_files
+        # the model has E=8, H=10; this memory was built for H=12
+        cfg = desk_config(len(src_vocab), len(tgt_vocab), embed=8, hidden=12)
+        bad = d / "mem_h12.ckpt"
+        save_checkpoint(str(bad), init_memory_params(cfg, 0).pset, {"kind": "memory"})
+        with pytest.raises(ValueError, match=r"mem_h12\.ckpt: mem_Ws has shape \(12, 12\)"):
+            self._translate(d, bad)
+
+    def test_translation_checkpoint_as_memory_rejected(self, model_files):
+        d, _, _ = model_files
+        with pytest.raises(ValueError, match=r"model\.ckpt: not a memory checkpoint, missing "
+                                             r"mem_Ws, mem_Wu, mem_Wy, mem_v"):
+            self._translate(d, d / "model.ckpt")
+
+    def test_matching_memory_accepted(self, model_files):
+        d, _, _ = model_files
+        assert self._translate(d, d / "mem.ckpt") == 0
+        assert len((d / "out.txt").read_text(encoding="utf-8").splitlines()) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_config, make_mapped_task, quick_train, reference_memory_loss
+from mnmt import memory as memory_module
 from mnmt import model
 from mnmt.corpus import EOS_ID, build_vocabulary
 from mnmt.lexicon import Lexicon, train_ibm1
@@ -11,6 +12,8 @@ from mnmt.corpus import ParallelCorpus
 from mnmt.memory import (
     EmptyLexiconError,
     LocalMemoryEntry,
+    MemoryEntry,
+    MemoryHook,
     MemoryParams,
     MergedMemory,
     SimilarWordMap,
@@ -22,6 +25,7 @@ from mnmt.memory import (
     build_local_memory,
     init_memory_params,
     interpolate_posterior,
+    make_memory_hook,
     memory_attention,
     merge_memory,
     sentence_memory,
@@ -29,7 +33,15 @@ from mnmt.memory import (
     training_chunk,
 )
 from mnmt.model import encode, init_nmt_params
-from mnmt.numerics import ParamSet, Tensor, constant, cross_entropy_rows, grad_check, reshape, sum_all
+from mnmt.numerics import (
+    ParamSet,
+    Tensor,
+    constant,
+    cross_entropy_rows,
+    grad_check,
+    matmul,
+    sum_all,
+)
 
 
 def small_lexicon():
@@ -125,6 +137,10 @@ class TestMergeMemory:
         assert merge_memory([]).size == 0
 
 
+def _uw(mem, mparams, params):
+    return matmul(constant(entry_matrix(mem, params["tgt_embed"].data)), mparams.pset["mem_Wu"])
+
+
 class TestMemoryAttention:
     def _mem(self, rng, hidden, n=3):
         entries = [_entry(f"w{i}", 4 + i, i, rng.normal(size=2 * hidden), 0.5) for i in range(n)]
@@ -134,15 +150,17 @@ class TestMemoryAttention:
         cfg, params, _, _ = setup
         mparams = init_memory_params(cfg, 1)
         mem = self._mem(np.random.default_rng(0), cfg.hidden_dim, n=1)
-        alpha = memory_attention(np.zeros(cfg.hidden_dim), 4, mem, mparams, params)
-        np.testing.assert_allclose(alpha, [1.0])
+        alpha = memory_attention(np.zeros((2, cfg.hidden_dim)), params["tgt_embed"].data[[4, 5]],
+                                 _uw(mem, mparams, params), mparams.pset)
+        np.testing.assert_allclose(alpha, [[1.0], [1.0]])
 
     def test_zero_score_vector_gives_uniform(self, setup):
         cfg, params, _, _ = setup
         mparams = init_memory_params(cfg, 1)  # mem_v starts at zero
         mem = self._mem(np.random.default_rng(0), cfg.hidden_dim)
-        alpha = memory_attention(np.ones(cfg.hidden_dim), 4, mem, mparams, params)
-        np.testing.assert_allclose(alpha, np.full(3, 1 / 3), atol=1e-12)
+        alpha = memory_attention(np.ones((1, cfg.hidden_dim)), params["tgt_embed"].data[[4]],
+                                 _uw(mem, mparams, params), mparams.pset)
+        np.testing.assert_allclose(alpha, np.full((1, 3), 1 / 3), atol=1e-12)
 
     def test_matches_direct_evaluation(self, setup):
         cfg, params, _, _ = setup
@@ -150,20 +168,22 @@ class TestMemoryAttention:
         mparams = init_memory_params(cfg, 13)
         mparams.pset["mem_v"].data[...] = rng.normal(size=cfg.hidden_dim)
         mem = self._mem(rng, cfg.hidden_dim)
-        s = rng.normal(size=cfg.hidden_dim)
-        y_prev = 5
-        alpha = memory_attention(s, y_prev, mem, mparams, params)
-
+        s = rng.normal(size=(4, cfg.hidden_dim))
+        y_prev = [5, 4, 6, 5]
         emb = params["tgt_embed"].data
-        scores = []
-        for e in mem.entries:
-            u = np.concatenate([emb[e.embed_id], e.h_blend])
-            pre = (s @ mparams.pset["mem_Ws"].data + u @ mparams.pset["mem_Wu"].data
-                   + emb[y_prev] @ mparams.pset["mem_Wy"].data)
-            scores.append(mparams.pset["mem_v"].data @ np.tanh(pre))
-        ex = np.exp(np.array(scores) - max(scores))
-        np.testing.assert_allclose(alpha, ex / ex.sum(), atol=1e-12)
-        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        alpha = memory_attention(s, emb[y_prev], _uw(mem, mparams, params), mparams.pset)
+        assert alpha.shape == (4, 3)
+
+        for row in range(4):
+            scores = []
+            for e in mem.entries:
+                u = np.concatenate([emb[e.embed_id], e.h_blend])
+                pre = (s[row] @ mparams.pset["mem_Ws"].data + u @ mparams.pset["mem_Wu"].data
+                       + emb[y_prev[row]] @ mparams.pset["mem_Wy"].data)
+                scores.append(mparams.pset["mem_v"].data @ np.tanh(pre))
+            ex = np.exp(np.array(scores) - max(scores))
+            np.testing.assert_allclose(alpha[row], ex / ex.sum(), atol=1e-12)
+            assert alpha[row].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_score_shift_invariance(self, setup):
         cfg, params, _, _ = setup
@@ -171,10 +191,9 @@ class TestMemoryAttention:
         mparams = init_memory_params(cfg, 3)
         mparams.pset["mem_v"].data[...] = rng.normal(size=cfg.hidden_dim)
         mem = self._mem(rng, cfg.hidden_dim)
-        u = constant(entry_matrix(mem, params["tgt_embed"].data))
-        s = constant(rng.normal(size=cfg.hidden_dim))
-        y = constant(params["tgt_embed"].data[4])
-        e = memory_scores(s, y, u, mparams.pset).data
+        s = constant(rng.normal(size=(1, cfg.hidden_dim)))
+        y = constant(params["tgt_embed"].data[[4]])
+        e = memory_scores(s, y, _uw(mem, mparams, params), mparams.pset).data[0]
         soft = np.exp(e - e.max()) / np.exp(e - e.max()).sum()
         shifted = e + 17.3
         soft2 = np.exp(shifted - shifted.max()) / np.exp(shifted - shifted.max()).sum()
@@ -183,8 +202,8 @@ class TestMemoryAttention:
     def test_empty_memory_rejected(self, setup):
         cfg, params, _, _ = setup
         with pytest.raises(ValueError):
-            memory_attention(np.zeros(cfg.hidden_dim), 4, MergedMemory([]),
-                             init_memory_params(cfg, 0), params)
+            MemoryHook(MergedMemory([]), init_memory_params(cfg, 0), params)
+        assert make_memory_hook(MergedMemory([]), init_memory_params(cfg, 0), params) is None
 
     def test_gradient_check_on_attention_loss(self, setup):
         cfg, params, _, _ = setup
@@ -194,14 +213,65 @@ class TestMemoryAttention:
             t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
         mem = self._mem(rng, cfg.hidden_dim)
         u = entry_matrix(mem, params["tgt_embed"].data)
-        s = rng.normal(size=cfg.hidden_dim)
-        y_emb = params["tgt_embed"].data[5]
+        s = rng.normal(size=(2, cfg.hidden_dim))
+        y_emb = params["tgt_embed"].data[[5, 4]]
 
         def loss(pset):
-            e = memory_scores(constant(s), constant(y_emb), constant(u), pset)
-            return sum_all(cross_entropy_rows(reshape(e, (1, -1)), np.array([2])))
+            uw = matmul(constant(u), pset["mem_Wu"])
+            e = memory_scores(constant(s), constant(y_emb), uw, pset)
+            return sum_all(cross_entropy_rows(e, np.array([2, 0])))
 
         assert grad_check(loss, mparams.pset, seed=0) < 1e-4
+
+
+class TestMemoryHook:
+    def _hook(self, setup, beta=1 / 3):
+        cfg, params, _, tgt_vocab = setup
+        rng = np.random.default_rng(5)
+        mparams = init_memory_params(cfg, 5, beta=beta)
+        for t in mparams.pset.params.values():
+            t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
+        mem = merge_memory([_entry(f"w{i}", 4 + i, i, rng.normal(size=2 * cfg.hidden_dim), 0.5)
+                            for i in range(3)])
+        # one extended label past the vocabulary, borrowing the embedding of id 5
+        ext = len(tgt_vocab)
+        mem.entries.append(MemoryEntry(ext, 5, rng.normal(size=2 * cfg.hidden_dim), [(0, 1.0)]))
+        mem.oov_labels[ext] = ("oov_word", 5)
+        return MemoryHook(mem, mparams, params), params, rng
+
+    def test_rows_match_one_row_calls(self, setup):
+        hook, params, rng = self._hook(setup)
+        n, vocab = 5, params["tgt_embed"].data.shape[0]
+        s = rng.normal(size=(n, params["dec_init_W"].data.shape[0]))
+        y_prev = np.array([4, vocab, 2, 6, vocab])  # extended labels read their proxy embedding
+        p = rng.dirichlet(np.ones(vocab), size=n)
+        out = hook(s, y_prev, p)
+        assert out.shape == (n, vocab + 1)
+        for row in range(n):
+            one = hook(s[row : row + 1], y_prev[row : row + 1], p[row : row + 1])
+            np.testing.assert_allclose(out[row], one[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        assert (out[:, vocab] > 0).all()
+
+    def test_extended_label_uses_its_proxy_embedding(self, setup):
+        hook, params, rng = self._hook(setup)
+        vocab = params["tgt_embed"].data.shape[0]
+        s = rng.normal(size=(1, params["dec_init_W"].data.shape[0]))
+        p = np.full((1, vocab), 1.0 / vocab)
+        np.testing.assert_array_equal(hook(s, np.array([vocab]), p), hook(s, np.array([5]), p))
+
+    def test_entry_matrix_built_once(self, setup, monkeypatch):
+        cfg, params, _, _ = setup
+        calls = []
+        real = memory_module.entry_matrix
+        monkeypatch.setattr(memory_module, "entry_matrix",
+                            lambda *a: calls.append(1) or real(*a))
+        hook, params, rng = self._hook(setup)
+        vocab = params["tgt_embed"].data.shape[0]
+        for _ in range(3):
+            hook(rng.normal(size=(2, cfg.hidden_dim)), np.array([4, 5]),
+                 np.full((2, vocab), 1.0 / vocab))
+        assert len(calls) == 1
 
 
 class TestInterpolatePosterior:
@@ -210,22 +280,22 @@ class TestInterpolatePosterior:
 
     def test_blend_arithmetic(self):
         mem = self._one_entry_mem(0)
-        p = interpolate_posterior(np.array([0.3, 0.7]), np.array([0.9]), mem, beta=1 / 3)
-        assert p[0] == pytest.approx(1 / 3 * 0.9 + 2 / 3 * 0.3)
+        p = interpolate_posterior(np.array([[0.3, 0.7]]), np.array([[0.9]]), mem, beta=1 / 3)
+        assert p[0, 0] == pytest.approx(1 / 3 * 0.9 + 2 / 3 * 0.3)
 
     def test_beta_zero_is_identity_on_vocab(self):
         mem = self._one_entry_mem(1)
-        p_nmt = np.array([0.25, 0.75])
-        p = interpolate_posterior(p_nmt, np.array([1.0]), mem, beta=0.0)
-        np.testing.assert_array_equal(p[:2], p_nmt)
+        p_nmt = np.array([[0.25, 0.75], [0.5, 0.5]])
+        p = interpolate_posterior(p_nmt, np.array([[1.0], [1.0]]), mem, beta=0.0)
+        np.testing.assert_array_equal(p[:, :2], p_nmt)
 
     def test_four_word_example(self):
         # memory holds one word with full attention; the rest keep (1-beta) mass
         mem = self._one_entry_mem(0)
-        p_nmt = np.full(4, 0.25)
-        p = interpolate_posterior(p_nmt, np.array([1.0]), mem, beta=1 / 3)
-        assert p[0] == pytest.approx(0.5)
-        np.testing.assert_allclose(p[1:], [1 / 6, 1 / 6, 1 / 6])
+        p_nmt = np.full((1, 4), 0.25)
+        p = interpolate_posterior(p_nmt, np.array([[1.0]]), mem, beta=1 / 3)
+        assert p[0, 0] == pytest.approx(0.5)
+        np.testing.assert_allclose(p[0, 1:], [1 / 6, 1 / 6, 1 / 6])
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_conserved_for_all_betas(self):
@@ -236,22 +306,36 @@ class TestInterpolatePosterior:
             mem = merge_memory([
                 _entry(f"w{l}", int(l), i, [0.0], 0.5) for i, l in enumerate(labels)
             ])
-            p_nmt = rng.dirichlet(np.ones(10))
-            alpha = rng.dirichlet(np.ones(k))
+            p_nmt = rng.dirichlet(np.ones(10), size=3)
+            alpha = rng.dirichlet(np.ones(k), size=3)
             for beta in (0.0, 1 / 3, 1.0):
                 p = interpolate_posterior(p_nmt, alpha, mem, beta)
-                assert p.sum() == pytest.approx(1.0, abs=1e-9)
+                np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_rows_are_independent(self):
+        mem = merge_memory([_entry("a", 2, 0, [0.0], 0.5), _entry("b", 0, 1, [0.0], 0.5)])
+        p_nmt = np.array([[0.1, 0.2, 0.7], [0.5, 0.25, 0.25]])
+        alpha = np.array([[0.4, 0.6], [1.0, 0.0]])
+        p = interpolate_posterior(p_nmt, alpha, mem, beta=0.5)
+        np.testing.assert_allclose(p, [[0.05 + 0.3, 0.1, 0.35 + 0.2],
+                                       [0.25, 0.125, 0.125 + 0.5]])
+
+    def test_duplicate_labels_rejected(self):
+        mem = MergedMemory([MemoryEntry(1, 1, np.zeros(1), [(0, 1.0)]),
+                            MemoryEntry(1, 1, np.zeros(1), [(1, 1.0)])])
+        with pytest.raises(AssertionError):
+            interpolate_posterior(np.full((1, 3), 1 / 3), np.array([[0.5, 0.5]]), mem, 0.5)
 
     def test_empty_memory_identity(self):
-        p_nmt = np.array([0.4, 0.6])
+        p_nmt = np.array([[0.4, 0.6]])
         for beta in (0.0, 1 / 3, 1.0):
             np.testing.assert_array_equal(
-                interpolate_posterior(p_nmt, np.array([]), MergedMemory([]), beta), p_nmt
+                interpolate_posterior(p_nmt, np.zeros((1, 0)), MergedMemory([]), beta), p_nmt
             )
 
     def test_beta_out_of_range(self):
         with pytest.raises(ValueError):
-            interpolate_posterior(np.array([1.0]), np.array([1.0]), self._one_entry_mem(0), 1.5)
+            interpolate_posterior(np.array([[1.0]]), np.array([[1.0]]), self._one_entry_mem(0), 1.5)
 
 
 class TestOovSubstitution:

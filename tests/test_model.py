@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import desk_config, greedy_reference, make_copy_task, reference_step
+from conftest import (
+    desk_config,
+    greedy_reference,
+    make_copy_task,
+    reference_beam,
+    reference_encode,
+    reference_step,
+    table_hook,
+)
+from mnmt import model
 from mnmt.corpus import BOS_ID, EOS_ID, Batch, make_batches
 from mnmt.model import (
     NmtConfig,
@@ -249,13 +260,7 @@ class TestBeamSearch:
             a: {EOS_ID: 0.9, a: 0.05, b: 0.05},
             b: {EOS_ID: 0.009, a: 0.98, b: 0.011},
         }
-
-        def hook(s_prev, y_prev, p_nmt):
-            out = np.zeros(6)
-            for tid, prob in table[y_prev].items():
-                out[tid] = prob
-            return out
-
+        hook = table_hook(table, 6)
         max_len = 3
         greedy = beam_search([4, EOS_ID], params, beam=1, max_len=max_len, memory_hook=hook)
         wide = beam_search([4, EOS_ID], params, beam=2, max_len=max_len, memory_hook=hook)
@@ -287,3 +292,115 @@ class TestBeamSearch:
         _, params = tiny_params()
         with pytest.raises(ValueError):
             beam_search([EOS_ID], params, beam=0)
+
+    def test_exact_ties_break_toward_lower_tokens(self):
+        _, params = tiny_params(src_v=10, tgt_v=10)
+        a, b, d, e = 4, 5, 6, 7
+        table = {
+            BOS_ID: {b: 0.5, a: 0.3, EOS_ID: 0.2},
+            # every continuation scores log 0.3 + log 0.5: four exact ties for two slots
+            a: {d: 0.5, e: 0.5},
+            b: {d: 0.3, e: 0.3, EOS_ID: 0.1},
+            d: {EOS_ID: 1.0},
+            e: {EOS_ID: 1.0},
+        }
+        hook = table_hook(table, 10)
+        # the pool keeps (a, d) and (a, e) although b's row was expanded first
+        wide = beam_search([4, EOS_ID], params, beam=2, max_len=4, memory_hook=hook)
+        assert wide.tokens == [a, d, EOS_ID]
+        assert (wide.tokens, wide.log_prob) == reference_beam([4, EOS_ID], params, 2, 4, hook)
+        # within a row, the boundary tie goes to the lower id
+        table[BOS_ID] = {b: 0.4, a: 0.4, EOS_ID: 0.2}
+        greedy = beam_search([4, EOS_ID], params, beam=1, max_len=4, memory_hook=hook)
+        assert greedy.tokens == [a, d, EOS_ID]
+
+    def test_invalid_source_ids_rejected(self):
+        _, params = tiny_params(src_v=10)
+        # a negative id would wrap to the last embedding row, 12 is past V=10
+        for src in ([-1, 2], [12, 2], []):
+            with pytest.raises(ValueError, match="vocabulary range|empty sentence"):
+                beam_search(src, params, beam=2)
+
+    def test_encoding_must_match_source_ids(self):
+        _, params = tiny_params()
+        with pytest.raises(ValueError, match="mask"):
+            beam_search([4, EOS_ID], params, beam=2, enc=encode([4, 5, EOS_ID], params))
+        with no_grad():
+            two_rows = encode_batch(np.array([[4, EOS_ID], [5, EOS_ID]]), np.ones((2, 2)), params)
+        with pytest.raises(ValueError, match="mask"):
+            beam_search([4, EOS_ID], params, beam=2, enc=two_rows)
+
+    def test_passed_encoding_is_used_without_encoding_again(self, monkeypatch):
+        _, params = tiny_params(seed=3)
+        src = [4, 7, 9, EOS_ID]
+        enc = encode(src, params)
+        want = beam_search(src, params, beam=3)
+        calls = []
+        real = model.encode_batch
+        monkeypatch.setattr(model, "encode_batch", lambda *a: calls.append(1) or real(*a))
+        got = beam_search(src, params, beam=3, enc=enc)
+        assert calls == []
+        assert got.tokens == want.tokens and got.log_prob == want.log_prob
+
+    def test_one_decode_step_and_one_hook_call_per_step(self, monkeypatch):
+        _, params = tiny_params(seed=4, src_v=15, tgt_v=15)
+        rows = []
+        real = model.decode_step
+        monkeypatch.setattr(model, "decode_step",
+                            lambda s, y, enc, p: rows.append(len(y)) or real(s, y, enc, p))
+        hook_rows = []
+        hyp = beam_search([4, 9, EOS_ID], params, beam=4, max_len=7,
+                          memory_hook=lambda s, y, p: hook_rows.append(len(y)) or p)
+        assert rows == hook_rows
+        assert len(rows) <= 7 and max(rows) <= 4 and rows[0] == 1
+        assert hyp.finished
+
+
+class _ExtendedLabelHook:
+    """Row hook: moves a share of each row's mass, set by that row's state and
+    previous token, onto one label past the vocabulary; that label's
+    embedding is borrowed from ``proxy_id``."""
+
+    def __init__(self, vocab: int, proxy_id: int):
+        self.vocab = vocab
+        self.proxy_id = proxy_id
+
+    def __call__(self, s_prev, y_prev, p):
+        share = 0.5 / (1.0 + np.exp(-s_prev.sum(axis=1) - 0.1 * y_prev))
+        out = np.empty((len(p), self.vocab + 1))
+        out[:, : self.vocab] = (1.0 - share)[:, None] * p
+        out[:, self.vocab] = share
+        return out
+
+    def embed_proxy(self, tid: int) -> int:
+        return self.proxy_id if tid == self.vocab else tid
+
+
+def test_reference_encoder_matches_encode():
+    _, params = tiny_params(seed=2)
+    src = [4, 8, 5, EOS_ID]
+    np.testing.assert_allclose(reference_encode(src, params), encode(src, params).h,
+                               rtol=1e-12, atol=1e-14)
+
+
+def _rounded(s_prev, y_prev, p):
+    """Row hook with exact ties and zeros: probabilities rounded to 0.01."""
+    return np.round(p, 2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), vocab=st.integers(6, 12), src_len=st.integers(0, 5),
+       beam=st.integers(1, 5), max_len=st.integers(1, 8),
+       hook_kind=st.sampled_from(["none", "extended", "rounded"]))
+def test_batched_beam_matches_one_row_reference(seed, vocab, src_len, beam, max_len, hook_kind):
+    _, params = tiny_params(seed=seed, src_v=vocab, tgt_v=vocab)
+    rng = np.random.default_rng(seed)
+    for t in params.params.values():
+        t.data[...] = rng.uniform(-0.6, 0.6, size=t.data.shape)
+    src = [int(i) for i in rng.integers(4, vocab, size=src_len)] + [EOS_ID]
+    hook = {"none": None, "rounded": _rounded,
+            "extended": _ExtendedLabelHook(vocab, int(rng.integers(4, vocab)))}[hook_kind]
+    hyp = beam_search(src, params, beam, max_len, hook)
+    tokens, log_prob = reference_beam(src, params, beam, max_len, hook)
+    assert hyp.tokens == tokens
+    assert hyp.log_prob == pytest.approx(log_prob, rel=1e-9, abs=0.0)
