@@ -97,6 +97,14 @@ class MergedMemory:
         info = self.oov_labels.get(token_id)
         return token_id if info is None else info[1]
 
+    def label_ids(self, vocab_size: int) -> np.ndarray:
+        """Each entry's output label id: unique, and inside the vocabulary or its OOV extension."""
+        labels = np.array([e.label_id for e in self.entries], dtype=np.int64)
+        assert len(np.unique(labels)) == len(labels), "merged memory labels must be unique"
+        if len(labels) and labels.max() >= vocab_size + len(self.oov_labels):
+            raise ValueError("memory label id beyond the extended distribution")
+        return labels
+
 
 @dataclass
 class SimilarWordMap:
@@ -253,25 +261,23 @@ def memory_attention(s_prev: np.ndarray, y_emb: np.ndarray, uw: Tensor,
 def interpolate_posterior(
     p_nmt: np.ndarray,
     alpha_m: np.ndarray,
-    mem: MergedMemory,
+    labels: np.ndarray,
+    n_oov: int,
     beta: float,
 ) -> np.ndarray:
     """beta * memory attention + (1 - beta) * model posterior, row by row.
 
-    ``p_nmt`` is [n, V] and ``alpha_m`` [n, K].  Memory mass lands on each
-    entry's output label; OOV labels extend the rows past the vocabulary
-    and receive memory mass only.
+    ``p_nmt`` is [n, V] and ``alpha_m`` [n, K]; ``labels`` holds each entry's
+    output label id, checked by `MergedMemory.label_ids`.  Memory mass lands
+    on those labels; the ``n_oov`` OOV labels extend the rows past the
+    vocabulary and receive memory mass only.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if not mem.entries:
+    if not len(labels):
         return p_nmt
-    labels = np.array([e.label_id for e in mem.entries])
-    assert len(np.unique(labels)) == len(labels), "merged memory labels must be unique"
     n, vocab = p_nmt.shape
-    out = np.zeros((n, vocab + len(mem.oov_labels)))
-    if labels.max() >= out.shape[1]:
-        raise ValueError("memory label id beyond the extended distribution")
+    out = np.zeros((n, vocab + n_oov))
     out[:, :vocab] = (1.0 - beta) * p_nmt
     out[:, labels] += beta * alpha_m
     return out
@@ -280,8 +286,8 @@ def interpolate_posterior(
 class MemoryHook:
     """Row-wise posterior transformer plugged into beam search.
 
-    Each entry's u @ mem_Wu is computed once, here; a call scores every row
-    against it and interpolates.
+    Each entry's u @ mem_Wu and the label ids are computed once, here; a
+    call scores every row against them and interpolates.
     """
 
     def __init__(self, mem: MergedMemory, mparams: MemoryParams, nmt_params: ParamSet):
@@ -290,13 +296,15 @@ class MemoryHook:
         self.mem = mem
         self.mparams = mparams
         self.tgt_embed = nmt_params["tgt_embed"].data
+        self.labels = mem.label_ids(self.tgt_embed.shape[0])
         with no_grad():
             self.uw = matmul(constant(entry_matrix(mem, self.tgt_embed)), mparams.pset["mem_Wu"])
 
     def __call__(self, s_prev: np.ndarray, y_prev: np.ndarray, p_nmt: np.ndarray) -> np.ndarray:
         y_emb = self.tgt_embed[[self.mem.embed_proxy(int(y)) for y in y_prev]]
         alpha = memory_attention(s_prev, y_emb, self.uw, self.mparams.pset)
-        return interpolate_posterior(p_nmt, alpha, self.mem, self.mparams.beta)
+        return interpolate_posterior(p_nmt, alpha, self.labels, len(self.mem.oov_labels),
+                                     self.mparams.beta)
 
     def embed_proxy(self, token_id: int) -> int:
         return self.mem.embed_proxy(token_id)

@@ -85,14 +85,6 @@ class EncodedSource:
         """[S, 2 * hidden_dim] states of the first sentence; row j is h_j."""
         return np.stack([st.data[0] for st in self.states])
 
-    def repeat(self, n: int) -> "EncodedSource":
-        """A one-sentence encoding broadcast to n identical rows."""
-        def rep(t: Tensor) -> Tensor:
-            return constant(np.repeat(t.data, n, axis=0))
-
-        return EncodedSource([rep(st) for st in self.states], [rep(u) for u in self.uh],
-                             np.repeat(self.mask, n, axis=0), rep(self.s0))
-
 
 @dataclass
 class Hypothesis:
@@ -186,6 +178,7 @@ def decode_step(s_prev: Tensor, y_prev_ids: np.ndarray, enc: EncodedSource,
                 params: ParamSet) -> tuple[Tensor, Tensor]:
     """One decoder step for every row: returns (next state, maxout readout z).
 
+    A one-sentence ``enc`` serves every row of ``s_prev`` by broadcasting.
     Attention over the source is scored from s_{i-1}; the GRU reads the
     previous target embedding and the attention context.
     """
@@ -249,21 +242,6 @@ PosteriorHook = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 """hook(S_prev [n, H], y_prev [n], P [n, V]) -> [n, V'] with V' >= V, row by row."""
 
 
-def _top_candidates(lp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, token) of each row's k largest entries; ties at the boundary go to lower ids.
-
-    Row-major, so tokens ascend within a row.
-    """
-    if k >= lp.shape[1]:
-        return np.nonzero(np.ones(lp.shape, dtype=bool))
-    neg = -lp
-    kth = np.take_along_axis(neg, np.argpartition(neg, k - 1, axis=1)[:, k - 1 : k], axis=1)
-    below = neg < kth
-    at = neg == kth
-    room = k - below.sum(axis=1, keepdims=True)
-    return np.nonzero(below | (at & (np.cumsum(at, axis=1) <= room)))
-
-
 def beam_search(
     src_ids: Sequence[int],
     params: ParamSet,
@@ -295,7 +273,6 @@ def beam_search(
     if max_len is None or max_len <= 0:
         max_len = 2 * len(src_ids) + 5
     proxy = getattr(memory_hook, "embed_proxy", None)
-    encodings = {1: enc}
 
     tokens = np.zeros((1, 0), dtype=np.int64)  # [n_live, step]
     log_probs = np.zeros(1)
@@ -307,15 +284,14 @@ def beam_search(
             n, length = tokens.shape
             y_prev = tokens[:, -1] if length else np.full(n, BOS_ID, dtype=np.int64)
             emb_ids = y_prev if proxy is None else np.array([proxy(int(y)) for y in y_prev])
-            if n not in encodings:
-                encodings[n] = enc.repeat(n)
-            s_new, z = decode_step(constant(states), emb_ids, encodings[n], params)
+            s_new, z = decode_step(constant(states), emb_ids, enc, params)
             p = softmax(matmul(z, e_t_T)).data
             if memory_hook is not None:
                 p = memory_hook(states, y_prev, p)
             with np.errstate(divide="ignore"):
                 lp = np.log(p)
-            row, tid = _top_candidates(lp, beam)
+            top = np.argsort(-lp, axis=1, kind="stable")[:, :beam]  # ties toward lower ids
+            row, tid = np.repeat(np.arange(n), top.shape[1]), top.ravel()
             keep = p[row, tid] > 0.0
             row, tid = row[keep], tid[keep]
             cand_lp = log_probs[row] + lp[row, tid]

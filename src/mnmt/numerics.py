@@ -255,8 +255,8 @@ def stack_cols(parts: Sequence[Tensor]) -> Tensor:
 
 
 def weighted_sum(weights: Tensor, parts: Sequence[Tensor]) -> Tensor:
-    """sum_t weights[:, t] * parts[t]  ([B, T] weights, T items of [B, D])."""
-    out = np.zeros_like(parts[0].data)
+    """sum_t weights[:, t] * parts[t]  ([B, T] weights, T items of [B, D] or [1, D])."""
+    out = np.zeros(np.broadcast_shapes(weights.data[:, :1].shape, parts[0].data.shape))
     for j, p in enumerate(parts):
         out += weights.data[:, j : j + 1] * p.data
 
@@ -264,7 +264,7 @@ def weighted_sum(weights: Tensor, parts: Sequence[Tensor]) -> Tensor:
         dw = np.empty_like(weights.data)
         for j, p in enumerate(parts):
             dw[:, j] = (g * p.data).sum(axis=1)
-            _accum(p, g * weights.data[:, j : j + 1])
+            _accum(p, _unbroadcast(g * weights.data[:, j : j + 1], p.data.shape))
         _accum(weights, dw)
 
     return Tensor(out, (weights, *parts), bw)

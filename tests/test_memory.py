@@ -260,18 +260,25 @@ class TestMemoryHook:
         p = np.full((1, vocab), 1.0 / vocab)
         np.testing.assert_array_equal(hook(s, np.array([vocab]), p), hook(s, np.array([5]), p))
 
-    def test_entry_matrix_built_once(self, setup, monkeypatch):
+    def test_entries_and_labels_prepared_once(self, setup, monkeypatch):
         cfg, params, _, _ = setup
         calls = []
-        real = memory_module.entry_matrix
+        real_entries, real_labels = memory_module.entry_matrix, MergedMemory.label_ids
         monkeypatch.setattr(memory_module, "entry_matrix",
-                            lambda *a: calls.append(1) or real(*a))
+                            lambda *a: calls.append("entries") or real_entries(*a))
+        monkeypatch.setattr(MergedMemory, "label_ids",
+                            lambda mem, vocab: calls.append("labels") or real_labels(mem, vocab))
         hook, params, rng = self._hook(setup)
         vocab = params["tgt_embed"].data.shape[0]
         for _ in range(3):
             hook(rng.normal(size=(2, cfg.hidden_dim)), np.array([4, 5]),
                  np.full((2, vocab), 1.0 / vocab))
-        assert len(calls) == 1
+        assert sorted(calls) == ["entries", "labels"]
+
+
+def _blend(p_nmt, alpha, mem, beta):
+    return interpolate_posterior(p_nmt, alpha, mem.label_ids(p_nmt.shape[1]),
+                                 len(mem.oov_labels), beta)
 
 
 class TestInterpolatePosterior:
@@ -280,20 +287,20 @@ class TestInterpolatePosterior:
 
     def test_blend_arithmetic(self):
         mem = self._one_entry_mem(0)
-        p = interpolate_posterior(np.array([[0.3, 0.7]]), np.array([[0.9]]), mem, beta=1 / 3)
+        p = _blend(np.array([[0.3, 0.7]]), np.array([[0.9]]), mem, beta=1 / 3)
         assert p[0, 0] == pytest.approx(1 / 3 * 0.9 + 2 / 3 * 0.3)
 
     def test_beta_zero_is_identity_on_vocab(self):
         mem = self._one_entry_mem(1)
         p_nmt = np.array([[0.25, 0.75], [0.5, 0.5]])
-        p = interpolate_posterior(p_nmt, np.array([[1.0], [1.0]]), mem, beta=0.0)
+        p = _blend(p_nmt, np.array([[1.0], [1.0]]), mem, beta=0.0)
         np.testing.assert_array_equal(p[:, :2], p_nmt)
 
     def test_four_word_example(self):
         # memory holds one word with full attention; the rest keep (1-beta) mass
         mem = self._one_entry_mem(0)
         p_nmt = np.full((1, 4), 0.25)
-        p = interpolate_posterior(p_nmt, np.array([[1.0]]), mem, beta=1 / 3)
+        p = _blend(p_nmt, np.array([[1.0]]), mem, beta=1 / 3)
         assert p[0, 0] == pytest.approx(0.5)
         np.testing.assert_allclose(p[0, 1:], [1 / 6, 1 / 6, 1 / 6])
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -309,14 +316,14 @@ class TestInterpolatePosterior:
             p_nmt = rng.dirichlet(np.ones(10), size=3)
             alpha = rng.dirichlet(np.ones(k), size=3)
             for beta in (0.0, 1 / 3, 1.0):
-                p = interpolate_posterior(p_nmt, alpha, mem, beta)
+                p = _blend(p_nmt, alpha, mem, beta)
                 np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_rows_are_independent(self):
         mem = merge_memory([_entry("a", 2, 0, [0.0], 0.5), _entry("b", 0, 1, [0.0], 0.5)])
         p_nmt = np.array([[0.1, 0.2, 0.7], [0.5, 0.25, 0.25]])
         alpha = np.array([[0.4, 0.6], [1.0, 0.0]])
-        p = interpolate_posterior(p_nmt, alpha, mem, beta=0.5)
+        p = _blend(p_nmt, alpha, mem, beta=0.5)
         np.testing.assert_allclose(p, [[0.05 + 0.3, 0.1, 0.35 + 0.2],
                                        [0.25, 0.125, 0.125 + 0.5]])
 
@@ -324,18 +331,25 @@ class TestInterpolatePosterior:
         mem = MergedMemory([MemoryEntry(1, 1, np.zeros(1), [(0, 1.0)]),
                             MemoryEntry(1, 1, np.zeros(1), [(1, 1.0)])])
         with pytest.raises(AssertionError):
-            interpolate_posterior(np.full((1, 3), 1 / 3), np.array([[0.5, 0.5]]), mem, 0.5)
+            mem.label_ids(3)
+
+    def test_label_beyond_extension_rejected(self):
+        mem = self._one_entry_mem(3)
+        with pytest.raises(ValueError, match="beyond"):
+            mem.label_ids(3)
+        mem.oov_labels[3] = ("oov", 0)
+        np.testing.assert_array_equal(mem.label_ids(3), [3])
 
     def test_empty_memory_identity(self):
         p_nmt = np.array([[0.4, 0.6]])
         for beta in (0.0, 1 / 3, 1.0):
             np.testing.assert_array_equal(
-                interpolate_posterior(p_nmt, np.zeros((1, 0)), MergedMemory([]), beta), p_nmt
+                _blend(p_nmt, np.zeros((1, 0)), MergedMemory([]), beta), p_nmt
             )
 
     def test_beta_out_of_range(self):
         with pytest.raises(ValueError):
-            interpolate_posterior(np.array([[1.0]]), np.array([[1.0]]), self._one_entry_mem(0), 1.5)
+            _blend(np.array([[1.0]]), np.array([[1.0]]), self._one_entry_mem(0), 1.5)
 
 
 class TestOovSubstitution:

@@ -20,6 +20,7 @@ from mnmt.numerics import (
     no_grad,
     softmax,
     sum_all,
+    weighted_sum,
 )
 
 
@@ -135,6 +136,30 @@ class TestMaxout:
         assert grad_check(loss, pset) < 1e-9
         backward(loss(pset))
         np.testing.assert_array_equal(theta.grad, [0.0, 1.0, 1.0, 0.0])
+
+
+class TestWeightedSum:
+    def test_one_row_parts_broadcast(self):
+        rng = np.random.default_rng(3)
+        w = rng.dirichlet(np.ones(3), size=4)
+        parts = rng.normal(size=(3, 1, 5))
+        out = weighted_sum(constant(w), [constant(p) for p in parts])
+        repeated = weighted_sum(constant(w), [constant(np.repeat(p, 4, axis=0)) for p in parts])
+        np.testing.assert_array_equal(out.data, repeated.data)
+
+    def test_gradient_with_one_row_parts(self):
+        rng = np.random.default_rng(4)
+        pset = ParamSet()
+        pset.add("w", rng.normal(size=(4, 3)))
+        for j in range(3):
+            pset.add(f"p{j}", rng.normal(size=(1, 5)))
+        target = constant(rng.normal(size=(4, 5)))
+
+        def loss(p):
+            ws = weighted_sum(p["w"], [p[f"p{j}"] for j in range(3)])
+            return sum_all(mul(ws, target))
+
+        assert grad_check(loss, pset) < 1e-7
 
 
 class TestAdam:
