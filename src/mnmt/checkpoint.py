@@ -99,7 +99,10 @@ def save_checkpoint(path: str, pset: ParamSet, config: dict) -> None:
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as f:
         blob = f.read()
-    return deserialize(blob)
+    try:
+        return deserialize(blob)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray]) -> ParamSet:

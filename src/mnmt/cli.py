@@ -96,7 +96,10 @@ class RunConfig:
                 key, raw = (part.strip() for part in line.split("=", 1))
                 if key not in types:
                     raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
-                values[key] = casts[types[key]](raw)
+                try:
+                    values[key] = casts[types[key]](raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from exc
         return values
 
     def nmt_config(self) -> NmtConfig:

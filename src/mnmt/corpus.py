@@ -72,7 +72,10 @@ class Vocabulary:
     def load(cls, path: str) -> "Vocabulary":
         with open(path, encoding="utf-8") as f:
             tokens = [line.rstrip("\n") for line in f]
-        return cls(tokens)
+        try:
+            return cls(tokens)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass

@@ -244,10 +244,10 @@ def memory_scores(s_prev: Tensor, y_emb: Tensor, uw: Tensor, pset: ParamSet) -> 
     ``uw`` is the [K, A] product of the entry matrix and mem_Wu; it does not
     change from step to step, so decoding computes it once per memory.
     """
-    n, (k, a) = s_prev.shape[0], uw.shape
-    pre = add(add(uw, reshape(matmul(s_prev, pset["mem_Ws"]), (n, 1, a))),
-              reshape(matmul(y_emb, pset["mem_Wy"]), (n, 1, a)))
-    return reshape(matmul(reshape(tanh(pre), (n * k, a)), pset["mem_v"]), (n, k))
+    n = s_prev.shape[0]
+    pre = add(add(uw, reshape(matmul(s_prev, pset["mem_Ws"]), (n, 1, -1))),
+              reshape(matmul(y_emb, pset["mem_Wy"]), (n, 1, -1)))
+    return matmul(tanh(pre), pset["mem_v"])
 
 
 def memory_attention(s_prev: np.ndarray, y_emb: np.ndarray, uw: Tensor,
@@ -527,7 +527,7 @@ def _training_records(
         batch = pad_batch(ids)
         with no_grad():
             enc = encode_batch(batch.src, batch.src_mask, nmt_params)
-        h = np.stack([st.data for st in enc.states], axis=1)  # [B, S, 2H]
+        h = enc.states.data  # [B, S, 2H]
         hits = []  # (row, merged memory, target columns, entry per column)
         for row, ((src_tokens, _), (src_ids, tgt_ids)) in enumerate(zip(group, ids)):
             mem = merge_memory(

@@ -10,7 +10,6 @@ equals the embedding width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -31,14 +30,14 @@ from .numerics import (
     maxout,
     mul,
     no_grad,
+    reshape,
     rows,
     scale,
     softmax,
-    stack_cols,
+    stack,
     sum_all,
     tanh,
     transpose,
-    weighted_sum,
 )
 
 INIT_SCALE = 0.08
@@ -73,17 +72,20 @@ class NmtConfig:
 
 @dataclass
 class EncodedSource:
-    """Encoder output for a [B, S] batch plus what every decoder step reads."""
+    """Encoder output for a [B, S] batch plus what every decoder step reads.
 
-    states: list[Tensor]  # per source position, [B, 2 * hidden_dim]
-    uh: list[Tensor]      # states[j] @ att_U, per source position
+    A one-sentence encoding (B = 1) serves any number of decoder rows.
+    """
+
+    states: Tensor        # [B, S, 2 * hidden_dim]; states[b, j] is h_j of sentence b
+    uh: Tensor            # states @ att_U, [B, S, hidden_dim]
     mask: np.ndarray      # [B, S]
     s0: Tensor            # initial decoder state, [B, hidden_dim]
 
-    @cached_property
+    @property
     def h(self) -> np.ndarray:
         """[S, 2 * hidden_dim] states of the first sentence; row j is h_j."""
-        return np.stack([st.data[0] for st in self.states])
+        return self.states.data[0]
 
 
 @dataclass
@@ -156,8 +158,8 @@ def encode_batch(src: np.ndarray, src_mask: np.ndarray, params: ParamSet) -> Enc
     for t in reversed(range(s_len)):
         h = _mask_mix(src_mask[:, t], gru_step(xs[t], h, params, "enc_b_"), h)
         bwd[t] = h
-    states = [concat([fwd[t], bwd[t]], axis=1) for t in range(s_len)]
-    uh = [matmul(st, params["att_U"]) for st in states]
+    states = concat([stack(fwd, 1), stack(bwd, 1)], axis=2)
+    uh = matmul(states, params["att_U"])
     s0 = tanh(matmul(bwd[0], params["dec_init_W"]))
     return EncodedSource(states, uh, src_mask, s0)
 
@@ -182,10 +184,10 @@ def decode_step(s_prev: Tensor, y_prev_ids: np.ndarray, enc: EncodedSource,
     Attention over the source is scored from s_{i-1}; the GRU reads the
     previous target embedding and the attention context.
     """
-    sa = matmul(s_prev, params["att_W"])
-    scores = [matmul(tanh(add(sa, uh_t)), params["att_v"]) for uh_t in enc.uh]
-    alpha = softmax(stack_cols(scores), enc.mask)
-    c = weighted_sum(alpha, enc.states)
+    n = s_prev.shape[0]
+    sa = reshape(matmul(s_prev, params["att_W"]), (n, 1, -1))
+    alpha = softmax(matmul(tanh(add(sa, enc.uh)), params["att_v"]), enc.mask)  # [n, S]
+    c = reshape(matmul(reshape(alpha, (n, 1, -1)), enc.states), (n, -1))
     y_emb = rows(params["tgt_embed"], y_prev_ids)
     s_new = gru_step(concat([y_emb, c], axis=1), s_prev, params, "dec_")
     pre = add(
@@ -223,14 +225,12 @@ def train_step(batch: Batch, params: ParamSet, lr: float,
 def teacher_forced_loss(batch: Batch, params: ParamSet) -> Tensor:
     """Mask-weighted mean -log p(reference token) over a batch."""
     enc = encode_batch(batch.src, batch.src_mask, params)
-    e_t_T = transpose(params["tgt_embed"])
-    total = None
-    for i, (_, z) in enumerate(teacher_forced_steps(enc, batch.tgt, params)):
-        logits = matmul(z, e_t_T)
-        ce = mul(cross_entropy_rows(logits, batch.tgt[:, i]), constant(batch.tgt_mask[:, i]))
-        term = sum_all(ce)
-        total = term if total is None else add(total, term)
-    return scale(total, 1.0 / batch.tgt_mask.sum())
+    zs = [z for _, z in teacher_forced_steps(enc, batch.tgt, params)]
+    z = reshape(stack(zs, 1), (batch.tgt.size, -1))  # [B * T, E], row-major over [B, T]
+    logits = matmul(z, transpose(params["tgt_embed"]))
+    ce = mul(cross_entropy_rows(logits, batch.tgt.reshape(-1)),
+             constant(batch.tgt_mask.reshape(-1)))
+    return scale(sum_all(ce), 1.0 / batch.tgt_mask.sum())
 
 
 def train_model(batches: list[Batch], params: ParamSet, lr: float, steps: int) -> list[float]:

@@ -91,7 +91,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into every reachable tensor's `.grad`."""
+    """Accumulate d(root)/d(leaf) into every reachable leaf's `.grad`.
+
+    An interior node's gradient is freed once it has been passed on.
+    """
     if root.data.size != 1:
         raise ValueError("backward() needs a scalar root")
     topo: list[Tensor] = []
@@ -113,6 +116,7 @@ def backward(root: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None  # passed on; only leaves keep theirs
 
 
 # --- elementwise and linear kernels -------------------------------------
@@ -158,21 +162,19 @@ def rsub_scalar(s: float, a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data @ b.data
+    """``np.matmul``; a one-row stack in either operand serves every row of the other."""
+    out = np.matmul(a.data, b.data)
 
     def bw(g):
-        if a.data.ndim == 2 and b.data.ndim == 2:
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        elif a.data.ndim == 1 and b.data.ndim == 2:
-            _accum(a, b.data @ g)
-            _accum(b, np.outer(a.data, g))
-        elif a.data.ndim == 2 and b.data.ndim == 1:
-            _accum(a, np.outer(g, b.data))
-            _accum(b, a.data.T @ g)
+        x, w = a.data, b.data
+        if w.ndim <= 2:
+            # b is a matrix or a vector: a's leading axes fold into one GEMM
+            _accum(a, g @ w.T if w.ndim == 2 else np.multiply.outer(g, w))
+            _accum(b, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, *w.shape[1:]))
         else:
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+            # both stacked: batched GEMMs, summed over the axes an operand broadcast on
+            _accum(a, _unbroadcast(g @ w.swapaxes(-1, -2), x.shape))
+            _accum(b, _unbroadcast(x.swapaxes(-1, -2) @ g, w.shape))
 
     return Tensor(out, (a, b), bw)
 
@@ -243,31 +245,15 @@ def rows(embedding: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor(out, (embedding,), bw)
 
 
-def stack_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Stack T vectors of shape [B] into a [B, T] matrix."""
-    out = np.stack([p.data for p in parts], axis=1)
+def stack(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """``np.stack``: equal-shaped tensors along a new axis."""
+    out = np.stack([p.data for p in parts], axis=axis)
 
     def bw(g):
-        for j, p in enumerate(parts):
-            _accum(p, g[:, j])
+        for p, piece in zip(parts, np.moveaxis(g, axis, 0)):
+            _accum(p, piece)
 
     return Tensor(out, tuple(parts), bw)
-
-
-def weighted_sum(weights: Tensor, parts: Sequence[Tensor]) -> Tensor:
-    """sum_t weights[:, t] * parts[t]  ([B, T] weights, T items of [B, D] or [1, D])."""
-    out = np.zeros(np.broadcast_shapes(weights.data[:, :1].shape, parts[0].data.shape))
-    for j, p in enumerate(parts):
-        out += weights.data[:, j : j + 1] * p.data
-
-    def bw(g):
-        dw = np.empty_like(weights.data)
-        for j, p in enumerate(parts):
-            dw[:, j] = (g * p.data).sum(axis=1)
-            _accum(p, _unbroadcast(g * weights.data[:, j : j + 1], p.data.shape))
-        _accum(weights, dw)
-
-    return Tensor(out, (weights, *parts), bw)
 
 
 def maxout(a: Tensor, pool: int = 2) -> Tensor:

@@ -287,3 +287,14 @@ def reference_memory_loss(pairs, src_vocab, tgt_vocab, params, lex, k, mparams):
             s, _ = reference_step(s, y_prev, h, params)
             y_prev = tid
     return float(np.mean(nll)), len(nll)
+
+
+def tape_nodes(*roots) -> int:
+    """Tensors reachable from ``roots`` through the tape's parent links."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,15 @@ class TestCorruptionDetection:
             corrupted[offset] ^= 0x41
             with pytest.raises(CheckpointError, match="checksum"):
                 deserialize(bytes(corrupted))
+
+    def test_load_error_names_file(self, pset, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), pset, {})
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x41
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: checkpoint checksum mismatch"):
+            load_checkpoint(str(path))
 
     def test_truncation_detected(self, pset, tmp_path):
         path = tmp_path / "model.ckpt"

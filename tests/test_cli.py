@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import desk_config, make_mapped_task
@@ -38,6 +40,12 @@ class TestRunConfig:
         bad.write_text("no_such_key = 3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no_such_key"):
             RunConfig.from_file(str(bad))
+
+    def test_bad_value_names_file_line_and_key(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("lr = 0.25\nbeam_size = twelve\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{re.escape(str(bad))}: line 2: beam_size: invalid literal"):
+            RunConfig.file_values(str(bad))
 
     def test_comments_and_types(self, tmp_path):
         good = tmp_path / "good.cfg"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,7 +122,15 @@ class TestEncodeDecode:
     def test_vocab_file_without_control_prefix_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("a\nb\nc\nd\ne\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="must start with"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*must start with"):
+            Vocabulary.load(str(path))
+
+    def test_vocab_file_with_duplicate_token_names_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        build_vocabulary([["a", "b"]], max_size=10).save(str(path))
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("a\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate token 'a'"):
             Vocabulary.load(str(path))
 
     def test_decode_stops_at_eos_and_skips_controls(self):

@@ -3,7 +3,13 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import desk_config, make_mapped_task, quick_train, reference_memory_loss
+from conftest import (
+    desk_config,
+    make_mapped_task,
+    quick_train,
+    reference_memory_loss,
+    tape_nodes,
+)
 from mnmt import memory as memory_module
 from mnmt import model
 from mnmt.corpus import EOS_ID, build_vocabulary
@@ -35,7 +41,6 @@ from mnmt.memory import (
 from mnmt.model import encode, init_nmt_params
 from mnmt.numerics import (
     ParamSet,
-    Tensor,
     constant,
     cross_entropy_rows,
     grad_check,
@@ -470,16 +475,6 @@ def oracle_task():
     for t in [*params.params.values(), *mparams.pset.params.values()]:
         t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
     return pairs, src_vocab, tgt_vocab, params, mparams, lex
-
-
-def tape_nodes(root: Tensor) -> int:
-    seen, stack = set(), [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node._parents)
-    return len(seen)
 
 
 class TestTrainMemoryAttention:

@@ -11,6 +11,7 @@ from conftest import (
     reference_encode,
     reference_step,
     table_hook,
+    tape_nodes,
 )
 from mnmt import model
 from mnmt.corpus import BOS_ID, EOS_ID, Batch, make_batches
@@ -124,6 +125,17 @@ class TestDecoderStep:
         assert z.shape == (cfg.output_dim,)
 
 
+def test_decode_step_tape_does_not_grow_with_source_length():
+    _, params = tiny_params(seed=6, src_v=15)
+    rng = np.random.default_rng(6)
+    counts = []
+    for s_len in (3, 12):
+        enc = encode([int(i) for i in rng.integers(4, 15, size=s_len - 1)] + [EOS_ID], params)
+        s_new, z = decode_step(constant(np.zeros((2, 8))), np.array([4, 5]), enc, params)
+        counts.append(tape_nodes(s_new, z))
+    assert counts[0] == counts[1]
+
+
 def _toy_batch(rng, b=2, s=5, t=5, vocab=20):
     src = rng.integers(4, vocab, size=(b, s))
     src[:, -1] = EOS_ID
@@ -148,7 +160,7 @@ class TestBatchingConsistency:
         src[1, :] = long
         mask = np.array([[1.0, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
         enc = encode_batch(src, mask, params)
-        batched = np.stack([s.data for s in enc.states], axis=1)  # [B, T, 2H]
+        batched = enc.states.data  # [B, S, 2H]
         np.testing.assert_allclose(batched[0, :3], encode(short, params).h, atol=1e-12)
         np.testing.assert_allclose(batched[1], encode(long, params).h, atol=1e-12)
         # the decoder starts from the backward state at position 0

@@ -19,8 +19,9 @@ from mnmt.numerics import (
     mul,
     no_grad,
     softmax,
+    stack,
     sum_all,
-    weighted_sum,
+    tanh,
 )
 
 
@@ -138,28 +139,78 @@ class TestMaxout:
         np.testing.assert_array_equal(theta.grad, [0.0, 1.0, 1.0, 0.0])
 
 
-class TestWeightedSum:
-    def test_one_row_parts_broadcast(self):
+def _product_loss(fn, shapes, seed):
+    """A parameter set of the given shapes and sum(fn(params) * fixed weights)."""
+    rng = np.random.default_rng(seed)
+    pset = ParamSet()
+    for name, shape in shapes.items():
+        pset.add(name, rng.normal(size=shape))
+    with no_grad():
+        out_shape = fn(pset).shape
+    weights = constant(rng.normal(size=out_shape))
+
+    def loss(p):
+        return sum_all(mul(fn(p), weights))
+
+    return loss, pset
+
+
+class TestMatmul:
+    def test_one_row_operand_equals_repeated_rows(self):
         rng = np.random.default_rng(3)
-        w = rng.dirichlet(np.ones(3), size=4)
-        parts = rng.normal(size=(3, 1, 5))
-        out = weighted_sum(constant(w), [constant(p) for p in parts])
-        repeated = weighted_sum(constant(w), [constant(np.repeat(p, 4, axis=0)) for p in parts])
+        alpha = rng.dirichlet(np.ones(3), size=(4, 1))  # [4, 1, 3]
+        states = rng.normal(size=(1, 3, 5))
+        out = matmul(constant(alpha), constant(states))
+        repeated = matmul(constant(alpha), constant(np.repeat(states, 4, axis=0)))
+        assert out.shape == (4, 1, 5)
         np.testing.assert_array_equal(out.data, repeated.data)
 
-    def test_gradient_with_one_row_parts(self):
-        rng = np.random.default_rng(4)
-        pset = ParamSet()
-        pset.add("w", rng.normal(size=(4, 3)))
-        for j in range(3):
-            pset.add(f"p{j}", rng.normal(size=(1, 5)))
-        target = constant(rng.normal(size=(4, 5)))
-
-        def loss(p):
-            ws = weighted_sum(p["w"], [p[f"p{j}"] for j in range(3)])
-            return sum_all(mul(ws, target))
-
+    def test_gradient_with_one_row_operand(self):
+        loss, pset = _product_loss(lambda p: matmul(p["alpha"], p["states"]),
+                                   {"alpha": (4, 1, 3), "states": (1, 3, 5)}, seed=4)
         assert grad_check(loss, pset) < 1e-7
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4), (4, 5)),   # stacked @ matrix
+        ((2, 3, 4), (4,)),     # stacked @ vector
+        ((4,), (4, 5)),        # vector @ matrix
+        ((4,), (4,)),          # vector @ vector
+    ])
+    def test_gradient_with_matrix_or_vector_b(self, a_shape, b_shape):
+        loss, pset = _product_loss(lambda p: matmul(p["a"], p["b"]),
+                                   {"a": a_shape, "b": b_shape}, seed=5)
+        assert grad_check(loss, pset) < 1e-7
+
+
+class TestStack:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_gradient_along_axis(self, axis):
+        def fn(p):
+            return stack([p[f"x{j}"] for j in range(3)], axis)
+
+        loss, pset = _product_loss(fn, {f"x{j}": (2, 4) for j in range(3)}, seed=7 + axis)
+        with no_grad():
+            out = fn(pset)
+        np.testing.assert_array_equal(out.data, np.stack([pset[f"x{j}"].data for j in range(3)],
+                                                         axis))
+        assert grad_check(loss, pset) < 1e-7
+
+
+class TestBackward:
+    def test_interior_gradients_freed_and_leaf_gradients_kept(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 4))
+        w_init = rng.normal(size=(4, 2))
+
+        pset = ParamSet()
+        w = pset.add("w", w_init)
+        inp = constant(x)
+        hidden = tanh(matmul(inp, w))
+        backward(sum_all(mul(hidden, hidden)))
+        assert hidden.grad is None
+        assert inp.grad is not None  # constants are leaves too
+        t = np.tanh(x @ w_init)
+        np.testing.assert_allclose(w.grad, x.T @ (2 * t * (1 - t * t)), rtol=1e-13)
 
 
 class TestAdam:
