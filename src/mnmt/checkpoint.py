@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -91,9 +92,20 @@ def deserialize(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def save_checkpoint(path: str, pset: ParamSet, config: dict) -> None:
-    tensors = {name: t.data for name, t in pset.params.items()}
-    with open(path, "wb") as f:
-        f.write(serialize(tensors, config))
+    """Write atomically: a temporary file in the same directory replaces ``path``
+    only once complete, so an interrupted save leaves the previous file intact."""
+    blob = serialize({name: t.data for name, t in pset.params.items()}, config)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:

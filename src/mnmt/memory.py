@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import BOS_ID, Vocabulary, encode_sentence, pad_batch
 from .lexicon import Lexicon, lexicon_lookup
-from .model import EncodedSource, NmtConfig, encode_batch, teacher_forced_steps
+from .model import DecoderWeights, EncodedSource, NmtConfig, encode_batch, step_forward
 # not called here: bench/layers.py wraps memory.encode by name and needs it to exist
 from .model import encode  # noqa: F401
 from .numerics import (
@@ -36,14 +36,12 @@ from .numerics import (
     backward,
     clip_gradients,
     constant,
-    cross_entropy_rows,
+    cross_entropy,
     matmul,
     no_grad,
     reshape,
     rows,
-    scale,
     softmax,
-    sum_all,
     tanh,
 )
 
@@ -64,7 +62,6 @@ class LocalMemoryEntry:
     target_id: int
     source_pos: int
     h_src: np.ndarray
-    p_t_given_s: float
     p_s_given_t: float
 
 
@@ -186,13 +183,11 @@ def build_local_memory(
     """
     entries = []
     for pos, tok in enumerate(tokens):
-        for tgt_tok, p_ts in lexicon_lookup(lex, tok, k):
+        for tgt_tok, _ in lexicon_lookup(lex, tok, k):
             if tgt_tok not in tgt_vocab:
                 continue
             p_st = lex.entries[(tok, tgt_tok)][1]
-            entries.append(
-                LocalMemoryEntry(tgt_tok, tgt_vocab.id_of(tgt_tok), pos, h[pos], p_ts, p_st)
-            )
+            entries.append(LocalMemoryEntry(tgt_tok, tgt_vocab.id_of(tgt_tok), pos, h[pos], p_st))
     return entries
 
 
@@ -504,8 +499,8 @@ def chunk_loss(chunk: TrainingChunk, pset: ParamSet) -> Tensor:
              matmul(constant(chunk.y_emb), pset["mem_Wy"]))
     pre = add(rows(uw, chunk.slot_entry), rows(sy, chunk.slot_pos))
     scores = reshape(matmul(tanh(pre), pset["mem_v"]), chunk.pad_bias.shape)
-    nll = cross_entropy_rows(add(scores, constant(chunk.pad_bias)), chunk.target)
-    return scale(sum_all(nll), 1.0 / chunk.n_positions)
+    return cross_entropy(add(scores, constant(chunk.pad_bias)), chunk.target,
+                         np.ones(chunk.n_positions))
 
 
 def _training_records(
@@ -518,7 +513,8 @@ def _training_records(
     batch_pairs: int,
 ) -> list[TrainingRecord]:
     """One frozen encoding per batch of pairs, decoded up to its last memory position."""
-    tgt_embed = nmt_params["tgt_embed"].data
+    w = DecoderWeights(nmt_params)
+    tgt_embed = w.embed
     records: list[TrainingRecord] = []
     for start in range(0, len(pairs), batch_pairs):
         group = pairs[start : start + batch_pairs]
@@ -539,10 +535,12 @@ def _training_records(
         if not hits:
             continue
         last = max(hit_cols[-1] for _, _, hit_cols, _ in hits)
-        with no_grad():
-            s_prev = np.stack([s.data for s, _ in
-                               teacher_forced_steps(enc, batch.tgt[:, : last + 1], nmt_params)])
         y_prev = np.concatenate([np.full((len(group), 1), BOS_ID), batch.tgt[:, :last]], axis=1)
+        y_proj = w.project(y_prev[:, :last])
+        s_prev = [enc.s0.data]  # s_{i-1} of columns 0..last
+        for i in range(last):
+            s_prev.append(step_forward(s_prev[-1], y_proj[:, i], enc, w, True)[0])
+        s_prev = np.stack(s_prev)
         for row, mem, cols, entries in hits:
             records.append(TrainingRecord(
                 u=entry_matrix(mem, tgt_embed),

@@ -10,7 +10,7 @@ equals the embedding width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,23 +19,23 @@ from .numerics import (
     ParamSet,
     Tensor,
     adam_step,
-    add,
     backward,
+    check_finite,
     clip_gradients,
     concat,
-    constant,
-    cross_entropy_rows,
-    gru_step,
+    cross_entropy,
+    fused,
+    gru_cell,
+    gru_cell_backward,
+    gru_sequence,
+    masked_softmax,
     matmul,
     maxout,
-    mul,
+    maxout_backward,
     no_grad,
-    reshape,
+    row_sums,
     rows,
-    scale,
-    softmax,
-    stack,
-    sum_all,
+    take,
     tanh,
     transpose,
 )
@@ -94,7 +94,6 @@ class Hypothesis:
 
     tokens: list[int]
     log_prob: float
-    state: np.ndarray
     finished: bool = False
 
     def normalized_score(self) -> float:
@@ -132,35 +131,18 @@ def init_nmt_params(cfg: NmtConfig, seed: int) -> ParamSet:
     return pset
 
 
-def _mask_mix(mask_col: np.ndarray, new: Tensor, old: Tensor) -> Tensor:
-    """Keep the previous state on padded positions."""
-    m = mask_col[:, None]
-    return add(mul(constant(m), new), mul(constant(1.0 - m), old))
-
-
 def encode_batch(src: np.ndarray, src_mask: np.ndarray, params: ParamSet) -> EncodedSource:
-    """Bidirectional encoding of a [B, S] id matrix.
+    """Bidirectional encoding of a [B, S] id matrix: one fused node per direction.
 
     The decoder starts from tanh(b_0 @ dec_init_W), where b_0 is the
     backward-direction state at position 0.
     """
-    b, s_len = src.shape
-    hidden = params["enc_f_Uz"].data.shape[0]
-    xs = [rows(params["src_embed"], src[:, t]) for t in range(s_len)]
-
-    fwd: list[Tensor] = []
-    h = constant(np.zeros((b, hidden)))
-    for t in range(s_len):
-        h = _mask_mix(src_mask[:, t], gru_step(xs[t], h, params, "enc_f_"), h)
-        fwd.append(h)
-    bwd: list[Tensor | None] = [None] * s_len
-    h = constant(np.zeros((b, hidden)))
-    for t in reversed(range(s_len)):
-        h = _mask_mix(src_mask[:, t], gru_step(xs[t], h, params, "enc_b_"), h)
-        bwd[t] = h
-    states = concat([stack(fwd, 1), stack(bwd, 1)], axis=2)
+    x = rows(params["src_embed"], src)  # [B, S, E]
+    fwd = gru_sequence(x, src_mask, params, "enc_f_", False)
+    bwd = gru_sequence(x, src_mask, params, "enc_b_", True)
+    states = concat([fwd, bwd], axis=2)
     uh = matmul(states, params["att_U"])
-    s0 = tanh(matmul(bwd[0], params["dec_init_W"]))
+    s0 = tanh(matmul(take(bwd, (slice(None), 0)), params["dec_init_W"]))
     return EncodedSource(states, uh, src_mask, s0)
 
 
@@ -176,38 +158,152 @@ def encode(src_ids: Sequence[int], params: ParamSet) -> EncodedSource:
         return encode_batch(ids[None, :], np.ones((1, len(ids))), params)
 
 
-def decode_step(s_prev: Tensor, y_prev_ids: np.ndarray, enc: EncodedSource,
-                params: ParamSet) -> tuple[Tensor, Tensor]:
-    """One decoder step for every row: returns (next state, maxout readout z).
+class DecoderWeights:
+    """The decoder's parameters packed for its step GEMMs, once per call.
 
-    A one-sentence ``enc`` serves every row of ``s_prev`` by broadcasting.
-    Attention over the source is scored from s_{i-1}; the GRU reads the
-    previous target embedding and the attention context.
+    Every GEMM of a step reads one of three row inputs, so each input meets
+    one packed matrix: the previous state s meets [att_W | dec_Uz | dec_Ur |
+    out_V], the context c meets the context rows of [dec_Wz | dec_Wr | dec_Wh]
+    beside out_C, and the previous word's embedding y meets their embedding
+    rows beside out_U (`project`).  Column blocks of the last two: gates
+    [0, 3H), readout [3H, 3H + 2E).
     """
-    n = s_prev.shape[0]
-    sa = reshape(matmul(s_prev, params["att_W"]), (n, 1, -1))
-    alpha = softmax(matmul(tanh(add(sa, enc.uh)), params["att_v"]), enc.mask)  # [n, S]
-    c = reshape(matmul(reshape(alpha, (n, 1, -1)), enc.states), (n, -1))
-    y_emb = rows(params["tgt_embed"], y_prev_ids)
-    s_new = gru_step(concat([y_emb, c], axis=1), s_prev, params, "dec_")
-    pre = add(
-        add(add(matmul(y_emb, params["out_U"]), matmul(s_prev, params["out_V"])),
-            matmul(c, params["out_C"])),
-        params["out_b"],
-    )
-    return s_new, maxout(pre)
+
+    def __init__(self, params: ParamSet):
+        e = params["out_U"].data.shape[0]
+        gate_w = [params[f"dec_W{g}"].data for g in "zrh"]
+        self.embed = params["tgt_embed"].data
+        self.s_w = np.concatenate([params[n].data for n in ("att_W", "dec_Uz", "dec_Ur", "out_V")],
+                                  axis=1)
+        self.c_w = np.concatenate([w[e:] for w in gate_w] + [params["out_C"].data], axis=1)
+        self.y_w = np.concatenate([w[:e] for w in gate_w] + [params["out_U"].data], axis=1)
+        self.y_b = np.concatenate([params[f"dec_b{g}"].data for g in "zrh"] + [params["out_b"].data])
+        self.u_h = params["dec_Uh"].data
+        self.att_v = params["att_v"].data
+
+    def project(self, y_ids: np.ndarray) -> np.ndarray:
+        """y @ y_w + y_b for the embeddings of ``y_ids``, any leading shape."""
+        y = self.embed[y_ids]
+        proj = y.reshape(-1, y.shape[-1]) @ self.y_w + self.y_b
+        return proj.reshape(*y.shape[:-1], self.y_w.shape[1])
 
 
-def teacher_forced_steps(enc: EncodedSource, tgt: np.ndarray,
-                         params: ParamSet) -> Iterator[tuple[Tensor, Tensor]]:
-    """Yield (s_{i-1}, z_i) for each target column i, feeding the reference."""
-    s = enc.s0
-    y_in = np.full(tgt.shape[0], BOS_ID, dtype=np.int64)
-    for i in range(tgt.shape[1]):
-        s_new, z = decode_step(s, y_in, enc, params)
-        yield s, z
-        s = s_new
-        y_in = tgt[:, i]
+def step_forward(s_prev: np.ndarray, y_proj: np.ndarray, enc: EncodedSource,
+                 w: DecoderWeights, advance: bool):
+    """One decoder step for every row, on plain arrays: (s_new, z, cache).
+
+    ``y_proj`` is `DecoderWeights.project` of each row's previous word.
+    Attention over the source is scored from s_prev; the maxout readout z
+    and the GRU read the previous word and the attention context.  A
+    one-sentence ``enc`` serves every row by broadcasting.  Without
+    ``advance`` (a column whose next state nothing reads) the GRU update is
+    skipped and s_new is None.
+    """
+    hid = s_prev.shape[1]
+    sp = s_prev @ w.s_w
+    att = np.tanh(check_finite(sp[:, None, :hid] + enc.uh.data))   # [n, S, H]
+    alpha = masked_softmax(att @ w.att_v, enc.mask)                 # [n, S]
+    c = np.matmul(alpha[:, None, :], enc.states.data)[:, 0]         # [n, 2H]
+    cp = c @ w.c_w
+    z, which = maxout(y_proj[:, 3 * hid :] + sp[:, 3 * hid :] + cp[:, 3 * hid :])
+    s_new = gru = None
+    if advance:
+        s_new, gru = gru_cell(y_proj[:, : 3 * hid] + cp[:, : 3 * hid], sp[:, hid : 3 * hid],
+                              s_prev, w.u_h)
+        check_finite(s_new)
+    return s_new, check_finite(z), (s_prev, att, alpha, c, which, gru)
+
+
+def step_backward(cache, ds_new: np.ndarray | None, dz: np.ndarray, enc: EncodedSource,
+                  w: DecoderWeights):
+    """Backward of `step_forward` given d s_new (None without advance) and d z.
+
+    Returns (d s_prev, d sp, d y_proj, d c, d scores, d (sp_att + uh)): the
+    gradients at the step's GEMM outputs, from which the caller forms the
+    weight gradients over all steps at once.  d y_proj is also the
+    gradient at c @ c_w.
+    """
+    s_prev, att, alpha, c, which, gru = cache
+    n, hid = s_prev.shape
+    d_pre = maxout_backward(dz, which)
+    if gru is None:
+        d_gx, ds_prev = np.zeros((n, 3 * hid)), 0.0
+    else:
+        d_gx, ds_prev = gru_cell_backward(ds_new, gru, w.u_h)
+    d_yp = np.concatenate([d_gx, d_pre], axis=1)
+    dc = d_yp @ w.c_w.T
+    d_alpha = np.matmul(enc.states.data, dc[:, :, None])[..., 0]
+    d_scores = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
+    d_att = d_scores[:, :, None] * w.att_v * (1.0 - att * att)
+    d_sp = np.concatenate([d_att.sum(axis=1), d_gx[:, : 2 * hid], d_pre], axis=1)
+    return ds_prev + d_sp @ w.s_w.T, d_sp, d_yp, dc, d_scores, d_att
+
+
+_DECODER_PARAMS = ("att_W", "dec_Uz", "dec_Ur", "out_V",
+                   "dec_Wz", "dec_Wr", "dec_Wh", "out_U", "out_C",
+                   "dec_bz", "dec_br", "dec_bh", "out_b", "dec_Uh", "att_v", "tgt_embed")
+_GRU_PARAMS = {f"dec_{kind}{gate}" for kind in "WUb" for gate in "zrh"}
+
+
+def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet) -> Tensor:
+    """Teacher-forced readouts z [B * T, E], row-major over [B, T]: one tape node.
+
+    ``y_in`` [B, T] holds each column's previous target word, BOS first.
+    The embedding half of the decoder's input GEMM runs once over all T
+    columns; `step_forward` runs over the columns and skips the last
+    column's GRU update, which no readout reads.  The backward runs
+    `step_backward` in reverse time and makes each weight gradient one GEMM
+    over all steps.
+    """
+    n, t_len = y_in.shape
+    if enc.mask.shape[0] != n:
+        raise ValueError(f"{n} target rows for an encoding of {enc.mask.shape[0]} sentences")
+    w = DecoderWeights(params)
+    hid = w.u_h.shape[0]
+    y_proj = w.project(y_in)
+    caches, zs = [], []
+    s = enc.s0.data
+    for i in range(t_len):
+        s, z, cache = step_forward(s, y_proj[:, i], enc, w, i + 1 < t_len)
+        caches.append(cache)
+        zs.append(z)
+    out = np.stack(zs, axis=1).reshape(n * t_len, -1)
+
+    def grads_of(g):
+        g = g.reshape(n, t_len, -1)
+        ds = None
+        d_uh = np.zeros_like(enc.uh.data)
+        per_step = [None] * t_len
+        for i in reversed(range(t_len)):
+            ds, d_sp, d_yp, dc, d_scores, d_att = step_backward(caches[i], ds, g[:, i], enc, w)
+            d_uh += d_att
+            per_step[i] = (d_sp, d_yp, dc, d_scores)
+        # step-major [T, B, .] arrays: each weight gradient is one GEMM over all T * B rows
+        d_sp, d_yp, dc, d_scores = (np.array(x) for x in zip(*per_step))
+        s_prev, att, alpha, c = (np.array(x) for x in list(zip(*caches))[:4])
+        n_rows = n * t_len
+        d_sp, d_yp = d_sp.reshape(n_rows, -1), d_yp.reshape(n_rows, -1)
+        blocks = [hid, 2 * hid, 3 * hid]
+        d_s = np.split(s_prev.reshape(n_rows, -1).T @ d_sp, blocks, axis=1)
+        d_y = np.split(w.embed[y_in.T].reshape(n_rows, -1).T @ d_yp, blocks, axis=1)
+        d_c = np.split(c.reshape(n_rows, -1).T @ d_yp, blocks, axis=1)
+        d_b = np.split(d_yp.sum(axis=0), blocks)
+        d_embed = row_sums(y_in.T.reshape(-1), d_yp @ w.y_w.T, len(w.embed))
+        grads = [*d_s,
+                 *(np.concatenate([dy, dc_]) for dy, dc_ in zip(d_y[:3], d_c[:3])),
+                 d_y[3], d_c[3], *d_b, None,
+                 d_scores.reshape(-1) @ att.reshape(-1, hid), d_embed]
+        if t_len == 1:  # no GRU update ran: its parameters get no gradient
+            grads = [None if name in _GRU_PARAMS else d for name, d in zip(_DECODER_PARAMS, grads)]
+        else:  # the last column has no GRU update
+            rh = np.array([gru[3] for *_, gru in caches[:-1]]).reshape(-1, hid)  # r * s_prev
+            d_n = d_yp[: n_rows - n, 2 * hid : 3 * hid]
+            grads[_DECODER_PARAMS.index("dec_Uh")] = rh.T @ d_n
+        d_states = np.matmul(alpha.transpose(1, 2, 0), dc.transpose(1, 0, 2))
+        return [d_states, d_uh, ds, *grads]
+
+    return fused(out, [enc.states, enc.uh, enc.s0, *(params[p] for p in _DECODER_PARAMS)],
+                 grads_of)
 
 
 def train_step(batch: Batch, params: ParamSet, lr: float,
@@ -225,12 +321,10 @@ def train_step(batch: Batch, params: ParamSet, lr: float,
 def teacher_forced_loss(batch: Batch, params: ParamSet) -> Tensor:
     """Mask-weighted mean -log p(reference token) over a batch."""
     enc = encode_batch(batch.src, batch.src_mask, params)
-    zs = [z for _, z in teacher_forced_steps(enc, batch.tgt, params)]
-    z = reshape(stack(zs, 1), (batch.tgt.size, -1))  # [B * T, E], row-major over [B, T]
+    y_in = np.concatenate([np.full((len(batch.tgt), 1), BOS_ID), batch.tgt[:, :-1]], axis=1)
+    z = decode_sequence(enc, y_in, params)  # [B * T, E], row-major over [B, T]
     logits = matmul(z, transpose(params["tgt_embed"]))
-    ce = mul(cross_entropy_rows(logits, batch.tgt.reshape(-1)),
-             constant(batch.tgt_mask.reshape(-1)))
-    return scale(sum_all(ce), 1.0 / batch.tgt_mask.sum())
+    return cross_entropy(logits, batch.tgt.reshape(-1), batch.tgt_mask.reshape(-1))
 
 
 def train_model(batches: list[Batch], params: ParamSet, lr: float, steps: int) -> list[float]:
@@ -253,8 +347,9 @@ def beam_search(
 ) -> Hypothesis:
     """Length-normalized beam search; beam=1 is greedy decoding.
 
-    The live hypotheses advance together: each step is one `decode_step`
-    over their stacked states and one softmax into a [n_live, V] posterior.
+    The live hypotheses advance together: each step is one `step_forward`
+    over their stacked states and one softmax into a [n_live, V] posterior,
+    all on plain arrays.
     ``memory_hook(S_prev, y_prev, P)`` may transform those rows, possibly
     extending them beyond the vocabulary; ``memory_hook.embed_proxy`` (when
     present) maps extended token ids to in-vocabulary ids whose embeddings
@@ -278,37 +373,36 @@ def beam_search(
     log_probs = np.zeros(1)
     states = enc.s0.data
     finished: list[Hypothesis] = []
-    with no_grad():
-        e_t_T = transpose(params["tgt_embed"])
-        while len(tokens) and len(finished) < beam:
-            n, length = tokens.shape
-            y_prev = tokens[:, -1] if length else np.full(n, BOS_ID, dtype=np.int64)
-            emb_ids = y_prev if proxy is None else np.array([proxy(int(y)) for y in y_prev])
-            s_new, z = decode_step(constant(states), emb_ids, enc, params)
-            p = softmax(matmul(z, e_t_T)).data
-            if memory_hook is not None:
-                p = memory_hook(states, y_prev, p)
-            with np.errstate(divide="ignore"):
-                lp = np.log(p)
-            top = np.argsort(-lp, axis=1, kind="stable")[:, :beam]  # ties toward lower ids
-            row, tid = np.repeat(np.arange(n), top.shape[1]), top.ravel()
-            keep = p[row, tid] > 0.0
-            row, tid = row[keep], tid[keep]
-            cand_lp = log_probs[row] + lp[row, tid]
-            # the pool order (-log_prob, tokens): all prefixes have one length,
-            # so tokens compare as (rank of the prefix, new token)
-            prefix_rank = np.zeros(n, dtype=np.int64)
-            if length:
-                prefix_rank[np.lexsort(tokens.T[::-1])] = np.arange(n)
-            order = np.lexsort((tid, prefix_rank[row], -cand_lp))
-            done = (tid[order] == EOS_ID) | (length + 1 >= max_len)
-            for i in order[done]:
-                finished.append(Hypothesis(tokens[row[i]].tolist() + [int(tid[i])],
-                                           float(cand_lp[i]), s_new.data[row[i]], True))
-            live = order[~done][:beam]
-            tokens = np.concatenate([tokens[row[live]], tid[live, None]], axis=1)
-            log_probs = cand_lp[live]
-            states = s_new.data[row[live]]
+    w = DecoderWeights(params)
+    while len(tokens) and len(finished) < beam:
+        n, length = tokens.shape
+        y_prev = tokens[:, -1] if length else np.full(n, BOS_ID, dtype=np.int64)
+        emb_ids = y_prev if proxy is None else np.array([proxy(int(y)) for y in y_prev])
+        s_new, z, _ = step_forward(states, w.project(emb_ids), enc, w, True)
+        p = masked_softmax(z @ w.embed.T, None)
+        if memory_hook is not None:
+            p = memory_hook(states, y_prev, p)
+        with np.errstate(divide="ignore"):
+            lp = np.log(p)
+        top = np.argsort(-lp, axis=1, kind="stable")[:, :beam]  # ties toward lower ids
+        row, tid = np.repeat(np.arange(n), top.shape[1]), top.ravel()
+        keep = p[row, tid] > 0.0
+        row, tid = row[keep], tid[keep]
+        cand_lp = log_probs[row] + lp[row, tid]
+        # the pool order (-log_prob, tokens): all prefixes have one length,
+        # so tokens compare as (rank of the prefix, new token)
+        prefix_rank = np.zeros(n, dtype=np.int64)
+        if length:
+            prefix_rank[np.lexsort(tokens.T[::-1])] = np.arange(n)
+        order = np.lexsort((tid, prefix_rank[row], -cand_lp))
+        done = (tid[order] == EOS_ID) | (length + 1 >= max_len)
+        for i in order[done]:
+            finished.append(Hypothesis(tokens[row[i]].tolist() + [int(tid[i])],
+                                       float(cand_lp[i]), True))
+        live = order[~done][:beam]
+        tokens = np.concatenate([tokens[row[live]], tid[live, None]], axis=1)
+        log_probs = cand_lp[live]
+        states = s_new[row[live]]
     if not finished:
         raise ValueError("beam search found no hypothesis with positive probability")
     return max(finished, key=lambda h: (h.normalized_score(), [-t for t in h.tokens]))

@@ -6,8 +6,21 @@ result plus a closure that routes incoming gradients to its parents.
 `no_grad()` the same operations run without recording anything, which is how
 decoding and frozen-model passes stay cheap.
 
+Only parameters (`ParamSet.add`) and what is computed from them need a
+gradient: an operation on constants alone records nothing, and a kernel
+computes no gradient for a constant operand.
+
+The recurrences are fused: `gru_sequence` runs a whole GRU direction as one
+tape node on plain arrays, with its input GEMM hoisted out of the loop and a
+hand-written backward in reverse time, and `fused` lets another module (the
+decoder) register such a node.  The plain-array pieces they are built from
+(`gru_cell`, `maxout`, `masked_softmax`, `sigmoid`) never touch the tape.
+
 Every kernel output is checked for NaN/Inf so numerical blowups surface at
-the operation that caused them.
+the operation that caused them.  A fused kernel checks its outputs the same
+way, and also each pre-activation it feeds to a saturating function
+(`check_finite`), since tanh and sigmoid would turn an overflow into a
+finite value.
 """
 
 from __future__ import annotations
@@ -46,17 +59,20 @@ def no_grad():
 
 
 class Tensor:
-    """A float64 array plus reverse-mode bookkeeping."""
+    """A float64 array plus reverse-mode bookkeeping.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    ``requires_grad`` is set on parameters and on results computed from one
+    with gradients enabled; only such a result records its parents.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, _parents: tuple = (), _backward: Callable | None = None):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"non-finite values in tensor of shape {arr.shape}")
+        arr = check_finite(np.asarray(data, dtype=np.float64))
         self.data = arr
         self.grad: np.ndarray | None = None
-        if _grad_enabled:
+        self.requires_grad = _grad_enabled and any(p.requires_grad for p in _parents)
+        if self.requires_grad:
             self._parents = _parents
             self._backward = _backward
         else:
@@ -72,7 +88,15 @@ class Tensor:
 
 
 def constant(data) -> Tensor:
+    """A leaf that never receives a gradient."""
     return Tensor(data)
+
+
+def check_finite(x: np.ndarray) -> np.ndarray:
+    """``x`` itself; raises NonFiniteError if it holds NaN or Inf."""
+    if not np.isfinite(x).all():
+        raise NonFiniteError(f"non-finite values in array of shape {x.shape}")
+    return x
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -126,8 +150,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return Tensor(out, (a, b), bw)
 
@@ -136,29 +162,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return Tensor(out, (a, b), bw)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    out = a.data * s
-
-    def bw(g):
-        _accum(a, g * s)
-
-    return Tensor(out, (a,), bw)
-
-
-def rsub_scalar(s: float, a: Tensor) -> Tensor:
-    """s - a, for gate complements like (1 - z)."""
-    out = s - a.data
-
-    def bw(g):
-        _accum(a, -g)
-
-    return Tensor(out, (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -169,12 +178,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         x, w = a.data, b.data
         if w.ndim <= 2:
             # b is a matrix or a vector: a's leading axes fold into one GEMM
-            _accum(a, g @ w.T if w.ndim == 2 else np.multiply.outer(g, w))
-            _accum(b, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, *w.shape[1:]))
+            if a.requires_grad:
+                _accum(a, g @ w.T if w.ndim == 2 else np.multiply.outer(g, w))
+            if b.requires_grad:
+                _accum(b, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, *w.shape[1:]))
         else:
             # both stacked: batched GEMMs, summed over the axes an operand broadcast on
-            _accum(a, _unbroadcast(g @ w.swapaxes(-1, -2), x.shape))
-            _accum(b, _unbroadcast(x.swapaxes(-1, -2) @ g, w.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g @ w.swapaxes(-1, -2), x.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(x.swapaxes(-1, -2) @ g, w.shape))
 
     return Tensor(out, (a, b), bw)
 
@@ -206,20 +219,6 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out, (a,), bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def bw(g):
-        _accum(a, g * out * (1.0 - out))
-
-    return Tensor(out, (a,), bw)
-
-
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     out = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]
@@ -227,9 +226,28 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 
     def bw(g):
         for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            _accum(p, piece)
+            if p.requires_grad:
+                _accum(p, piece)
 
     return Tensor(out, tuple(parts), bw)
+
+
+def row_sums(ids: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """[n_rows, ...]: row i sums the rows of ``values`` whose id is i.
+
+    The scatter-add of a gather's backward: one sort and one segmented sum
+    instead of ``np.add.at``'s per-element loop.
+    """
+    row_shape = values.shape[ids.ndim :]
+    ids = ids.reshape(-1)
+    values = values.reshape(len(ids), *row_shape)
+    out = np.zeros((n_rows, *row_shape))
+    if len(ids):
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+        out[sorted_ids[starts]] = np.add.reduceat(values[order], starts)
+    return out
 
 
 def rows(embedding: Tensor, ids: np.ndarray) -> Tensor:
@@ -238,59 +256,55 @@ def rows(embedding: Tensor, ids: np.ndarray) -> Tensor:
     out = embedding.data[ids]
 
     def bw(g):
-        if embedding.grad is None:
-            embedding.grad = np.zeros_like(embedding.data)
-        np.add.at(embedding.grad, ids, g)
+        _accum(embedding, row_sums(ids, g, len(embedding.data)))
 
     return Tensor(out, (embedding,), bw)
 
 
-def stack(parts: Sequence[Tensor], axis: int) -> Tensor:
-    """``np.stack``: equal-shaped tensors along a new axis."""
-    out = np.stack([p.data for p in parts], axis=axis)
+def take(a: Tensor, index) -> Tensor:
+    """``a.data[index]`` for a basic index; backward scatters into zeros."""
 
     def bw(g):
-        for p, piece in zip(parts, np.moveaxis(g, axis, 0)):
-            _accum(p, piece)
+        full = np.zeros_like(a.data)
+        full[index] = g
+        _accum(a, full)
 
-    return Tensor(out, tuple(parts), bw)
+    return Tensor(a.data[index], (a,), bw)
 
 
-def maxout(a: Tensor, pool: int = 2) -> Tensor:
-    """Elementwise max over adjacent groups of ``pool`` units (last axis)."""
-    x = a.data
-    if x.shape[-1] % pool != 0:
-        raise ValueError(f"maxout needs a multiple of {pool} units, got {x.shape[-1]}")
-    grouped = x.reshape(*x.shape[:-1], x.shape[-1] // pool, pool)
-    arg = grouped.argmax(axis=-1)
-    out = np.take_along_axis(grouped, arg[..., None], axis=-1)[..., 0]
+def fused(out: np.ndarray, parents: Sequence[Tensor],
+          grads_of: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
+    """One tape node for a kernel computed on plain arrays.
+
+    ``grads_of(g)`` maps the output's gradient to one gradient per parent, in
+    order, None where it computed none; only parents that need a gradient
+    receive theirs.
+    """
 
     def bw(g):
-        dg = np.zeros_like(grouped)
-        np.put_along_axis(dg, arg[..., None], g[..., None], axis=-1)
-        _accum(a, dg.reshape(x.shape))
+        for p, gp in zip(parents, grads_of(g)):
+            if gp is not None and p.requires_grad:
+                _accum(p, gp)
 
-    return Tensor(out, (a,), bw)
+    return Tensor(out, tuple(parents), bw)
 
 
 # --- softmax family ------------------------------------------------------
 
 
-def _softmax_forward(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+def masked_softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Plain-array softmax over the last axis; entries where ``mask`` is 0 are 0."""
     if mask is not None:
         if not (mask.sum(axis=-1) > 0).all():
             raise MaskedSoftmaxError("softmax input with all entries masked")
-        shifted = np.where(mask > 0, x, -np.inf)
-        shifted = shifted - shifted.max(axis=-1, keepdims=True)
-        e = np.where(mask > 0, np.exp(np.where(mask > 0, shifted, 0.0)), 0.0)
-    else:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        x = np.where(mask > 0, x, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Numerically stable softmax over the last axis; masked entries are 0."""
-    out = _softmax_forward(logits.data, mask)
+    out = masked_softmax(logits.data, mask)
 
     def bw(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
@@ -299,20 +313,24 @@ def softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return Tensor(out, (logits,), bw)
 
 
-def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Per-row -log softmax(logits)[target]; fused for stability."""
+def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted mean over rows of -log softmax(logits)[target]; fused for stability.
+
+    sum_i weights_i * nll_i / sum_i weights_i, with weights 0 on padding.
+    """
     targets = np.asarray(targets, dtype=np.int64)
     x = logits.data
     m = x.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
     picked = x[np.arange(x.shape[0]), targets]
-    out = lse - picked
+    inv = 1.0 / weights.sum()
+    out = ((lse - picked) * weights).sum() * inv
 
     def bw(g):
         p = np.exp(x - m)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(x.shape[0]), targets] -= 1.0
-        _accum(logits, p * g[:, None])
+        _accum(logits, p * (weights * (g * inv))[:, None])
 
     return Tensor(out, (logits,), bw)
 
@@ -326,24 +344,115 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor(out, (a,), bw)
 
 
-# --- recurrent cell ------------------------------------------------------
+# --- plain-array pieces of the fused kernels -------------------------------
 
 
-def gru_step(x: Tensor, h_prev: Tensor, params, prefix: str = "") -> Tensor:
-    """One GRU update.
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), evaluated as exp(x) / (1 + exp(x)) below zero."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    z = sigmoid(Wz x + Uz h + bz)
-    r = sigmoid(Wr x + Ur h + br)
-    n = tanh(Wh x + Uh (r * h) + bh)
+
+def maxout(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max over adjacent pairs of units (last axis); returns (max, which).
+
+    ``which`` is True where the second unit of a pair won; ties go to the first.
+    """
+    if x.shape[-1] % 2 != 0:
+        raise ValueError(f"maxout needs an even number of units, got {x.shape[-1]}")
+    first, second = x[..., 0::2], x[..., 1::2]
+    which = second > first
+    return np.where(which, second, first), which
+
+
+def maxout_backward(g: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Route each pair's gradient to the unit that won it."""
+    out = np.empty((*g.shape[:-1], 2 * g.shape[-1]))
+    out[..., 0::2] = np.where(which, 0.0, g)
+    out[..., 1::2] = np.where(which, g, 0.0)
+    return out
+
+
+def gru_cell(gx: np.ndarray, hzr: np.ndarray, h: np.ndarray, u_h: np.ndarray):
+    """One GRU update on plain [n, .] arrays; returns (h', cache).
+
+    ``gx`` = x @ [Wz|Wr|Wh] + [bz|br|bh] and ``hzr`` = h @ [Uz|Ur] come from
+    GEMMs the caller hoists or shares:
+
+    z = sigmoid(x Wz + h Uz + bz)
+    r = sigmoid(x Wr + h Ur + br)
+    n = tanh(x Wh + (r * h) Uh + bh)
     h' = (1 - z) * h + z * n
     """
-    def p(name: str) -> Tensor:
-        return params[prefix + name]
+    hid = h.shape[1]
+    zr = sigmoid(check_finite(gx[:, : 2 * hid] + hzr))
+    z, r = zr[:, :hid], zr[:, hid:]
+    rh = r * h
+    n = np.tanh(check_finite(gx[:, 2 * hid :] + rh @ u_h))
+    return (1.0 - z) * h + z * n, (h, z, r, rh, n)
 
-    z = sigmoid(add(add(matmul(x, p("Wz")), matmul(h_prev, p("Uz"))), p("bz")))
-    r = sigmoid(add(add(matmul(x, p("Wr")), matmul(h_prev, p("Ur"))), p("br")))
-    n = tanh(add(add(matmul(x, p("Wh")), matmul(mul(r, h_prev), p("Uh"))), p("bh")))
-    return add(mul(rsub_scalar(1.0, z), h_prev), mul(z, n))
+
+def gru_cell_backward(dh_new: np.ndarray, cache, u_h: np.ndarray):
+    """Backward of `gru_cell`: returns (d gx [n, 3H], the direct part of d h).
+
+    The gradient through ``hzr`` is d gx[:, :2H]; the caller multiplies it
+    by [Uz|Ur]^T and adds it to d h.
+    """
+    h, z, r, rh, n = cache
+    dn = dh_new * z * (1.0 - n * n)
+    dz = dh_new * (n - h) * z * (1.0 - z)
+    drh = dn @ u_h.T
+    dr = drh * h * r * (1.0 - r)
+    return np.concatenate([dz, dr, dn], axis=1), dh_new * (1.0 - z) + drh * r
+
+
+def gru_sequence(x: Tensor, mask: np.ndarray, params, prefix: str, reverse: bool) -> Tensor:
+    """GRU states [B, S, H] over inputs x [B, S, E] from a zero state: one tape node.
+
+    Runs right to left when ``reverse``.  A padded position (mask 0) keeps
+    the previous state.  x @ [Wz|Wr|Wh] + b is one GEMM over all positions;
+    the backward runs in reverse time and makes each weight gradient one GEMM
+    over all positions.
+    """
+    weights = [params[f"{prefix}{kind}{gate}"] for kind in "WUb" for gate in "zrh"]
+    w_x = np.concatenate([t.data for t in weights[0:3]], axis=1)   # [E, 3H]
+    u_zr = np.concatenate([t.data for t in weights[3:5]], axis=1)  # [H, 2H]
+    u_h = weights[5].data
+    b_x = np.concatenate([t.data for t in weights[6:9]])
+    n_rows, s_len, e = x.data.shape
+    hid = u_h.shape[0]
+    x2 = x.data.reshape(-1, e)
+    gx = check_finite(x2 @ w_x + b_x).reshape(n_rows, s_len, 3 * hid)
+    keep = (mask > 0)[:, :, None]
+    order = range(s_len - 1, -1, -1) if reverse else range(s_len)
+    out = np.empty((n_rows, s_len, hid))
+    caches = []
+    h = np.zeros((n_rows, hid))
+    for t in order:
+        h_new, cache = gru_cell(gx[:, t], h @ u_zr, h, u_h)
+        h = np.where(keep[:, t], h_new, h)
+        out[:, t] = h
+        caches.append(cache)
+
+    def grads_of(g):
+        dgx = np.empty_like(gx)
+        h_prev = np.empty_like(out)
+        rh = np.empty_like(out)
+        dh = np.zeros((n_rows, hid))
+        for t, cache in zip(reversed(order), reversed(caches)):
+            dh = dh + g[:, t]
+            dgx_t, dh_prev = gru_cell_backward(np.where(keep[:, t], dh, 0.0), cache, u_h)
+            dh = dh_prev + dgx_t[:, : 2 * hid] @ u_zr.T + np.where(keep[:, t], 0.0, dh)
+            dgx[:, t], h_prev[:, t], rh[:, t] = dgx_t, cache[0], cache[3]
+        dgx2 = dgx.reshape(-1, 3 * hid)
+        d_w = np.split(x2.T @ dgx2, 3, axis=1)
+        d_u = np.split(h_prev.reshape(-1, hid).T @ dgx2[:, : 2 * hid], 2, axis=1)
+        d_uh = rh.reshape(-1, hid).T @ dgx2[:, 2 * hid :]
+        d_b = np.split(dgx2.sum(axis=0), 3)
+        d_x = (dgx2 @ w_x.T).reshape(x.data.shape) if x.requires_grad else None
+        return [d_x, *d_w, *d_u, d_uh, *d_b]
+
+    return fused(out, [x, *weights], grads_of)
 
 
 # --- parameters, Adam, gradient checking ---------------------------------
@@ -367,6 +476,7 @@ class ParamSet:
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
         t = Tensor(np.array(values, dtype=np.float64))
+        t.requires_grad = True
         self.params[name] = t
         self.adam_m[name] = np.zeros_like(t.data)
         self.adam_v[name] = np.zeros_like(t.data)

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from mnmt import numerics
 from mnmt.corpus import BOS_ID, EOS_ID, Vocabulary, build_vocabulary, encode_sentence, make_batches
 from mnmt.model import NmtConfig, encode, init_nmt_params, train_model
 
@@ -298,3 +299,98 @@ def tape_nodes(*roots) -> int:
             seen.add(id(node))
             stack.extend(node._parents)
     return len(seen)
+
+
+# --- the per-op tape path the fused kernels replaced --------------------------
+# One tape op per elementwise step, as the model computed it before its
+# recurrences were fused; kept as a test-only gradient reference.
+
+
+def _tape_sigmoid(a):
+    out = 1.0 / (1.0 + np.exp(-a.data))
+    return numerics.fused(out, [a], lambda g: [g * out * (1.0 - out)])
+
+
+def _tape_rsub(s, a):
+    return numerics.fused(s - a.data, [a], lambda g: [-g])
+
+
+def _tape_maxout(a):
+    grouped = a.data.reshape(*a.data.shape[:-1], -1, 2)
+    arg = grouped.argmax(axis=-1)
+    out = np.take_along_axis(grouped, arg[..., None], axis=-1)[..., 0]
+
+    def grads(g):
+        dg = np.zeros_like(grouped)
+        np.put_along_axis(dg, arg[..., None], g[..., None], axis=-1)
+        return [dg.reshape(a.data.shape)]
+
+    return numerics.fused(out, [a], grads)
+
+
+def _tape_stack(parts, axis):
+    out = np.stack([p.data for p in parts], axis=axis)
+    return numerics.fused(out, parts, lambda g: list(np.moveaxis(g, axis, 0)))
+
+
+def tape_gru_step(x, h_prev, params, prefix):
+    def p(name):
+        return params[prefix + name]
+
+    add, matmul, mul = numerics.add, numerics.matmul, numerics.mul
+    z = _tape_sigmoid(add(add(matmul(x, p("Wz")), matmul(h_prev, p("Uz"))), p("bz")))
+    r = _tape_sigmoid(add(add(matmul(x, p("Wr")), matmul(h_prev, p("Ur"))), p("br")))
+    n = numerics.tanh(add(add(matmul(x, p("Wh")), matmul(mul(r, h_prev), p("Uh"))), p("bh")))
+    return add(mul(_tape_rsub(1.0, z), h_prev), mul(z, n))
+
+
+def tape_gru_direction(xs, mask, params, prefix, reverse):
+    """Per-position GRU states of one direction, padded positions keeping the previous."""
+    add, mul, constant = numerics.add, numerics.mul, numerics.constant
+    h = constant(np.zeros((xs[0].shape[0], params[prefix + "Uz"].shape[0])))
+    out = [None] * len(xs)
+    for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
+        m = mask[:, t][:, None]
+        h = add(mul(constant(m), tape_gru_step(xs[t], h, params, prefix)), mul(constant(1.0 - m), h))
+        out[t] = h
+    return out
+
+
+def tape_encode_batch(src, src_mask, params):
+    from mnmt.model import EncodedSource
+
+    xs = [numerics.rows(params["src_embed"], src[:, t]) for t in range(src.shape[1])]
+    fwd = tape_gru_direction(xs, src_mask, params, "enc_f_", False)
+    bwd = tape_gru_direction(xs, src_mask, params, "enc_b_", True)
+    states = numerics.concat([_tape_stack(fwd, 1), _tape_stack(bwd, 1)], axis=2)
+    uh = numerics.matmul(states, params["att_U"])
+    s0 = numerics.tanh(numerics.matmul(bwd[0], params["dec_init_W"]))
+    return EncodedSource(states, uh, src_mask, s0)
+
+
+def tape_decode_step(s_prev, y_prev_ids, enc, params):
+    add, matmul, reshape = numerics.add, numerics.matmul, numerics.reshape
+    n = s_prev.shape[0]
+    sa = reshape(matmul(s_prev, params["att_W"]), (n, 1, -1))
+    alpha = numerics.softmax(matmul(numerics.tanh(add(sa, enc.uh)), params["att_v"]), enc.mask)
+    c = reshape(matmul(reshape(alpha, (n, 1, -1)), enc.states), (n, -1))
+    y_emb = numerics.rows(params["tgt_embed"], y_prev_ids)
+    s_new = tape_gru_step(numerics.concat([y_emb, c], axis=1), s_prev, params, "dec_")
+    pre = add(add(add(matmul(y_emb, params["out_U"]), matmul(s_prev, params["out_V"])),
+                  matmul(c, params["out_C"])), params["out_b"])
+    return s_new, _tape_maxout(pre)
+
+
+def tape_loss(batch, params):
+    """The teacher-forced loss on the per-op tape."""
+    enc = tape_encode_batch(batch.src, batch.src_mask, params)
+    s = enc.s0
+    y_in = np.full(batch.tgt.shape[0], BOS_ID, dtype=np.int64)
+    zs = []
+    for i in range(batch.tgt.shape[1]):
+        s, z = tape_decode_step(s, y_in, enc, params)
+        zs.append(z)
+        y_in = batch.tgt[:, i]
+    z = numerics.reshape(_tape_stack(zs, 1), (batch.tgt.size, -1))
+    logits = numerics.matmul(z, numerics.transpose(params["tgt_embed"]))
+    return numerics.cross_entropy(logits, batch.tgt.reshape(-1), batch.tgt_mask.reshape(-1))

@@ -39,7 +39,7 @@ from mnmt.memory import (
     train_memory_attention,
 )
 from mnmt.model import NmtConfig, beam_search, encode, init_nmt_params, teacher_forced_loss
-from mnmt.numerics import constant, cross_entropy_rows, grad_check, matmul, sum_all
+from mnmt.numerics import constant, cross_entropy, grad_check, matmul
 
 
 @contextmanager
@@ -79,7 +79,7 @@ def test_c01_gradient_fidelity():
         for t in mparams.pset.params.values():
             t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
         entries = [
-            LocalMemoryEntry(f"w{i}", 4 + i, i, rng.standard_normal(2 * cfg.hidden_dim), 0.5, 0.5)
+            LocalMemoryEntry(f"w{i}", 4 + i, i, rng.standard_normal(2 * cfg.hidden_dim), 0.5)
             for i in range(5)  # K = 5
         ]
         mem = merge_memory(entries)
@@ -90,7 +90,7 @@ def test_c01_gradient_fidelity():
         def mem_loss(pset):
             uw = matmul(constant(u), pset["mem_Wu"])
             e = memory_scores(constant(s_vec[None]), constant(y_emb[None]), uw, pset)
-            return sum_all(cross_entropy_rows(e, np.array([3])))
+            return cross_entropy(e, np.array([3]), np.ones(1))
 
         err_mem = grad_check(mem_loss, mparams.pset, seed=0)
         assert err_mem < 1e-4, f"memory loss gradient error {err_mem:.2e}"

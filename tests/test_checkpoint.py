@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from mnmt import checkpoint
 from mnmt.checkpoint import (
     CheckpointError,
     checkpoint_checksum,
@@ -92,3 +93,47 @@ class TestCorruptionDetection:
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), pset, {})
         assert checkpoint_checksum(str(path)) == checkpoint_checksum(str(path))
+
+
+class _HalfWriter:
+    """A binary file whose write stores half of its bytes, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, blob):
+        self.f.write(blob[: len(blob) // 2])
+        raise OSError("disk full")
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+class TestAtomicSave:
+    def test_interrupted_save_keeps_previous_file(self, pset, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), pset, {"kind": "nmt"})
+        before = path.read_bytes()
+        pset["alpha"].data += 1.0
+
+        real_open = open
+        with monkeypatch.context() as m:
+            m.setattr(checkpoint, "open", lambda *a: _HalfWriter(real_open(*a)), raising=False)
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(str(path), pset, {"kind": "nmt"})
+        with monkeypatch.context() as m:
+            m.setattr(checkpoint, "serialize", lambda *a: (_ for _ in ()).throw(KeyboardInterrupt))
+            with pytest.raises(KeyboardInterrupt):
+                save_checkpoint(str(path), pset, {"kind": "nmt"})
+
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        save_checkpoint(str(path), pset, {"kind": "nmt"})
+        assert path.read_bytes() != before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -11,7 +11,6 @@ from conftest import (
     tape_nodes,
 )
 from mnmt import memory as memory_module
-from mnmt import model
 from mnmt.corpus import EOS_ID, build_vocabulary
 from mnmt.lexicon import Lexicon, train_ibm1
 from mnmt.corpus import ParallelCorpus
@@ -42,10 +41,9 @@ from mnmt.model import encode, init_nmt_params
 from mnmt.numerics import (
     ParamSet,
     constant,
-    cross_entropy_rows,
+    cross_entropy,
     grad_check,
     matmul,
-    sum_all,
 )
 
 
@@ -101,7 +99,7 @@ class TestBuildLocalMemory:
 
 
 def _entry(token, tid, pos, h, p_st):
-    return LocalMemoryEntry(token, tid, pos, np.asarray(h, dtype=float), 0.5, p_st)
+    return LocalMemoryEntry(token, tid, pos, np.asarray(h, dtype=float), p_st)
 
 
 class TestMergeMemory:
@@ -224,7 +222,7 @@ class TestMemoryAttention:
         def loss(pset):
             uw = matmul(constant(u), pset["mem_Wu"])
             e = memory_scores(constant(s), constant(y_emb), uw, pset)
-            return sum_all(cross_entropy_rows(e, np.array([2, 0])))
+            return cross_entropy(e, np.array([2, 0]), np.ones(2))
 
         assert grad_check(loss, mparams.pset, seed=0) < 1e-4
 
@@ -484,14 +482,15 @@ class TestTrainMemoryAttention:
                                                   mparams.pset)
         assert n_positions == 7
         steps = []
-        decode_step = model.decode_step
-        monkeypatch.setattr(model, "decode_step",
-                            lambda *a: steps.append(1) or decode_step(*a))
+        step_forward = memory_module.step_forward
+        monkeypatch.setattr(memory_module, "step_forward",
+                            lambda *a: steps.append(1) or step_forward(*a))
         (got,) = train_memory_attention(pairs, src_vocab, tgt_vocab, params, mparams, lex,
                                         epochs=1, lr=0.01, k=3, batch_pairs=16)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        # the last memory position is column 3 of the first pair; nothing decodes past it
-        assert len(steps) == 4
+        # the last memory position is column 3 of the first pair: three steps
+        # give its state s_3, and nothing decodes past it
+        assert len(steps) == 3
 
     def test_logs_positions_coverage_and_epochs(self, caplog):
         pairs, src_vocab, tgt_vocab, params, mparams, lex = oracle_task()

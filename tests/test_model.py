@@ -11,21 +11,35 @@ from conftest import (
     reference_encode,
     reference_step,
     table_hook,
+    tape_encode_batch,
+    tape_loss,
     tape_nodes,
 )
-from mnmt import model
+from mnmt import model, numerics
 from mnmt.corpus import BOS_ID, EOS_ID, Batch, make_batches
 from mnmt.model import (
+    DecoderWeights,
+    EncodedSource,
     NmtConfig,
     beam_search,
-    decode_step,
+    decode_sequence,
     encode,
     encode_batch,
     init_nmt_params,
+    step_forward,
     teacher_forced_loss,
     train_step,
 )
-from mnmt.numerics import ParamSet, constant, grad_check, no_grad
+from mnmt.numerics import (
+    NonFiniteError,
+    ParamSet,
+    backward,
+    constant,
+    grad_check,
+    mul,
+    no_grad,
+    sum_all,
+)
 
 
 def tiny_params(seed=0, src_v=10, tgt_v=10, embed=6, hidden=8):
@@ -89,10 +103,10 @@ class TestEncode:
 
 
 def _step(s_prev, y_prev, enc, params):
-    """decode_step on one row, as numpy vectors."""
-    with no_grad():
-        s_new, z = decode_step(constant(s_prev[None, :]), np.array([y_prev]), enc, params)
-    return s_new.data[0], z.data[0]
+    """step_forward on one row, as numpy vectors."""
+    w = DecoderWeights(params)
+    s_new, z, _ = step_forward(s_prev[None, :], w.project(np.array([y_prev])), enc, w, True)
+    return s_new[0], z[0]
 
 
 class TestDecoderStep:
@@ -125,15 +139,82 @@ class TestDecoderStep:
         assert z.shape == (cfg.output_dim,)
 
 
-def test_decode_step_tape_does_not_grow_with_source_length():
-    _, params = tiny_params(seed=6, src_v=15)
+def _padded_batch(rng, b, s_len, t_len, vocab=15):
+    """[b, s_len] and [b, t_len] ids, EOS-terminated, row 0 full length, the others shorter."""
+    src_lens = np.r_[s_len, rng.integers(1, s_len + 1, size=b - 1)]
+    tgt_lens = np.r_[t_len, rng.integers(1, t_len + 1, size=b - 1)]
+    src = np.zeros((b, s_len), dtype=np.int64)
+    tgt = np.zeros((b, t_len), dtype=np.int64)
+    for row, (ls, lt) in enumerate(zip(src_lens, tgt_lens)):
+        src[row, :ls] = np.r_[rng.integers(4, vocab, size=ls - 1), EOS_ID]
+        tgt[row, :lt] = np.r_[rng.integers(4, vocab, size=lt - 1), EOS_ID]
+    src_mask = (np.arange(s_len) < src_lens[:, None]).astype(float)
+    tgt_mask = (np.arange(t_len) < tgt_lens[:, None]).astype(float)
+    return Batch(src, src_mask, tgt, tgt_mask)
+
+
+def test_teacher_forced_tape_does_not_grow_with_lengths():
     rng = np.random.default_rng(6)
-    counts = []
-    for s_len in (3, 12):
-        enc = encode([int(i) for i in rng.integers(4, 15, size=s_len - 1)] + [EOS_ID], params)
-        s_new, z = decode_step(constant(np.zeros((2, 8))), np.array([4, 5]), enc, params)
-        counts.append(tape_nodes(s_new, z))
+    _, params = tiny_params(seed=6, src_v=15, tgt_v=15)
+    counts = [tape_nodes(teacher_forced_loss(_padded_batch(rng, 3, s_len, t_len), params))
+              for s_len, t_len in ((3, 4), (12, 15))]
     assert counts[0] == counts[1]
+    # the desk batch shape: B = 20, S = 8, T = 9 at E = 24, H = 32
+    _, params = tiny_params(seed=6, src_v=40, tgt_v=40, embed=24, hidden=32)
+    assert tape_nodes(teacher_forced_loss(_padded_batch(rng, 20, 8, 9, 40), params)) < 50
+
+
+def test_beam_search_builds_no_tensor(monkeypatch):
+    _, params = tiny_params(seed=7, src_v=15, tgt_v=15)
+    src = [4, 9, 6, EOS_ID]
+    enc = encode(src, params)
+    built = []
+    real_init = numerics.Tensor.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        real_init(self, *args)
+
+    monkeypatch.setattr(numerics.Tensor, "__init__", counting_init)
+    hyp = beam_search(src, params, beam=3, max_len=8, enc=enc)
+    assert built == []
+    assert hyp.finished and len(hyp.tokens) >= 1
+
+
+def _positive_params(src_v=10, tgt_v=10):
+    """Every parameter 0.5, so every state and activation is positive."""
+    _, params = tiny_params(src_v=src_v, tgt_v=tgt_v)
+    for t in params.params.values():
+        t.data[...] = 0.5
+    return params
+
+
+class TestNonFinite:
+    """A weight scaled to 1e308 overflows its GEMM (it meets a positive input);
+    the fused kernels raise although tanh or sigmoid would map inf to a finite value."""
+
+    @pytest.mark.parametrize("name", ["enc_f_Wh", "enc_b_Uz", "enc_f_Uh"])
+    def test_encode_batch(self, name):
+        params = _positive_params()
+        params[name].data[...] = 1e308
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            encode_batch(np.array([[4, 5, EOS_ID]]), np.ones((1, 3)), params)
+
+    @pytest.mark.parametrize("name", ["att_W", "dec_Wz", "dec_Wh", "dec_Uz", "dec_Uh"])
+    def test_teacher_forced_loss(self, name):
+        params = _positive_params(20, 20)
+        params[name].data[...] = 1e308
+        batch = _toy_batch(np.random.default_rng(8))
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            teacher_forced_loss(batch, params)
+
+    @pytest.mark.parametrize("name", ["att_W", "dec_Wh", "dec_Ur", "out_V"])
+    def test_beam_search(self, name):
+        params = _positive_params()
+        enc = encode([4, 5, EOS_ID], params)
+        params[name].data[...] = 1e308
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            beam_search([4, 5, EOS_ID], params, beam=2, enc=enc)
 
 
 def _toy_batch(rng, b=2, s=5, t=5, vocab=20):
@@ -357,9 +438,9 @@ class TestBeamSearch:
     def test_one_decode_step_and_one_hook_call_per_step(self, monkeypatch):
         _, params = tiny_params(seed=4, src_v=15, tgt_v=15)
         rows = []
-        real = model.decode_step
-        monkeypatch.setattr(model, "decode_step",
-                            lambda s, y, enc, p: rows.append(len(y)) or real(s, y, enc, p))
+        real = model.step_forward
+        monkeypatch.setattr(model, "step_forward",
+                            lambda s, *a: rows.append(len(s)) or real(s, *a))
         hook_rows = []
         hyp = beam_search([4, 9, EOS_ID], params, beam=4, max_len=7,
                           memory_hook=lambda s, y, p: hook_rows.append(len(y)) or p)
@@ -416,3 +497,75 @@ def test_batched_beam_matches_one_row_reference(seed, vocab, src_len, beam, max_
     tokens, log_prob = reference_beam(src, params, beam, max_len, hook)
     assert hyp.tokens == tokens
     assert hyp.log_prob == pytest.approx(log_prob, rel=1e-9, abs=0.0)
+
+
+def _grads(loss_fn, params):
+    """Loss value and every parameter's gradient."""
+    params.zero_grads()
+    loss = loss_fn(params)
+    backward(loss)
+    grads = {n: params[n].grad.copy() for n in params.names() if params[n].grad is not None}
+    params.zero_grads()
+    return float(loss.data), grads
+
+
+def _assert_same_gradients(got, want):
+    """Every entry within 1e-10 relative; an entry that cancels to near zero
+    within 1e-13 of its tensor's largest entry."""
+    assert got.keys() == want.keys()
+    for name, ref in want.items():
+        np.testing.assert_allclose(got[name], ref, rtol=1e-10, atol=1e-13 * np.abs(ref).max(),
+                                   err_msg=name)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), b=st.integers(1, 4), s_len=st.integers(1, 6),
+       t_len=st.integers(1, 6))
+def test_fused_gradients_match_per_op_tape(seed, b, s_len, t_len):
+    # the per-op tape of conftest is the reference, on every gradient entry;
+    # rows after the first are padded on the source and the target side
+    _, params = tiny_params(seed=seed % 7, src_v=15, tgt_v=15, embed=4, hidden=5)
+    rng = np.random.default_rng(seed)
+    for t in params.params.values():
+        t.data[...] = rng.uniform(-0.6, 0.6, size=t.data.shape)
+    batch = _padded_batch(rng, b, s_len, t_len)
+
+    # the encoder nodes alone, through a random linear function of their outputs
+    out_w = [constant(rng.normal(size=shape)) for shape in ((b, s_len, 10), (b, s_len, 5), (b, 5))]
+
+    def enc_loss(encoder):
+        def loss(p):
+            enc = encoder(batch.src, batch.src_mask, p)
+            parts = [sum_all(mul(t, w)) for t, w in zip((enc.states, enc.uh, enc.s0), out_w)]
+            return numerics.add(numerics.add(parts[0], parts[1]), parts[2])
+        return loss
+
+    loss, got = _grads(enc_loss(encode_batch), params)
+    want_loss, want = _grads(enc_loss(tape_encode_batch), params)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    _assert_same_gradients(got, want)
+
+    # the whole loss, through the decoder node
+    loss, got = _grads(lambda p: teacher_forced_loss(batch, p), params)
+    want_loss, want = _grads(lambda p: tape_loss(batch, p), params)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    _assert_same_gradients(got, want)
+
+
+def test_decoder_node_gradient_check():
+    # decode_sequence on its own: its encoder inputs are parameters here
+    rng = np.random.default_rng(21)
+    _, params = tiny_params(seed=21, src_v=12, tgt_v=12, embed=4, hidden=5)
+    for t in params.params.values():
+        t.data[...] = rng.uniform(-0.6, 0.6, size=t.data.shape)
+    mask = np.array([[1.0, 1, 1, 1], [1, 1, 0, 0]])
+    for name, shape in (("states", (2, 4, 10)), ("uh", (2, 4, 5)), ("s0", (2, 5))):
+        params.add(name, rng.uniform(-0.9, 0.9, size=shape))
+    y_in = np.array([[BOS_ID, 5, 7], [BOS_ID, 9, EOS_ID]])
+    out_w = constant(rng.normal(size=(6, 4)))
+
+    def loss(p):
+        enc = EncodedSource(p["states"], p["uh"], mask, p["s0"])
+        return sum_all(mul(decode_sequence(enc, y_in, p), out_w))
+
+    assert grad_check(loss, params, max_samples_per_tensor=20) < 1e-4

@@ -8,18 +8,23 @@ from mnmt.numerics import (
     ParamSet,
     Tensor,
     adam_step,
+    add,
     backward,
     clip_gradients,
+    concat,
     constant,
-    cross_entropy_rows,
+    cross_entropy,
     grad_check,
-    gru_step,
+    gru_cell,
+    gru_sequence,
     matmul,
     maxout,
+    maxout_backward,
     mul,
     no_grad,
+    rows,
+    sigmoid,
     softmax,
-    stack,
     sum_all,
     tanh,
 )
@@ -63,6 +68,19 @@ def _gru_params(values):
     return pset
 
 
+def _packed(pset):
+    """[Wz|Wr|Wh], [bz|br|bh], [Uz|Ur] and Uh of a prefix-free GRU parameter set."""
+    w = np.concatenate([pset[f"W{g}"].data for g in "zrh"], axis=1)
+    b = np.concatenate([pset[f"b{g}"].data for g in "zrh"])
+    u = np.concatenate([pset["Uz"].data, pset["Ur"].data], axis=1)
+    return w, b, u, pset["Uh"].data
+
+
+def _cell(x, h, pset):
+    w, b, u, u_h = _packed(pset)
+    return gru_cell(x @ w + b, h @ u, h, u_h)[0]
+
+
 class TestGruStep:
     def test_zero_params_halve_state(self):
         dim = 2
@@ -71,8 +89,8 @@ class TestGruStep:
         }
         zeros.update({f"b{g}": np.zeros(dim) for g in ("z", "r", "h")})
         pset = _gru_params(zeros)
-        h = gru_step(constant(np.array([0.3, 0.7])), constant(np.array([0.4, -0.2])), pset)
-        np.testing.assert_allclose(h.data, [0.2, -0.1], atol=1e-15)
+        h = _cell(np.array([[0.3, 0.7]]), np.array([[0.4, -0.2]]), pset)
+        np.testing.assert_allclose(h, [[0.2, -0.1]], atol=1e-15)
 
     def test_zero_state_is_fixed_point_of_zero_params(self):
         dim = 3
@@ -80,8 +98,9 @@ class TestGruStep:
             f"{k}{g}": np.zeros((dim, dim)) for k in ("W", "U") for g in ("z", "r", "h")
         }
         zeros.update({f"b{g}": np.zeros(dim) for g in ("z", "r", "h")})
-        h = gru_step(constant(np.zeros(dim)), constant(np.zeros(dim)), _gru_params(zeros))
-        np.testing.assert_array_equal(h.data, np.zeros(dim))
+        h = gru_sequence(constant(np.zeros((2, 4, dim))), np.ones((2, 4)), _gru_params(zeros), "",
+                         False)
+        np.testing.assert_array_equal(h.data, np.zeros((2, 4, dim)))
 
     def test_matches_scalar_reevaluation(self):
         # straight-line recomputation of the gate formulas, seeded 2-dim case
@@ -93,7 +112,7 @@ class TestGruStep:
         pset = _gru_params(vals)
         x = rng.normal(size=2)
         h = rng.normal(size=2)
-        got = gru_step(constant(x), constant(h), pset).data
+        got = _cell(x[None], h[None], pset)[0]
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -114,29 +133,76 @@ class TestGruStep:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
+def _random_gru(rng, e, hid, prefix=""):
+    pset = ParamSet()
+    for g in "zrh":
+        pset.add(f"{prefix}W{g}", rng.uniform(-0.7, 0.7, size=(e, hid)))
+        pset.add(f"{prefix}U{g}", rng.uniform(-0.7, 0.7, size=(hid, hid)))
+        pset.add(f"{prefix}b{g}", rng.uniform(-0.7, 0.7, size=hid))
+    return pset
+
+
+class TestGruSequence:
+    def test_steps_equal_cells_and_padding_keeps_state(self):
+        rng = np.random.default_rng(11)
+        pset = _random_gru(rng, 3, 4)
+        x = rng.normal(size=(2, 5, 3))
+        mask = np.array([[1.0, 1, 1, 1, 1], [1, 1, 1, 0, 0]])
+        for reverse in (False, True):
+            out = gru_sequence(constant(x), mask, pset, "", reverse).data
+            h = np.zeros((2, 4))
+            for t in (reversed(range(5)) if reverse else range(5)):
+                h = np.where(mask[:, t, None] > 0, _cell(x[:, t], h, pset), h)
+                np.testing.assert_allclose(out[:, t], h, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradient_check(self, reverse):
+        rng = np.random.default_rng(12)
+        pset = _random_gru(rng, 3, 4, "g_")
+        pset.add("x", rng.normal(size=(3, 4, 3)))
+        mask = np.array([[1.0, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])
+        weights = constant(rng.normal(size=(3, 4, 4)))
+
+        def loss(p):
+            return sum_all(mul(gru_sequence(p["x"], mask, p, "g_", reverse), weights))
+
+        assert grad_check(loss, pset) < 1e-4
+
+    def test_overflow_raises(self):
+        rng = np.random.default_rng(13)
+        pset = _random_gru(rng, 3, 4)
+        pset["Wh"].data[...] = 1e308  # tanh would map the overflow to 1
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            gru_sequence(constant(np.ones((2, 3, 3))), np.ones((2, 3)), pset, "", False)
+
+
 class TestMaxout:
     def test_pairwise_max(self):
-        out = maxout(constant(np.array([1.0, 3.0, 2.0, 0.0])))
-        np.testing.assert_array_equal(out.data, [3.0, 2.0])
+        out, _ = maxout(np.array([1.0, 3.0, 2.0, 0.0]))
+        np.testing.assert_array_equal(out, [3.0, 2.0])
 
     def test_ties(self):
-        out = maxout(constant(np.array([-1.0, -1.0, -5.0, -5.0])))
-        np.testing.assert_array_equal(out.data, [-1.0, -5.0])
+        out, _ = maxout(np.array([-1.0, -1.0, -5.0, -5.0]))
+        np.testing.assert_array_equal(out, [-1.0, -5.0])
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
-            maxout(constant(np.array([1.0, 2.0, 3.0])))
+            maxout(np.array([1.0, 2.0, 3.0]))
 
     def test_gradient_flows_to_argmax_only(self):
-        pset = ParamSet()
-        theta = pset.add("theta", np.array([1.0, 3.0, 2.0, 0.0]))
+        _, which = maxout(np.array([[1.0, 3.0, 2.0, 0.0], [5.0, 5.0, -1.0, 4.0]]))
+        np.testing.assert_array_equal(maxout_backward(np.array([[1.0, 2.0], [3.0, 4.0]]), which),
+                                      [[0.0, 1.0, 2.0, 0.0], [3.0, 0.0, 0.0, 4.0]])
 
-        def loss(p):
-            return sum_all(maxout(p["theta"]))
 
-        assert grad_check(loss, pset) < 1e-9
-        backward(loss(pset))
-        np.testing.assert_array_equal(theta.grad, [0.0, 1.0, 1.0, 0.0])
+class TestSigmoid:
+    def test_no_overflow_at_extremes(self):
+        x = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
+        with np.errstate(over="raise"):
+            out = sigmoid(x)
+        e = np.exp(-30.0)
+        np.testing.assert_allclose(out, [0.0, e / (1.0 + e), 0.5, 1.0 / (1.0 + e), 1.0],
+                                   rtol=1e-15, atol=0.0)
 
 
 def _product_loss(fn, shapes, seed):
@@ -182,20 +248,6 @@ class TestMatmul:
         assert grad_check(loss, pset) < 1e-7
 
 
-class TestStack:
-    @pytest.mark.parametrize("axis", [0, 1, 2])
-    def test_gradient_along_axis(self, axis):
-        def fn(p):
-            return stack([p[f"x{j}"] for j in range(3)], axis)
-
-        loss, pset = _product_loss(fn, {f"x{j}": (2, 4) for j in range(3)}, seed=7 + axis)
-        with no_grad():
-            out = fn(pset)
-        np.testing.assert_array_equal(out.data, np.stack([pset[f"x{j}"].data for j in range(3)],
-                                                         axis))
-        assert grad_check(loss, pset) < 1e-7
-
-
 class TestBackward:
     def test_interior_gradients_freed_and_leaf_gradients_kept(self):
         rng = np.random.default_rng(8)
@@ -208,9 +260,49 @@ class TestBackward:
         hidden = tanh(matmul(inp, w))
         backward(sum_all(mul(hidden, hidden)))
         assert hidden.grad is None
-        assert inp.grad is not None  # constants are leaves too
+        assert inp.grad is None  # a constant gets no gradient
         t = np.tanh(x @ w_init)
         np.testing.assert_allclose(w.grad, x.T @ (2 * t * (1 - t * t)), rtol=1e-13)
+
+
+class TestConstants:
+    def test_constant_operands_get_no_gradient(self):
+        rng = np.random.default_rng(9)
+        pset = ParamSet()
+        w = pset.add("w", rng.normal(size=(3, 2)))
+        emb = pset.add("emb", rng.normal(size=(5, 3)))
+        x, bias, mask = (constant(rng.normal(size=shape)) for shape in ((4, 3), (2,), (8, 2)))
+        h = concat([matmul(x, w), matmul(rows(emb, [0, 2, 2, 4]), w)], axis=0)  # [8, 2]
+        backward(sum_all(mul(tanh(add(h, bias)), mask)))
+        assert x.grad is None and bias.grad is None and mask.grad is None
+        assert w.grad is not None and emb.grad is not None
+
+    def test_operation_on_constants_records_nothing(self):
+        out = matmul(constant(np.ones((2, 3))), constant(np.ones(3)))
+        assert not out.requires_grad and out._parents == ()
+
+
+class TestCrossEntropy:
+    def test_weighted_mean_of_row_losses(self):
+        rng = np.random.default_rng(10)
+        logits = rng.normal(size=(4, 5))
+        targets = np.array([0, 3, 4, 1])
+        weights = np.array([1.0, 0.0, 1.0, 1.0])
+        nll = np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(4), targets]
+        got = cross_entropy(constant(logits), targets, weights).data
+        assert got == pytest.approx((nll * weights).sum() / 3, rel=1e-14)
+
+    def test_zero_weight_row_gets_no_gradient(self):
+        rng = np.random.default_rng(11)
+        pset = ParamSet()
+        logits = pset.add("logits", rng.normal(size=(3, 4)))
+
+        def loss(p):
+            return cross_entropy(p["logits"], np.array([1, 2, 3]), np.array([1.0, 0.0, 2.0]))
+
+        assert grad_check(loss, pset) < 1e-7
+        backward(loss(pset))
+        np.testing.assert_array_equal(logits.grad[1], np.zeros(4))
 
 
 class TestAdam:
@@ -285,7 +377,7 @@ class TestGradCheck:
         logits = pset.add("logits", np.array([[0.2, -0.4, 1.1]]))
 
         def loss(p):
-            return sum_all(cross_entropy_rows(p["logits"], np.array([2])))
+            return cross_entropy(p["logits"], np.array([2]), np.ones(1))
 
         assert grad_check(loss, pset) < 1e-7
         backward(loss(pset))
