@@ -31,7 +31,6 @@ from .memory import (
     apply_oov_substitution,
     build_local_memory,
     init_memory_params,
-    inject_oov_targets,
     interpolate_posterior,
     memory_attention,
     merge_memory,

@@ -103,16 +103,7 @@ class RunConfig:
         return values
 
     def nmt_config(self) -> NmtConfig:
-        return NmtConfig(
-            src_vocab_size=self.src_vocab_size,
-            tgt_vocab_size=self.tgt_vocab_size,
-            embed_dim=self.embed_dim,
-            hidden_dim=self.hidden_dim,
-            beam_size=self.beam_size,
-            max_decode_len=self.max_decode_len,
-            lr=self.lr,
-            batch_size=self.batch_size,
-        )
+        return NmtConfig(**{f.name: getattr(self, f.name) for f in fields(NmtConfig)})
 
 
 _FLAG_TO_KEY = {
@@ -285,6 +276,9 @@ def _cmd_train_memory(args) -> int:
         corpus.pairs, src_vocab, tgt_vocab, nmt_params, mparams, lex,
         epochs=cfg.memory_epochs, lr=cfg.memory_lr, k=cfg.memory_k,
     )
+    if not losses and cfg.memory_epochs > 0:
+        raise ValueError(f"{cfg.lexicon}: no reference word of the corpus is among its "
+                         "sentence's lexicon candidates; the memory would train nothing")
     save_checkpoint(cfg.mem_ckpt, mparams.pset,
                     {"kind": "memory", "beta": cfg.beta, "memory_k": cfg.memory_k,
                      **_model_keys(cfg)})
@@ -391,17 +385,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _model_keys(cfg: RunConfig) -> dict:
-    return {
-        "src_vocab_size": cfg.src_vocab_size,
-        "tgt_vocab_size": cfg.tgt_vocab_size,
-        "embed_dim": cfg.embed_dim,
-        "hidden_dim": cfg.hidden_dim,
-        "beam_size": cfg.beam_size,
-        "max_decode_len": cfg.max_decode_len,
-        "lr": cfg.lr,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-    }
+    """The checkpoint snapshot: NmtConfig's fields, in order, then the seed."""
+    return {name: getattr(cfg, name) for name in [f.name for f in fields(NmtConfig)] + ["seed"]}
 
 
 def _nmt_config_from_snapshot(snapshot: dict) -> NmtConfig:

@@ -2,17 +2,19 @@
 
 Per sentence, lexicon candidates for each source word form a local memory of
 (target word, source hidden state) entries.  Entries sharing a target word
-are merged into one element whose hidden vector blends the contributing
-source states, weighted by the reverse translation probabilities.  A small
-tanh scoring net, trained against a frozen translation model, attends over
-the merged entries, and its attention is interpolated into the decoder
-posterior.
+are merged, once per sentence, into one element whose hidden vector blends
+the contributing source states, weighted by the reverse translation
+probabilities.  A small tanh scoring net, `memory_scores`, attends over the
+merged entries; training and decoding both score with it.  It is trained
+against a frozen translation model, and its attention is interpolated into
+the decoder posterior.
 
 Out-of-vocabulary words are handled by borrowing: source-side OOVs are
-replaced by an in-vocabulary similar word before encoding, and their true
-translations re-enter the memory with output labels of their own, backed by
-a similar in-vocabulary target embedding, so decoding can emit words the
-softmax has never seen.
+replaced by an in-vocabulary similar word before encoding, and at such a
+position the memory holds the original word's translations, not the
+substitute's.  A translation outside the target vocabulary gets an output
+label of its own, backed by a similar in-vocabulary target embedding, so
+decoding can emit words the softmax has never seen.
 """
 
 from __future__ import annotations
@@ -70,13 +72,8 @@ class MemoryEntry:
     """A merged element: one target label, one blended source vector."""
 
     label_id: int                           # vocab id, or extended OOV label id
-    embed_id: int                           # in-vocabulary id backing the embedding
     h_blend: np.ndarray
     contributors: list[tuple[int, float]]   # (source position, raw blend weight)
-
-    @property
-    def positions(self) -> list[int]:
-        return [p for p, _ in self.contributors]
 
 
 @dataclass
@@ -191,36 +188,29 @@ def build_local_memory(
     return entries
 
 
-def _blend(contributors: list[tuple[int, float]], h_rows) -> np.ndarray:
+def _blend(group: list[LocalMemoryEntry]) -> np.ndarray:
     """Convex combination of source states; raw weights are renormalized."""
-    total = sum(w for _, w in contributors)
+    total = sum(e.p_s_given_t for e in group)
     if total > 0.0:
-        weights = [w / total for _, w in contributors]
+        weights = [e.p_s_given_t / total for e in group]
     else:
-        weights = [1.0 / len(contributors)] * len(contributors)
-    out = np.zeros_like(np.asarray(h_rows(contributors[0][0])))
-    for (pos, _), w in zip(contributors, weights):
-        out = out + w * np.asarray(h_rows(pos))
+        weights = [1.0 / len(group)] * len(group)
+    out = np.zeros_like(group[0].h_src)
+    for e, w in zip(group, weights):
+        out = out + w * e.h_src
     return out
 
 
 def merge_memory(entries: list[LocalMemoryEntry]) -> MergedMemory:
-    """Consolidate local entries sharing a target word into single elements."""
+    """Consolidate local entries sharing a target id into single elements, in order
+    of first appearance; each blends its group's states in the group's order."""
     by_target: dict[int, list[LocalMemoryEntry]] = {}
-    order: list[int] = []
     for e in entries:
-        if e.target_id not in by_target:
-            by_target[e.target_id] = []
-            order.append(e.target_id)
-        by_target[e.target_id].append(e)
-    merged = []
-    for tid in order:
-        group = by_target[tid]
-        contributors = [(e.source_pos, e.p_s_given_t) for e in group]
-        h_by_pos = {e.source_pos: e.h_src for e in group}
-        h_blend = _blend(contributors, lambda pos: h_by_pos[pos])
-        merged.append(MemoryEntry(tid, tid, h_blend, contributors))
-    return MergedMemory(merged)
+        by_target.setdefault(e.target_id, []).append(e)
+    return MergedMemory([
+        MemoryEntry(tid, _blend(group), [(e.source_pos, e.p_s_given_t) for e in group])
+        for tid, group in by_target.items()
+    ])
 
 
 # --- attention and interpolation ------------------------------------------
@@ -229,20 +219,20 @@ def merge_memory(entries: list[LocalMemoryEntry]) -> MergedMemory:
 def entry_matrix(mem: MergedMemory, tgt_embed: np.ndarray) -> np.ndarray:
     """Stack u_k = [target embedding; blended source state] as a [K, E+2H] matrix."""
     return np.stack(
-        [np.concatenate([tgt_embed[e.embed_id], e.h_blend]) for e in mem.entries]
+        [np.concatenate([tgt_embed[mem.embed_proxy(e.label_id)], e.h_blend]) for e in mem.entries]
     )
 
 
 def memory_scores(s_prev: Tensor, y_emb: Tensor, uw: Tensor, pset: ParamSet) -> Tensor:
-    """[n, K] relevance of each of K memory elements to each of n decoding rows.
+    """[n, K] relevance of each of K memory elements to each of n rows:
+    tanh(u @ mem_Wu + s @ mem_Ws + y @ mem_Wy) @ mem_v.
 
-    ``uw`` is the [K, A] product of the entry matrix and mem_Wu; it does not
-    change from step to step, so decoding computes it once per memory.
+    ``uw`` holds the entries' u @ mem_Wu, [K, A] shared by every row or
+    [n, K, A] per row; it does not change from step to step, so decoding
+    computes it once per memory.
     """
-    n = s_prev.shape[0]
-    pre = add(add(uw, reshape(matmul(s_prev, pset["mem_Ws"]), (n, 1, -1))),
-              reshape(matmul(y_emb, pset["mem_Wy"]), (n, 1, -1)))
-    return matmul(tanh(pre), pset["mem_v"])
+    sy = add(matmul(s_prev, pset["mem_Ws"]), matmul(y_emb, pset["mem_Wy"]))
+    return matmul(tanh(add(uw, reshape(sy, (sy.shape[0], 1, -1)))), pset["mem_v"])
 
 
 def memory_attention(s_prev: np.ndarray, y_emb: np.ndarray, uw: Tensor,
@@ -346,79 +336,6 @@ def apply_oov_substitution(
     return out, record
 
 
-def inject_oov_targets(
-    mem: MergedMemory,
-    record: OovRecord,
-    enc: EncodedSource,
-    lex: Lexicon,
-    tgt_vocab: Vocabulary,
-    sim: SimilarWordMap,
-    k: int = 3,
-) -> MergedMemory:
-    """Redirect substituted positions to the original words' translations.
-
-    At each substituted position the substitute's own translations are
-    withdrawn from the memory and the original OOV word's lexicon candidates
-    are entered instead.  In-vocabulary candidates become plain entries; OOV
-    candidates get an extended output label whose embedding is borrowed from
-    a similar in-vocabulary target word.  Decoding an extended label emits
-    the label string verbatim.
-    """
-    entries = [
-        MemoryEntry(e.label_id, e.embed_id, e.h_blend.copy(), list(e.contributors))
-        for e in mem.entries
-    ]
-    oov_labels = dict(mem.oov_labels)
-    ext_by_label = {label: ext_id for ext_id, (label, _) in oov_labels.items()}
-    skipped = list(mem.injection_skipped)
-
-    def h_row(pos: int) -> np.ndarray:
-        return enc.h[pos]
-
-    for pos, orig, sub in record.substitutions:
-        sub_targets = {tgt_vocab.id_of(t) for t, _ in lexicon_lookup(lex, sub, k) if t in tgt_vocab}
-        survivors = []
-        for e in entries:
-            if e.label_id in sub_targets and pos in e.positions:
-                e.contributors = [(p, w) for p, w in e.contributors if p != pos]
-                if not e.contributors:
-                    continue  # the substitute alone backed this entry; drop it
-                e.h_blend = _blend(e.contributors, h_row)
-            survivors.append(e)
-        entries = survivors
-
-        candidates = lexicon_lookup(lex, orig, k)
-        if not candidates:
-            skipped.append((pos, orig, ""))
-            continue
-        for tgt_tok, _ in candidates:
-            p_st = lex.entries[(orig, tgt_tok)][1]
-            if tgt_tok in tgt_vocab:
-                label_id = tgt_vocab.id_of(tgt_tok)
-                embed_id = label_id
-            else:
-                stand_ins = [c for c in sim.target.get(tgt_tok, []) if c in tgt_vocab]
-                if not stand_ins:
-                    skipped.append((pos, orig, tgt_tok))
-                    continue
-                embed_id = tgt_vocab.id_of(stand_ins[0])
-                if tgt_tok in ext_by_label:
-                    label_id = ext_by_label[tgt_tok]
-                else:
-                    label_id = len(tgt_vocab) + len(oov_labels)
-                    oov_labels[label_id] = (tgt_tok, embed_id)
-                    ext_by_label[tgt_tok] = label_id
-            existing = next((e for e in entries if e.label_id == label_id), None)
-            if existing is None:
-                entries.append(MemoryEntry(label_id, embed_id, h_row(pos).copy(), [(pos, p_st)]))
-            else:
-                existing.contributors.append((pos, p_st))
-                existing.h_blend = _blend(existing.contributors, h_row)
-    if skipped:
-        logger.warning("OOV injection skipped %d entries", len(skipped))
-    return MergedMemory(entries, oov_labels, skipped)
-
-
 def sentence_memory(
     tokens: list[str],
     enc: EncodedSource,
@@ -428,10 +345,47 @@ def sentence_memory(
     record: OovRecord | None = None,
     sim: SimilarWordMap | None = None,
 ) -> MergedMemory:
-    """Local memory -> merge -> (optional) OOV injection, in one call."""
-    mem = merge_memory(build_local_memory(tokens, enc.h, lex, k, tgt_vocab))
-    if record is not None and record.substitutions and sim is not None:
-        mem = inject_oov_targets(mem, record, enc, lex, tgt_vocab, sim, k)
+    """The sentence's merged memory: local entries built once, merged once.
+
+    At each position of ``record``'s substitutions (given ``sim``) the
+    original OOV word's lexicon candidates are entered instead of the
+    substitute's, after every other position's.  An in-vocabulary candidate
+    is a plain entry; an OOV candidate gets an extended output label,
+    allocated in substitution order, whose embedding is borrowed from a
+    similar in-vocabulary target word.  Decoding an extended label emits the
+    label string verbatim.  An original word without candidates is recorded
+    as skipped with target "", and an OOV candidate without a stand-in with
+    its target.
+    """
+    subs = record.substitutions if record is not None and sim is not None else []
+    substituted = {pos for pos, _, _ in subs}
+    local = [e for e in build_local_memory(tokens, enc.h, lex, k, tgt_vocab)
+             if e.source_pos not in substituted]
+    oov_labels: dict[int, tuple[str, int]] = {}
+    ext_by_label: dict[str, int] = {}
+    skipped: list[tuple[int, str, str]] = []
+    for pos, orig, _ in subs:
+        candidates = lexicon_lookup(lex, orig, k)
+        if not candidates:
+            skipped.append((pos, orig, ""))
+        for tgt_tok, _ in candidates:
+            if tgt_tok in tgt_vocab:
+                label_id = tgt_vocab.id_of(tgt_tok)
+            elif tgt_tok in ext_by_label:
+                label_id = ext_by_label[tgt_tok]
+            else:
+                stand_ins = [c for c in sim.target.get(tgt_tok, []) if c in tgt_vocab]
+                if not stand_ins:
+                    skipped.append((pos, orig, tgt_tok))
+                    continue
+                label_id = ext_by_label[tgt_tok] = len(tgt_vocab) + len(oov_labels)
+                oov_labels[label_id] = (tgt_tok, tgt_vocab.id_of(stand_ins[0]))
+            local.append(LocalMemoryEntry(tgt_tok, label_id, pos, enc.h[pos],
+                                          lex.entries[(orig, tgt_tok)][1]))
+    if skipped:
+        logger.warning("OOV injection skipped %d entries", len(skipped))
+    mem = merge_memory(local)
+    mem.oov_labels, mem.injection_skipped = oov_labels, skipped
     return mem
 
 
@@ -455,8 +409,7 @@ class TrainingChunk:
     u: np.ndarray           # [sum of K, E + 2H] every record's entry rows, stacked
     s_prev: np.ndarray      # [N, H]
     y_emb: np.ndarray       # [N, E]
-    slot_entry: np.ndarray  # [N * K_max] row of ``u`` scored in each slot
-    slot_pos: np.ndarray    # [N * K_max] position each slot belongs to
+    slot_entry: np.ndarray  # [N, K_max] row of ``u`` scored in each slot
     pad_bias: np.ndarray    # [N, K_max] 0 on a record's own entries, -1e30 past them
     target: np.ndarray      # [N]
 
@@ -475,13 +428,11 @@ def training_chunk(records: list[TrainingRecord]) -> TrainingChunk:
         real = slots < len(rec.u)
         slot_entry.append(np.tile(np.where(real, off + slots, off), (len(rec.target), 1)))
         pad_bias.append(np.tile(np.where(real, 0.0, -1e30), (len(rec.target), 1)))
-    n = sum(len(r.target) for r in records)
     return TrainingChunk(
         u=np.concatenate([r.u for r in records]),
         s_prev=np.concatenate([r.s_prev for r in records]),
         y_emb=np.concatenate([r.y_emb for r in records]),
-        slot_entry=np.concatenate(slot_entry).reshape(-1),
-        slot_pos=np.repeat(np.arange(n), k_max),
+        slot_entry=np.concatenate(slot_entry),
         pad_bias=np.concatenate(pad_bias),
         target=np.concatenate([r.target for r in records]),
     )
@@ -490,15 +441,12 @@ def training_chunk(records: list[TrainingRecord]) -> TrainingChunk:
 def chunk_loss(chunk: TrainingChunk, pset: ParamSet) -> Tensor:
     """Mean over the chunk's positions of -log(attention at the reference entry).
 
-    Scores follow `memory_scores`; each entry's u @ mem_Wu and each
-    position's s @ mem_Ws + y @ mem_Wy are computed once and gathered into
-    the slots.
+    Each entry's u @ mem_Wu is computed once and gathered into the slots, a
+    [N, K_max, A] table that `memory_scores` scores as decoding does.
     """
     uw = matmul(constant(chunk.u), pset["mem_Wu"])
-    sy = add(matmul(constant(chunk.s_prev), pset["mem_Ws"]),
-             matmul(constant(chunk.y_emb), pset["mem_Wy"]))
-    pre = add(rows(uw, chunk.slot_entry), rows(sy, chunk.slot_pos))
-    scores = reshape(matmul(tanh(pre), pset["mem_v"]), chunk.pad_bias.shape)
+    scores = memory_scores(constant(chunk.s_prev), constant(chunk.y_emb),
+                           rows(uw, chunk.slot_entry), pset)
     return cross_entropy(add(scores, constant(chunk.pad_bias)), chunk.target,
                          np.ones(chunk.n_positions))
 

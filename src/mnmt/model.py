@@ -273,13 +273,13 @@ def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet) -> T
         g = g.reshape(n, t_len, -1)
         ds = None
         d_uh = np.zeros_like(enc.uh.data)
-        per_step = [None] * t_len
-        for i in reversed(range(t_len)):
-            ds, d_sp, d_yp, dc, d_scores, d_att = step_backward(caches[i], ds, g[:, i], enc, w)
-            d_uh += d_att
-            per_step[i] = (d_sp, d_yp, dc, d_scores)
         # step-major [T, B, .] arrays: each weight gradient is one GEMM over all T * B rows
-        d_sp, d_yp, dc, d_scores = (np.array(x) for x in zip(*per_step))
+        d_sp, d_yp, dc, d_scores = (np.empty((t_len, n, width)) for width in (
+            w.s_w.shape[1], w.y_w.shape[1], enc.states.shape[2], enc.mask.shape[1]))
+        for i in reversed(range(t_len)):
+            ds, d_sp[i], d_yp[i], dc[i], d_scores[i], d_att = step_backward(
+                caches[i], ds, g[:, i], enc, w)
+            d_uh += d_att
         s_prev, att, alpha, c = (np.array(x) for x in list(zip(*caches))[:4])
         n_rows = n * t_len
         d_sp, d_yp = d_sp.reshape(n_rows, -1), d_yp.reshape(n_rows, -1)

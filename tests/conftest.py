@@ -290,6 +290,93 @@ def reference_memory_loss(pairs, src_vocab, tgt_vocab, params, lex, k, mparams):
     return float(np.mean(nll)), len(nll)
 
 
+# --- the two-pass sentence memory the one-pass build replaced -----------------
+# Merge the substitute words' candidates, then withdraw them and merge the
+# original OOV words' candidates in a second pass, as `memory.sentence_memory`
+# did with `inject_oov_targets`; kept as a test-only construction reference.
+
+
+@dataclass
+class RefMemoryEntry:
+    label_id: int
+    embed_id: int
+    h_blend: np.ndarray
+    contributors: list  # (source position, raw blend weight)
+
+
+def _ref_blend(contributors, h_rows):
+    total = sum(w for _, w in contributors)
+    if total > 0.0:
+        weights = [w / total for _, w in contributors]
+    else:
+        weights = [1.0 / len(contributors)] * len(contributors)
+    out = np.zeros_like(np.asarray(h_rows(contributors[0][0])))
+    for (pos, _), w in zip(contributors, weights):
+        out = out + w * np.asarray(h_rows(pos))
+    return out
+
+
+def reference_sentence_memory(tokens, h, lex, tgt_vocab, k, record=None, sim=None):
+    """(entries, oov_labels, injection_skipped) of a sentence's merged memory.
+
+    ``h`` is the sentence's [S, 2H] encoder states.  Every position enters
+    its token's top-k in-vocabulary candidates, entries sharing a target are
+    merged, and then each substitution of ``record`` withdraws its
+    position's entries and enters the original word's candidates, OOV
+    targets under extended labels backed by a similar in-vocabulary word.
+    """
+    from mnmt.lexicon import lexicon_lookup
+
+    groups = {}  # target id -> [(source position, p(s|t))]
+    for pos, tok in enumerate(tokens):
+        for tgt_tok, _ in lexicon_lookup(lex, tok, k):
+            if tgt_tok in tgt_vocab:
+                p_st = lex.entries[(tok, tgt_tok)][1]
+                groups.setdefault(tgt_vocab.id_of(tgt_tok), []).append((pos, p_st))
+    entries = [RefMemoryEntry(tid, tid, _ref_blend(c, lambda p: h[p]), c)
+               for tid, c in groups.items()]
+    oov_labels, skipped = {}, []
+    if record is None or not record.substitutions or sim is None:
+        return entries, oov_labels, skipped
+    ext_by_label = {}
+    for pos, orig, sub in record.substitutions:
+        sub_targets = {tgt_vocab.id_of(t) for t, _ in lexicon_lookup(lex, sub, k) if t in tgt_vocab}
+        survivors = []
+        for e in entries:
+            if e.label_id in sub_targets and pos in [p for p, _ in e.contributors]:
+                e.contributors = [(p, w) for p, w in e.contributors if p != pos]
+                if not e.contributors:
+                    continue
+                e.h_blend = _ref_blend(e.contributors, lambda p: h[p])
+            survivors.append(e)
+        entries = survivors
+        candidates = lexicon_lookup(lex, orig, k)
+        if not candidates:
+            skipped.append((pos, orig, ""))
+            continue
+        for tgt_tok, _ in candidates:
+            p_st = lex.entries[(orig, tgt_tok)][1]
+            if tgt_tok in tgt_vocab:
+                label_id = embed_id = tgt_vocab.id_of(tgt_tok)
+            else:
+                stand_ins = [c for c in sim.target.get(tgt_tok, []) if c in tgt_vocab]
+                if not stand_ins:
+                    skipped.append((pos, orig, tgt_tok))
+                    continue
+                embed_id = tgt_vocab.id_of(stand_ins[0])
+                if tgt_tok not in ext_by_label:
+                    ext_by_label[tgt_tok] = len(tgt_vocab) + len(oov_labels)
+                    oov_labels[ext_by_label[tgt_tok]] = (tgt_tok, embed_id)
+                label_id = ext_by_label[tgt_tok]
+            existing = next((e for e in entries if e.label_id == label_id), None)
+            if existing is None:
+                entries.append(RefMemoryEntry(label_id, embed_id, h[pos].copy(), [(pos, p_st)]))
+            else:
+                existing.contributors.append((pos, p_st))
+                existing.h_blend = _ref_blend(existing.contributors, lambda p: h[p])
+    return entries, oov_labels, skipped
+
+
 def tape_nodes(*roots) -> int:
     """Tensors reachable from ``roots`` through the tape's parent links."""
     seen, stack = set(), list(roots)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -9,7 +10,7 @@ from mnmt.checkpoint import checkpoint_checksum, save_checkpoint
 from mnmt.corpus import build_vocabulary
 from mnmt.lexicon import Lexicon, save_lexicon
 from mnmt.memory import init_memory_params
-from mnmt.model import init_nmt_params
+from mnmt.model import NmtConfig, init_nmt_params
 
 
 @pytest.fixture
@@ -238,3 +239,26 @@ class TestMemoryCheckpointMismatch:
         d, _, _ = model_files
         assert self._translate(d, d / "mem.ckpt") == 0
         assert len((d / "out.txt").read_text(encoding="utf-8").splitlines()) == 1
+
+
+class TestTrainMemoryRejectsUselessLexicon:
+    def test_no_trainable_position_writes_nothing(self, model_files):
+        d, _, _ = model_files
+        # no corpus word has a lexicon entry, so no sentence memory holds an entry
+        save_lexicon(Lexicon({("zzz", "t00"): (0.9, 0.9)}), str(d / "useless.tsv"))
+        argv = ["train-memory", "--src", str(d / "train.src"), "--tgt", str(d / "train.tgt"),
+                "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
+                "--ckpt", str(d / "model.ckpt"), "--lexicon", str(d / "useless.tsv"),
+                "--mem-ckpt", str(d / "new_mem.ckpt")]
+        with pytest.warns(UserWarning, match="nothing to train"):
+            with pytest.raises(ValueError, match=r"useless\.tsv: .*would train nothing"):
+                main(argv)
+        assert not (d / "new_mem.ckpt").exists()
+
+
+def test_model_snapshot_keys_are_nmt_config_fields_then_seed():
+    cfg = RunConfig(embed_dim=7, lr=0.5, seed=9)
+    keys = cli._model_keys(cfg)
+    assert list(keys) == [f.name for f in fields(NmtConfig)] + ["seed"]
+    assert keys["embed_dim"] == 7 and keys["lr"] == 0.5 and keys["seed"] == 9
+    assert cfg.nmt_config() == NmtConfig(**{k: v for k, v in keys.items() if k != "seed"})

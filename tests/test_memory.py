@@ -2,12 +2,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     desk_config,
     make_mapped_task,
     quick_train,
     reference_memory_loss,
+    reference_sentence_memory,
     tape_nodes,
 )
 from mnmt import memory as memory_module
@@ -37,7 +40,7 @@ from mnmt.memory import (
     train_memory_attention,
     training_chunk,
 )
-from mnmt.model import encode, init_nmt_params
+from mnmt.model import EncodedSource, encode, init_nmt_params
 from mnmt.numerics import (
     ParamSet,
     constant,
@@ -180,7 +183,7 @@ class TestMemoryAttention:
         for row in range(4):
             scores = []
             for e in mem.entries:
-                u = np.concatenate([emb[e.embed_id], e.h_blend])
+                u = np.concatenate([emb[mem.embed_proxy(e.label_id)], e.h_blend])
                 pre = (s[row] @ mparams.pset["mem_Ws"].data + u @ mparams.pset["mem_Wu"].data
                        + emb[y_prev[row]] @ mparams.pset["mem_Wy"].data)
                 scores.append(mparams.pset["mem_v"].data @ np.tanh(pre))
@@ -238,7 +241,7 @@ class TestMemoryHook:
                             for i in range(3)])
         # one extended label past the vocabulary, borrowing the embedding of id 5
         ext = len(tgt_vocab)
-        mem.entries.append(MemoryEntry(ext, 5, rng.normal(size=2 * cfg.hidden_dim), [(0, 1.0)]))
+        mem.entries.append(MemoryEntry(ext, rng.normal(size=2 * cfg.hidden_dim), [(0, 1.0)]))
         mem.oov_labels[ext] = ("oov_word", 5)
         return MemoryHook(mem, mparams, params), params, rng
 
@@ -331,8 +334,8 @@ class TestInterpolatePosterior:
                                        [0.25, 0.125, 0.125 + 0.5]])
 
     def test_duplicate_labels_rejected(self):
-        mem = MergedMemory([MemoryEntry(1, 1, np.zeros(1), [(0, 1.0)]),
-                            MemoryEntry(1, 1, np.zeros(1), [(1, 1.0)])])
+        mem = MergedMemory([MemoryEntry(1, np.zeros(1), [(0, 1.0)]),
+                            MemoryEntry(1, np.zeros(1), [(1, 1.0)])])
         with pytest.raises(AssertionError):
             mem.label_ids(3)
 
@@ -412,7 +415,6 @@ class TestInjectOovTargets:
         assert tgt_vocab.id_of("sim_t") not in labels  # the stand-in's own translation is gone
         assert mem.oov_labels[ext_id] == ("oov_t", tgt_vocab.id_of("sim_t"))
         entry = next(e for e in mem.entries if e.label_id == ext_id)
-        assert entry.embed_id == tgt_vocab.id_of("sim_t")
         np.testing.assert_array_equal(entry.h_blend, enc.h[0])
         assert mem.embed_proxy(ext_id) == tgt_vocab.id_of("sim_t")
 
@@ -445,6 +447,55 @@ class TestInjectOovTargets:
         enc = encode([src_vocab.id_of(t) for t in tokens] + [EOS_ID], params)
         mem = sentence_memory(tokens, enc, lex, tgt_vocab, k=1, record=record, sim=sim)
         assert mem.injection_skipped == [(0, "oov_s", "")]
+
+
+SRC_IN, SRC_OOV = ["s0", "s1", "s2", "s3"], ["o0", "o1", "o2"]
+TGT_IN, TGT_OOV = ["t0", "t1", "t2", "t3"], ["u0", "u1", "u2"]
+
+
+@st.composite
+def oov_sentences(draw):
+    """A random lexicon over in-vocabulary and OOV words on both sides, a
+    similar-word map whose candidates may be unusable, and a sentence."""
+    src_words, tgt_words = SRC_IN + SRC_OOV, TGT_IN + TGT_OOV
+    p_ts = st.sampled_from([0.1, 0.3, 0.5, 0.9])  # ties exercise the lookup order
+    p_st = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    entries = {}
+    for s in src_words:
+        for t in draw(st.lists(st.sampled_from(tgt_words), max_size=4, unique=True)):
+            entries[(s, t)] = (draw(p_ts), draw(p_st))
+    sim = SimilarWordMap(
+        source={o: draw(st.lists(st.sampled_from(SRC_IN + ["o0"]), max_size=3, unique=True))
+                for o in SRC_OOV},
+        target={u: draw(st.lists(st.sampled_from(TGT_IN + ["u0"]), max_size=2, unique=True))
+                for u in TGT_OOV},
+    )
+    tokens = draw(st.lists(st.sampled_from(src_words + SRC_OOV), min_size=1, max_size=8))
+    return Lexicon(entries), sim, tokens, draw(st.integers(1, 3)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=oov_sentences())
+def test_one_pass_memory_matches_two_pass_reference(case):
+    lex, sim, tokens, k, seed = case
+    src_vocab, tgt_vocab = vocab_of(SRC_IN), vocab_of(TGT_IN)
+    tokens, record = apply_oov_substitution(tokens, src_vocab, sim)
+    h = np.random.default_rng(seed).normal(size=(len(tokens) + 1, 6))
+    enc = EncodedSource(constant(h[None]), constant(np.zeros((1, len(h), 3))),
+                        np.ones((1, len(h))), constant(np.zeros((1, 3))))
+    mem = sentence_memory(tokens, enc, lex, tgt_vocab, k, record, sim)
+    want, oov_labels, skipped = reference_sentence_memory(tokens, h, lex, tgt_vocab, k,
+                                                          record, sim)
+    assert mem.oov_labels == oov_labels
+    assert mem.injection_skipped == skipped
+    got = {e.label_id: e for e in mem.entries}
+    assert len(got) == len(mem.entries)
+    assert got.keys() == {e.label_id for e in want}
+    for ref in want:
+        entry = got[ref.label_id]
+        assert mem.embed_proxy(entry.label_id) == ref.embed_id
+        assert sorted(entry.contributors) == sorted(ref.contributors)
+        np.testing.assert_array_equal(entry.h_blend, ref.h_blend)
 
 
 def oracle_task():
@@ -518,6 +569,28 @@ class TestTrainMemoryAttention:
         many = training_chunk([record(3, 9), record(1, 4), record(5, 7)])
         assert many.pad_bias.shape == (20, 5)
         assert tape_nodes(chunk_loss(one, pset)) == tape_nodes(chunk_loss(many, pset))
+
+    def test_training_and_decoding_score_with_one_function(self, setup, monkeypatch):
+        cfg, params, _, _ = setup
+        rng = np.random.default_rng(6)
+        e, h = cfg.embed_dim, cfg.hidden_dim
+        mparams = init_memory_params(cfg, 6)
+        calls = []
+        real = memory_module.memory_scores
+        monkeypatch.setattr(memory_module, "memory_scores",
+                            lambda *a: calls.append(1) or real(*a))
+        chunk = training_chunk([
+            TrainingRecord(rng.normal(size=(k, e + 2 * h)), rng.normal(size=(n, h)),
+                           rng.normal(size=(n, e)), rng.integers(0, k, size=n))
+            for k, n in ((3, 2), (1, 4))])
+        chunk_loss(chunk, mparams.pset)
+        assert len(calls) == 1
+        mem = merge_memory([_entry(f"w{i}", 4 + i, i, rng.normal(size=2 * h), 0.5)
+                            for i in range(3)])
+        hook = MemoryHook(mem, mparams, params)
+        vocab = params["tgt_embed"].data.shape[0]
+        hook(rng.normal(size=(2, h)), np.array([4, 5]), np.full((2, vocab), 1.0 / vocab))
+        assert len(calls) == 2
 
     def test_degenerate_single_entry_memory_has_zero_loss(self):
         src_vocab = vocab_of(["a"])
