@@ -25,6 +25,7 @@ from .corpus import (
 )
 from .lexicon import Lexicon, load_lexicon, save_lexicon, train_ibm1
 from .memory import (
+    DEFAULT_BETA,
     MemoryParams,
     SimilarWordMap,
     apply_oov_substitution,
@@ -47,20 +48,12 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class RunConfig:
-    """Everything a run needs; unknown config keys are rejected."""
+class RunConfig(NmtConfig):
+    """Everything a run needs: NmtConfig's keys plus the run keys, all checked on construction."""
 
-    src_vocab_size: int = 30000
-    tgt_vocab_size: int = 30000
-    embed_dim: int = 500
-    hidden_dim: int = 1000
-    beam_size: int = 12
-    max_decode_len: int = 0
-    lr: float = 0.0005
-    batch_size: int = 80
     max_len: int = 50
     train_steps: int = 10000
-    beta: float = 1.0 / 3.0
+    beta: float = DEFAULT_BETA
     memory_k: int = 3
     memory_epochs: int = 20
     memory_lr: float = 0.01
@@ -76,9 +69,24 @@ class RunConfig:
     mem_ckpt: str = ""
     out: str = ""
 
+    def __post_init__(self):
+        super().__post_init__()
+        for name, low in (("train_steps", 1), ("max_len", 1), ("memory_k", 1),
+                          ("memory_epochs", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if self.memory_lr <= 0:
+            raise ValueError("memory_lr must be positive")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        return cls(**cls.file_values(path))
+        values = cls.file_values(path)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     @classmethod
     def file_values(cls, path: str) -> dict:
@@ -102,27 +110,13 @@ class RunConfig:
                     raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from exc
         return values
 
-    def nmt_config(self) -> NmtConfig:
-        return NmtConfig(**{f.name: getattr(self, f.name) for f in fields(NmtConfig)})
-
-
-_FLAG_TO_KEY = {
-    "beam": "beam_size",
-    "k": "memory_k",
-    "steps": "train_steps",
-    "epochs": "memory_epochs",
-    "iters": None,  # subcommand-local
-}
-
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    for name, value in vars(args).items():
-        if value is None or name in ("command", "config", "func"):
-            continue
-        key = _FLAG_TO_KEY.get(name, name)
-        if key and hasattr(cfg, key):
-            setattr(cfg, key, value)
+    """The config file's values, then the flags': each flag's dest is its config key."""
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
+    cfg = dataclasses.replace(cfg, **flags)
     logger.info("resolved config: %s", dataclasses.asdict(cfg))
     logger.info("seed: %d", cfg.seed)
     return cfg
@@ -156,15 +150,14 @@ def _memory_params_for(path: str, arrays: dict[str, np.ndarray], nmt_params: Par
     """Memory-net parameters whose shapes fit the translation model's E and H."""
     e = nmt_params["tgt_embed"].data.shape[1]
     h = nmt_params["dec_init_W"].data.shape[0]
-    missing = [n for n in ("mem_Ws", "mem_Wu", "mem_Wy", "mem_v") if n not in arrays]
+    want = init_memory_params(NmtConfig(embed_dim=e, hidden_dim=h), 0).pset
+    missing = [n for n in want.names() if n not in arrays]
     if missing:
         raise ValueError(f"{path}: not a memory checkpoint, missing {', '.join(missing)}")
-    a = arrays["mem_v"].size  # the attention width
-    want = {"mem_Ws": (h, a), "mem_Wu": (e + 2 * h, a), "mem_Wy": (e, a), "mem_v": (a,)}
-    for name, shape in want.items():
-        if arrays[name].shape != shape:
+    for name in want.names():
+        if arrays[name].shape != want[name].shape:
             raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, but the "
-                             f"translation model (E={e}, H={h}) needs {shape}")
+                             f"translation model (E={e}, H={h}) needs {want[name].shape}")
     return params_from_arrays(arrays)
 
 
@@ -253,7 +246,7 @@ def _cmd_train(args) -> int:
         for s, t in corpus.pairs
     ]
     batches = make_batches(encoded, cfg.batch_size, cfg.max_len, cfg.seed)
-    params = init_nmt_params(cfg.nmt_config(), cfg.seed)
+    params = init_nmt_params(cfg, cfg.seed)
     losses = train_model(batches, params, cfg.lr, cfg.train_steps)
     logger.info("loss %.4f -> %.4f over %d steps", losses[0], losses[-1], len(losses))
     save_checkpoint(cfg.ckpt, params, {"kind": "nmt", **_model_keys(cfg)})
@@ -414,9 +407,9 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         "sim-tgt": dict(type=str, dest="sim_tgt"),
         "ckpt": dict(type=str),
         "mem-ckpt": dict(type=str, dest="mem_ckpt"),
-        "beam": dict(type=int),
+        "beam": dict(type=int, dest="beam_size"),
         "beta": dict(type=float),
-        "k": dict(type=int),
+        "k": dict(type=int, dest="memory_k"),
         "seed": dict(type=int),
         "out": dict(type=str),
     }
@@ -441,13 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the translation model")
     _add_common(p, "config", "src", "tgt", "vocab-src", "vocab-tgt", "ckpt", "seed")
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=int, dest="train_steps")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("train-memory", help="train the memory attention (model frozen)")
     _add_common(p, "config", "src", "tgt", "vocab-src", "vocab-tgt", "lexicon",
                 "ckpt", "mem-ckpt", "beta", "k", "seed")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=int, dest="memory_epochs")
     p.set_defaults(func=_cmd_train_memory)
 
     p = sub.add_parser("translate", help="decode a file of source sentences")

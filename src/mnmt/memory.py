@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import BOS_ID, Vocabulary, encode_sentence, pad_batch
 from .lexicon import Lexicon, lexicon_lookup
-from .model import DecoderWeights, EncodedSource, NmtConfig, encode_batch, step_forward
+from .model import INIT_SCALE, DecoderWeights, EncodedSource, NmtConfig, encode_batch, step_forward
 # not called here: bench/layers.py wraps memory.encode by name and needs it to exist
 from .model import encode  # noqa: F401
 from .numerics import (
@@ -49,7 +49,7 @@ from .numerics import (
 
 logger = logging.getLogger(__name__)
 
-INIT_SCALE = 0.08
+DEFAULT_BETA = 1.0 / 3.0  # the paper's weight of the memory in the interpolated posterior
 
 
 class EmptyLexiconError(ValueError):
@@ -116,17 +116,21 @@ class SimilarWordMap:
 
 
 def _load_side(path: str) -> dict[str, list[str]]:
+    """word<TAB>stand-in<TAB>... lines; a line without a word or a stand-in is dropped."""
     side: dict[str, list[str]] = {}
+    dropped = 0
     with open(path, encoding="utf-8") as f:
         for line in f:
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) < 2 or not fields[0]:
+            word, *cands = line.rstrip("\n").split("\t")
+            stand_ins = list(dict.fromkeys(c for c in cands if c))
+            if not word or not stand_ins:
+                dropped += 1
                 continue
-            seen: list[str] = []
-            for cand in fields[1:]:
-                if cand and cand not in seen:
-                    seen.append(cand)
-            side[fields[0]] = seen
+            side[word] = stand_ins
+    if dropped:
+        logger.warning("%s: dropped %d lines without a word and a stand-in", path, dropped)
+    if not side:
+        raise ValueError(f"{path}: no 'word<TAB>stand-in' line; the similar-word map is empty")
     return side
 
 
@@ -143,14 +147,14 @@ class MemoryParams:
     """The memory attention net's parameters plus the interpolation factor."""
 
     pset: ParamSet
-    beta: float = 1.0 / 3.0
+    beta: float = DEFAULT_BETA
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 
 
-def init_memory_params(cfg: NmtConfig, seed: int, beta: float = 1.0 / 3.0) -> MemoryParams:
+def init_memory_params(cfg: NmtConfig, seed: int, beta: float = DEFAULT_BETA) -> MemoryParams:
     rng = np.random.default_rng(seed)
     e, h = cfg.embed_dim, cfg.hidden_dim
     a = h
@@ -510,7 +514,6 @@ def train_memory_attention(
     lr: float = 0.01,
     k: int = 3,
     batch_pairs: int = 16,
-    clip_norm: float = 5.0,
 ) -> list[float]:
     """Train the memory attention net against the frozen translation model.
 
@@ -544,7 +547,7 @@ def train_memory_attention(
             backward(loss)
             grads = mparams.pset.grads()
             mparams.pset.zero_grads()
-            clip_gradients(grads, clip_norm)
+            clip_gradients(grads)
             adam_step(mparams.pset, grads, lr)
             total_nll += float(loss.data) * chunk.n_positions
         epoch_losses.append(total_nll / n_positions)

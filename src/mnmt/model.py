@@ -41,7 +41,6 @@ from .numerics import (
 )
 
 INIT_SCALE = 0.08
-GRAD_CLIP = 5.0
 
 
 @dataclass
@@ -261,11 +260,19 @@ def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet) -> T
     w = DecoderWeights(params)
     hid = w.u_h.shape[0]
     y_proj = w.project(y_in)
+    # step-major [T, B, .] records of the steps' inputs and attention; each
+    # step's cache holds views of them, so the backward reads them unstacked
+    s_len, width = enc.states.shape[1:]
+    s_prev, att, alpha, c = (np.empty((t_len, n, *shape))
+                             for shape in ((hid,), (s_len, hid), (s_len,), (width,)))
+    s_prev[0] = enc.s0.data
     caches, zs = [], []
-    s = enc.s0.data
     for i in range(t_len):
-        s, z, cache = step_forward(s, y_proj[:, i], enc, w, i + 1 < t_len)
-        caches.append(cache)
+        s, z, cache = step_forward(s_prev[i], y_proj[:, i], enc, w, i + 1 < t_len)
+        att[i], alpha[i], c[i] = cache[1:4]
+        caches.append((s_prev[i], att[i], alpha[i], c[i], *cache[4:]))
+        if s is not None:
+            s_prev[i + 1] = s
         zs.append(z)
     out = np.stack(zs, axis=1).reshape(n * t_len, -1)
 
@@ -280,7 +287,6 @@ def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet) -> T
             ds, d_sp[i], d_yp[i], dc[i], d_scores[i], d_att = step_backward(
                 caches[i], ds, g[:, i], enc, w)
             d_uh += d_att
-        s_prev, att, alpha, c = (np.array(x) for x in list(zip(*caches))[:4])
         n_rows = n * t_len
         d_sp, d_yp = d_sp.reshape(n_rows, -1), d_yp.reshape(n_rows, -1)
         blocks = [hid, 2 * hid, 3 * hid]
@@ -306,14 +312,13 @@ def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet) -> T
                  grads_of)
 
 
-def train_step(batch: Batch, params: ParamSet, lr: float,
-               clip_norm: float = GRAD_CLIP) -> float:
+def train_step(batch: Batch, params: ParamSet, lr: float) -> float:
     """One teacher-forced step: returns the pre-update mean token NLL."""
     loss = teacher_forced_loss(batch, params)
     backward(loss)
     grads = params.grads()
     params.zero_grads()
-    clip_gradients(grads, clip_norm)
+    clip_gradients(grads)
     adam_step(params, grads, lr)
     return float(loss.data)
 

@@ -45,6 +45,9 @@ class MaskedSoftmaxError(ValueError):
 
 _grad_enabled = True
 
+GRAD_CLIP = 5.0  # global L2 norm every optimiser step clips its gradients to
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @contextlib.contextmanager
 def no_grad():
@@ -503,27 +506,20 @@ class ParamSet:
         return b"".join(self.params[n].data.tobytes() for n in sorted(self.params))
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 5.0) -> float:
-    """Scale all gradients in place so their global L2 norm is <= max_norm."""
+def clip_gradients(grads: dict[str, np.ndarray]) -> float:
+    """Scale all gradients in place so their global L2 norm is <= GRAD_CLIP."""
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
     norm = np.sqrt(total)
-    if norm > max_norm and norm > 0.0:
-        factor = max_norm / norm
+    if norm > GRAD_CLIP:
+        factor = GRAD_CLIP / norm
         for g in grads.values():
             g *= factor
     return float(norm)
 
 
-def adam_step(
-    pset: ParamSet,
-    grads: dict[str, np.ndarray],
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(pset: ParamSet, grads: dict[str, np.ndarray], lr: float) -> None:
     """Bias-corrected Adam update applied in place to the named parameters."""
     unknown = set(grads) - set(pset.params)
     if unknown:
@@ -536,13 +532,13 @@ def adam_step(
     for name, g in grads.items():
         m = pset.adam_m[name]
         v = pset.adam_v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        pset.params[name].data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        pset.params[name].data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def grad_check(

@@ -1,3 +1,4 @@
+import argparse
 import re
 from dataclasses import fields
 
@@ -53,6 +54,76 @@ class TestRunConfig:
         good.write_text("# comment\nlr = 0.25\nbeam_size = 7\n", encoding="utf-8")
         cfg = RunConfig.from_file(str(good))
         assert cfg.lr == 0.25 and cfg.beam_size == 7
+
+
+def _config_flags():
+    """(subcommand, flag, dest) of every flag of every subcommand that reads a config."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.dest)
+            for command, p in sub.choices.items() if "--config" in p._option_string_actions
+            for action in p._actions if action.option_strings]
+
+
+CONFIG_FLAGS = _config_flags()
+RUN_KEYS = {f.name: f.type for f in fields(RunConfig)}
+
+
+class TestConfigFlags:
+    # the flags a subcommand keeps to itself: no config key has their meaning
+    LOCAL = {"help", "config", "max_size", "iters", "floor"}
+
+    def test_every_flag_is_a_config_key_or_local(self):
+        assert {dest for _, _, dest in CONFIG_FLAGS} - set(RUN_KEYS) == self.LOCAL
+        assert {("translate", "--beam", "beam_size"), ("translate", "--k", "memory_k"),
+                ("train", "--steps", "train_steps"),
+                ("train-memory", "--epochs", "memory_epochs")} <= set(CONFIG_FLAGS)
+
+    @pytest.mark.parametrize("command, flag, key",
+                             [f for f in CONFIG_FLAGS if f[2] in RUN_KEYS])
+    def test_flag_lands_on_its_key(self, command, flag, key):
+        raw = {"int": "7", "float": "0.5", "str": "x"}[RUN_KEYS[key]]
+        cfg = cli._resolve_config(cli.build_parser().parse_args([command, flag, raw]))
+        assert str(getattr(cfg, key)) == raw
+
+    def test_flag_beats_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("beam_size = 3\nmemory_k = 4\n", encoding="utf-8")
+        args = cli.build_parser().parse_args(["translate", "--config", str(path), "--beam", "5"])
+        cfg = cli._resolve_config(args)
+        assert (cfg.beam_size, cfg.memory_k) == (5, 4)
+
+
+class TestConfigRejectedBeforeInput:
+    """A value that cannot work fails before any input is opened: every path
+    given is missing, so a late failure would be FileNotFoundError."""
+
+    @staticmethod
+    def _missing_paths(tmp_path, command):
+        return [arg for c, flag, key in CONFIG_FLAGS if c == command and RUN_KEYS.get(key) == "str"
+                for arg in (flag, str(tmp_path / "missing.txt"))]
+
+    @pytest.mark.parametrize("key, value", [
+        ("beam_size", "0"), ("train_steps", "0"), ("max_len", "0"), ("memory_k", "0"),
+        ("memory_epochs", "-1"), ("memory_lr", "0"), ("beta", "1.5"), ("seed", "-1"),
+    ])
+    def test_from_file_names_key_and_file(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {key} must"):
+            main(["train", "--config", str(path), *self._missing_paths(tmp_path, "train")])
+
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("translate", "--beam", "0", "beam_size"),
+        ("train", "--steps", "0", "train_steps"),
+        ("translate", "--k", "0", "memory_k"),
+        ("train-memory", "--epochs", "-1", "memory_epochs"),
+        ("train-memory", "--beta", "1.5", "beta"),
+        ("train", "--seed", "-1", "seed"),
+    ])
+    def test_from_flag_names_key(self, tmp_path, command, flag, value, key):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            main([command, flag, value, *self._missing_paths(tmp_path, command)])
 
 
 class TestCommands:
@@ -261,4 +332,5 @@ def test_model_snapshot_keys_are_nmt_config_fields_then_seed():
     keys = cli._model_keys(cfg)
     assert list(keys) == [f.name for f in fields(NmtConfig)] + ["seed"]
     assert keys["embed_dim"] == 7 and keys["lr"] == 0.5 and keys["seed"] == 9
-    assert cfg.nmt_config() == NmtConfig(**{k: v for k, v in keys.items() if k != "seed"})
+    assert isinstance(cfg, NmtConfig)
+    assert cli._nmt_config_from_snapshot(keys) == NmtConfig(embed_dim=7, lr=0.5)

@@ -17,3 +17,16 @@ def test_no_module_imports_another_modules_private_names():
                               f"import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_each_module_level_constant_is_assigned_in_one_module():
+    owners: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id != "logger":
+                        owners.setdefault(name.id, []).append(path.name)
+    assert {name: files for name, files in owners.items() if len(files) > 1} == {}

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -666,3 +667,17 @@ class TestSimilarWordMapFiles:
         sim = SimilarWordMap.load(src_path=str(path))
         assert sim.source == {"q": ["u", "v"], "r": ["w"]}
         assert sim.target == {}
+
+    def test_dropped_lines_logged_with_the_file(self, tmp_path, caplog):
+        path = tmp_path / "sim.tsv"
+        path.write_text("q\tu\n\tv\nr\nw\t\t\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="mnmt.memory"):
+            sim = SimilarWordMap.load(tgt_path=str(path))
+        assert sim.target == {"q": ["u"]}
+        assert f"{path}: dropped 3 lines" in caplog.text
+
+    def test_map_without_entries_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "sim.tsv"
+        path.write_text("q\nr\t\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: no 'word<TAB>stand-in' line"):
+            SimilarWordMap.load(src_path=str(path))
