@@ -26,6 +26,8 @@ from .corpus import (
 from .lexicon import Lexicon, load_lexicon, save_lexicon, train_ibm1
 from .memory import (
     DEFAULT_BETA,
+    DEFAULT_MEMORY_K,
+    DEFAULT_MEMORY_LR,
     MemoryParams,
     SimilarWordMap,
     apply_oov_substitution,
@@ -54,9 +56,9 @@ class RunConfig(NmtConfig):
     max_len: int = 50
     train_steps: int = 10000
     beta: float = DEFAULT_BETA
-    memory_k: int = 3
+    memory_k: int = DEFAULT_MEMORY_K
     memory_epochs: int = 20
-    memory_lr: float = 0.01
+    memory_lr: float = DEFAULT_MEMORY_LR
     seed: int = 0
     src: str = ""
     tgt: str = ""
@@ -173,7 +175,7 @@ def translate_lines(
     max_decode_len: int = 0,
     lexicon: Lexicon | None = None,
     mparams: MemoryParams | None = None,
-    k: int = 3,
+    k: int = DEFAULT_MEMORY_K,
     sim: SimilarWordMap | None = None,
 ) -> list[str]:
     """Translate text lines; memory interpolation and OOV handling optional.

@@ -4,10 +4,11 @@ Per sentence, lexicon candidates for each source word form a local memory of
 (target word, source hidden state) entries.  Entries sharing a target word
 are merged, once per sentence, into one element whose hidden vector blends
 the contributing source states, weighted by the reverse translation
-probabilities.  A small tanh scoring net, `memory_scores`, attends over the
-merged entries; training and decoding both score with it.  It is trained
-against a frozen translation model, and its attention is interpolated into
-the decoder posterior.
+probabilities.  A small tanh scoring net, `score_entries`, attends over the
+merged entries on plain arrays; decoding calls it directly, and training
+through `memory_scores`, its tape node with a hand-written backward.  It is
+trained against a frozen translation model, and its attention is
+interpolated into the decoder posterior.
 
 Out-of-vocabulary words are handled by borrowing: source-side OOVs are
 replaced by an in-vocabulary similar word before encoding, and at such a
@@ -36,20 +37,21 @@ from .numerics import (
     adam_step,
     add,
     backward,
+    check_finite,
     clip_gradients,
     constant,
     cross_entropy,
+    fused,
+    masked_softmax,
     matmul,
-    no_grad,
-    reshape,
     rows,
-    softmax,
-    tanh,
 )
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_BETA = 1.0 / 3.0  # the paper's weight of the memory in the interpolated posterior
+DEFAULT_MEMORY_K = 3      # lexicon candidates entered per source word
+DEFAULT_MEMORY_LR = 0.01  # Adam step size of memory training
 
 
 class EmptyLexiconError(ValueError):
@@ -227,24 +229,45 @@ def entry_matrix(mem: MergedMemory, tgt_embed: np.ndarray) -> np.ndarray:
     )
 
 
-def memory_scores(s_prev: Tensor, y_emb: Tensor, uw: Tensor, pset: ParamSet) -> Tensor:
-    """[n, K] relevance of each of K memory elements to each of n rows:
-    tanh(u @ mem_Wu + s @ mem_Ws + y @ mem_Wy) @ mem_v.
+def score_entries(s_prev: np.ndarray, y_emb: np.ndarray, uw: np.ndarray,
+                  pset: ParamSet) -> tuple[np.ndarray, np.ndarray]:
+    """[n, K] relevance of each of K memory elements to each of n rows, on
+    plain arrays: tanh(u @ mem_Wu + s @ mem_Ws + y @ mem_Wy) @ mem_v.
 
     ``uw`` holds the entries' u @ mem_Wu, [K, A] shared by every row or
     [n, K, A] per row; it does not change from step to step, so decoding
-    computes it once per memory.
+    computes it once per memory.  Returns the scores and the tanh
+    activations [n, K, A].
     """
-    sy = add(matmul(s_prev, pset["mem_Ws"]), matmul(y_emb, pset["mem_Wy"]))
-    return matmul(tanh(add(uw, reshape(sy, (sy.shape[0], 1, -1)))), pset["mem_v"])
+    sy = check_finite(s_prev @ pset["mem_Ws"].data + y_emb @ pset["mem_Wy"].data)
+    act = np.tanh(check_finite(uw + sy[:, None, :]))
+    return check_finite(np.matmul(act, pset["mem_v"].data)), act
 
 
-def memory_attention(s_prev: np.ndarray, y_emb: np.ndarray, uw: Tensor,
+def memory_scores(s_prev: Tensor, y_emb: Tensor, uw: Tensor, pset: ParamSet) -> Tensor:
+    """`score_entries` as one tape node, with its hand-written backward.
+
+    ``s_prev`` and ``y_emb`` are constants: the gradient reaches ``uw`` and
+    the scorer's parameters.
+    """
+    s, y = s_prev.data, y_emb.data
+    scores, act = score_entries(s, y, uw.data, pset)
+
+    def grads_of(g):
+        d_pre = np.multiply.outer(g, pset["mem_v"].data) * (1.0 - act * act)
+        d_sy = d_pre.sum(axis=1)
+        return [d_pre.sum(axis=0) if uw.data.ndim == 2 else d_pre, s.T @ d_sy, y.T @ d_sy,
+                act.reshape(-1, act.shape[-1]).T @ g.reshape(-1)]
+
+    return fused(scores, [uw, *(pset[name] for name in ("mem_Ws", "mem_Wy", "mem_v"))],
+                 grads_of)
+
+
+def memory_attention(s_prev: np.ndarray, y_emb: np.ndarray, uw: np.ndarray,
                      pset: ParamSet) -> np.ndarray:
     """[n, K] attention of n decoder states (with their previous-word embeddings)
     over the K merged entries whose u @ mem_Wu is ``uw``; each row sums to 1."""
-    with no_grad():
-        return softmax(memory_scores(constant(s_prev), constant(y_emb), uw, pset)).data
+    return masked_softmax(score_entries(s_prev, y_emb, uw, pset)[0], None)
 
 
 def interpolate_posterior(
@@ -286,8 +309,7 @@ class MemoryHook:
         self.mparams = mparams
         self.tgt_embed = nmt_params["tgt_embed"].data
         self.labels = mem.label_ids(self.tgt_embed.shape[0])
-        with no_grad():
-            self.uw = matmul(constant(entry_matrix(mem, self.tgt_embed)), mparams.pset["mem_Wu"])
+        self.uw = entry_matrix(mem, self.tgt_embed) @ mparams.pset["mem_Wu"].data
 
     def __call__(self, s_prev: np.ndarray, y_prev: np.ndarray, p_nmt: np.ndarray) -> np.ndarray:
         y_emb = self.tgt_embed[[self.mem.embed_proxy(int(y)) for y in y_prev]]
@@ -473,9 +495,8 @@ def _training_records(
         ids = [(encode_sentence(s, src_vocab, append_eos=True),
                 encode_sentence(t, tgt_vocab, append_eos=True)) for s, t in group]
         batch = pad_batch(ids)
-        with no_grad():
-            enc = encode_batch(batch.src, batch.src_mask, nmt_params)
-        h = enc.states.data  # [B, S, 2H]
+        enc = encode_batch(batch.src, batch.src_mask, nmt_params)
+        h = enc.states  # [B, S, 2H]
         hits = []  # (row, merged memory, target columns, entry per column)
         for row, ((src_tokens, _), (src_ids, tgt_ids)) in enumerate(zip(group, ids)):
             mem = merge_memory(
@@ -489,7 +510,7 @@ def _training_records(
         last = max(hit_cols[-1] for _, _, hit_cols, _ in hits)
         y_prev = np.concatenate([np.full((len(group), 1), BOS_ID), batch.tgt[:, :last]], axis=1)
         y_proj = w.project(y_prev[:, :last])
-        s_prev = [enc.s0.data]  # s_{i-1} of columns 0..last
+        s_prev = [enc.s0]  # s_{i-1} of columns 0..last
         for i in range(last):
             s_prev.append(step_forward(s_prev[-1], y_proj[:, i], enc, w, True)[0])
         s_prev = np.stack(s_prev)
@@ -511,8 +532,8 @@ def train_memory_attention(
     mparams: MemoryParams,
     lex: Lexicon,
     epochs: int,
-    lr: float = 0.01,
-    k: int = 3,
+    lr: float = DEFAULT_MEMORY_LR,
+    k: int = DEFAULT_MEMORY_K,
     batch_pairs: int = 16,
 ) -> list[float]:
     """Train the memory attention net against the frozen translation model.

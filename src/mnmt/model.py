@@ -5,6 +5,10 @@ unidirectional GRU whose input is the previous target embedding concatenated
 with an attention context, read out through a pool-2 maxout layer.  Output
 logits share weights with the target embedding matrix, so the readout width
 equals the embedding width.
+
+The encoder, the decoder and the readout are plain-array forward/backward
+pairs; `teacher_forced_loss` chains them into one tape node from the
+parameters to the logits.
 """
 
 from __future__ import annotations
@@ -22,22 +26,16 @@ from .numerics import (
     backward,
     check_finite,
     clip_gradients,
-    concat,
     cross_entropy,
     fused,
     gru_cell,
     gru_cell_backward,
     gru_sequence,
+    gru_sequence_backward,
     masked_softmax,
-    matmul,
     maxout,
     maxout_backward,
-    no_grad,
     row_sums,
-    rows,
-    take,
-    tanh,
-    transpose,
 )
 
 INIT_SCALE = 0.08
@@ -71,20 +69,21 @@ class NmtConfig:
 
 @dataclass
 class EncodedSource:
-    """Encoder output for a [B, S] batch plus what every decoder step reads.
+    """Encoder output for a [B, S] batch plus what every decoder step reads,
+    all plain arrays.
 
     A one-sentence encoding (B = 1) serves any number of decoder rows.
     """
 
-    states: Tensor        # [B, S, 2 * hidden_dim]; states[b, j] is h_j of sentence b
-    uh: Tensor            # states @ att_U, [B, S, hidden_dim]
+    states: np.ndarray    # [B, S, 2 * hidden_dim]; states[b, j] is h_j of sentence b
+    uh: np.ndarray        # states @ att_U, [B, S, hidden_dim]
     mask: np.ndarray      # [B, S]
-    s0: Tensor            # initial decoder state, [B, hidden_dim]
+    s0: np.ndarray        # initial decoder state, [B, hidden_dim]
 
     @property
     def h(self) -> np.ndarray:
         """[S, 2 * hidden_dim] states of the first sentence; row j is h_j."""
-        return self.states.data[0]
+        return self.states[0]
 
 
 @dataclass
@@ -130,31 +129,56 @@ def init_nmt_params(cfg: NmtConfig, seed: int) -> ParamSet:
     return pset
 
 
-def encode_batch(src: np.ndarray, src_mask: np.ndarray, params: ParamSet) -> EncodedSource:
-    """Bidirectional encoding of a [B, S] id matrix: one fused node per direction.
+def encode_forward(src: np.ndarray, src_mask: np.ndarray, params: ParamSet):
+    """Bidirectional encoding of a [B, S] id matrix on plain arrays: (EncodedSource, cache).
 
     The decoder starts from tanh(b_0 @ dec_init_W), where b_0 is the
     backward-direction state at position 0.
     """
-    x = rows(params["src_embed"], src)  # [B, S, E]
-    fwd = gru_sequence(x, src_mask, params, "enc_f_", False)
-    bwd = gru_sequence(x, src_mask, params, "enc_b_", True)
-    states = concat([fwd, bwd], axis=2)
-    uh = matmul(states, params["att_U"])
-    s0 = tanh(matmul(take(bwd, (slice(None), 0)), params["dec_init_W"]))
-    return EncodedSource(states, uh, src_mask, s0)
+    x = params["src_embed"].data[src]  # [B, S, E]
+    fwd, fwd_cache = gru_sequence(x, src_mask, params, "enc_f_", False)
+    bwd, bwd_cache = gru_sequence(x, src_mask, params, "enc_b_", True)
+    states = np.concatenate([fwd, bwd], axis=2)
+    uh = check_finite(np.matmul(states, params["att_U"].data))
+    b0 = bwd[:, 0]
+    s0 = np.tanh(check_finite(b0 @ params["dec_init_W"].data))
+    enc = EncodedSource(states, uh, src_mask, s0)
+    return enc, (src, enc, b0, fwd_cache, bwd_cache, params)
+
+
+def encode_backward(cache, d_states: np.ndarray, d_uh: np.ndarray,
+                    d_s0: np.ndarray) -> dict[str, np.ndarray]:
+    """Backward of `encode_forward`: the encoder parameters' gradients."""
+    src, enc, b0, fwd_cache, bwd_cache, params = cache
+    att_u, init_w = params["att_U"].data, params["dec_init_W"].data
+    hid = init_w.shape[0]
+    d_states = d_states + d_uh @ att_u.T
+    d_pre = d_s0 * (1.0 - enc.s0 * enc.s0)
+    d_bwd = d_states[:, :, hid:].copy()
+    d_bwd[:, 0] += d_pre @ init_w.T
+    d_xf, grads = gru_sequence_backward(d_states[:, :, :hid], fwd_cache)
+    d_xb, grads_b = gru_sequence_backward(d_bwd, bwd_cache)
+    grads.update(grads_b)
+    grads["att_U"] = enc.states.reshape(-1, 2 * hid).T @ d_uh.reshape(-1, hid)
+    grads["dec_init_W"] = b0.T @ d_pre
+    grads["src_embed"] = row_sums(src, d_xf + d_xb, len(params["src_embed"].data))
+    return grads
+
+
+def encode_batch(src: np.ndarray, src_mask: np.ndarray, params: ParamSet) -> EncodedSource:
+    """Bidirectional encoding of a [B, S] id matrix (`encode_forward` without its cache)."""
+    return encode_forward(src, src_mask, params)[0]
 
 
 def encode(src_ids: Sequence[int], params: ParamSet) -> EncodedSource:
-    """Encode a single sentence (ids, usually ending with EOS), without gradients."""
+    """Encode a single sentence (ids, usually ending with EOS)."""
     if len(src_ids) == 0:
         raise ValueError("cannot encode an empty sentence")
     vocab_size = params["src_embed"].data.shape[0]
     ids = np.asarray(src_ids, dtype=np.int64)
     if ids.min() < 0 or ids.max() >= vocab_size:
         raise ValueError(f"source id outside vocabulary range [0, {vocab_size})")
-    with no_grad():
-        return encode_batch(ids[None, :], np.ones((1, len(ids))), params)
+    return encode_batch(ids[None, :], np.ones((1, len(ids))), params)
 
 
 class DecoderWeights:
@@ -200,9 +224,9 @@ def step_forward(s_prev: np.ndarray, y_proj: np.ndarray, enc: EncodedSource,
     """
     hid = s_prev.shape[1]
     sp = s_prev @ w.s_w
-    att = np.tanh(check_finite(sp[:, None, :hid] + enc.uh.data))   # [n, S, H]
+    att = np.tanh(check_finite(sp[:, None, :hid] + enc.uh))        # [n, S, H]
     alpha = masked_softmax(att @ w.att_v, enc.mask)                 # [n, S]
-    c = np.matmul(alpha[:, None, :], enc.states.data)[:, 0]         # [n, 2H]
+    c = np.matmul(alpha[:, None, :], enc.states)[:, 0]              # [n, 2H]
     cp = c @ w.c_w
     z, which = maxout(y_proj[:, 3 * hid :] + sp[:, 3 * hid :] + cp[:, 3 * hid :])
     s_new = gru = None
@@ -231,7 +255,7 @@ def step_backward(cache, ds_new: np.ndarray | None, dz: np.ndarray, enc: Encoded
         d_gx, ds_prev = gru_cell_backward(ds_new, gru, w.u_h)
     d_yp = np.concatenate([d_gx, d_pre], axis=1)
     dc = d_yp @ w.c_w.T
-    d_alpha = np.matmul(enc.states.data, dc[:, :, None])[..., 0]
+    d_alpha = np.matmul(enc.states, dc[:, :, None])[..., 0]
     d_scores = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
     d_att = d_scores[:, :, None] * w.att_v * (1.0 - att * att)
     d_sp = np.concatenate([d_att.sum(axis=1), d_gx[:, : 2 * hid], d_pre], axis=1)
@@ -244,15 +268,13 @@ _DECODER_PARAMS = ("att_W", "dec_Uz", "dec_Ur", "out_V",
 _GRU_PARAMS = {f"dec_{kind}{gate}" for kind in "WUb" for gate in "zrh"}
 
 
-def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet) -> Tensor:
-    """Teacher-forced readouts z [B * T, E], row-major over [B, T]: one tape node.
+def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet):
+    """Teacher-forced readouts z [B * T, E], row-major over [B, T]: (z, cache).
 
     ``y_in`` [B, T] holds each column's previous target word, BOS first.
     The embedding half of the decoder's input GEMM runs once over all T
     columns; `step_forward` runs over the columns and skips the last
-    column's GRU update, which no readout reads.  The backward runs
-    `step_backward` in reverse time and makes each weight gradient one GEMM
-    over all steps.
+    column's GRU update, which no readout reads.
     """
     n, t_len = y_in.shape
     if enc.mask.shape[0] != n:
@@ -265,7 +287,7 @@ def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet) -> T
     s_len, width = enc.states.shape[1:]
     s_prev, att, alpha, c = (np.empty((t_len, n, *shape))
                              for shape in ((hid,), (s_len, hid), (s_len,), (width,)))
-    s_prev[0] = enc.s0.data
+    s_prev[0] = enc.s0
     caches, zs = [], []
     for i in range(t_len):
         s, z, cache = step_forward(s_prev[i], y_proj[:, i], enc, w, i + 1 < t_len)
@@ -275,41 +297,47 @@ def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet) -> T
             s_prev[i + 1] = s
         zs.append(z)
     out = np.stack(zs, axis=1).reshape(n * t_len, -1)
+    return out, (enc, y_in, w, s_prev, att, alpha, c, caches)
 
-    def grads_of(g):
-        g = g.reshape(n, t_len, -1)
-        ds = None
-        d_uh = np.zeros_like(enc.uh.data)
-        # step-major [T, B, .] arrays: each weight gradient is one GEMM over all T * B rows
-        d_sp, d_yp, dc, d_scores = (np.empty((t_len, n, width)) for width in (
-            w.s_w.shape[1], w.y_w.shape[1], enc.states.shape[2], enc.mask.shape[1]))
-        for i in reversed(range(t_len)):
-            ds, d_sp[i], d_yp[i], dc[i], d_scores[i], d_att = step_backward(
-                caches[i], ds, g[:, i], enc, w)
-            d_uh += d_att
-        n_rows = n * t_len
-        d_sp, d_yp = d_sp.reshape(n_rows, -1), d_yp.reshape(n_rows, -1)
-        blocks = [hid, 2 * hid, 3 * hid]
-        d_s = np.split(s_prev.reshape(n_rows, -1).T @ d_sp, blocks, axis=1)
-        d_y = np.split(w.embed[y_in.T].reshape(n_rows, -1).T @ d_yp, blocks, axis=1)
-        d_c = np.split(c.reshape(n_rows, -1).T @ d_yp, blocks, axis=1)
-        d_b = np.split(d_yp.sum(axis=0), blocks)
-        d_embed = row_sums(y_in.T.reshape(-1), d_yp @ w.y_w.T, len(w.embed))
-        grads = [*d_s,
-                 *(np.concatenate([dy, dc_]) for dy, dc_ in zip(d_y[:3], d_c[:3])),
-                 d_y[3], d_c[3], *d_b, None,
-                 d_scores.reshape(-1) @ att.reshape(-1, hid), d_embed]
-        if t_len == 1:  # no GRU update ran: its parameters get no gradient
-            grads = [None if name in _GRU_PARAMS else d for name, d in zip(_DECODER_PARAMS, grads)]
-        else:  # the last column has no GRU update
-            rh = np.array([gru[3] for *_, gru in caches[:-1]]).reshape(-1, hid)  # r * s_prev
-            d_n = d_yp[: n_rows - n, 2 * hid : 3 * hid]
-            grads[_DECODER_PARAMS.index("dec_Uh")] = rh.T @ d_n
-        d_states = np.matmul(alpha.transpose(1, 2, 0), dc.transpose(1, 0, 2))
-        return [d_states, d_uh, ds, *grads]
 
-    return fused(out, [enc.states, enc.uh, enc.s0, *(params[p] for p in _DECODER_PARAMS)],
-                 grads_of)
+def decode_sequence_backward(cache, g: np.ndarray):
+    """Backward of `decode_sequence` given d z: (d states, d uh, d s0, {parameter: gradient}).
+
+    Runs `step_backward` in reverse time and makes each weight gradient one
+    GEMM over all steps.  With one column no GRU update ran, so the GRU
+    parameters get no gradient.
+    """
+    enc, y_in, w, s_prev, att, alpha, c, caches = cache
+    n, t_len = y_in.shape
+    hid = w.u_h.shape[0]
+    g = g.reshape(n, t_len, -1)
+    ds = None
+    d_uh = np.zeros_like(enc.uh)
+    # step-major [T, B, .] arrays: each weight gradient is one GEMM over all T * B rows
+    d_sp, d_yp, dc, d_scores = (np.empty((t_len, n, width)) for width in (
+        w.s_w.shape[1], w.y_w.shape[1], enc.states.shape[2], enc.mask.shape[1]))
+    for i in reversed(range(t_len)):
+        ds, d_sp[i], d_yp[i], dc[i], d_scores[i], d_att = step_backward(
+            caches[i], ds, g[:, i], enc, w)
+        d_uh += d_att
+    n_rows = n * t_len
+    d_sp, d_yp = d_sp.reshape(n_rows, -1), d_yp.reshape(n_rows, -1)
+    blocks = [hid, 2 * hid, 3 * hid]
+    d_s = np.split(s_prev.reshape(n_rows, -1).T @ d_sp, blocks, axis=1)
+    d_y = np.split(w.embed[y_in.T].reshape(n_rows, -1).T @ d_yp, blocks, axis=1)
+    d_c = np.split(c.reshape(n_rows, -1).T @ d_yp, blocks, axis=1)
+    d_b = np.split(d_yp.sum(axis=0), blocks)
+    d_embed = row_sums(y_in.T.reshape(-1), d_yp @ w.y_w.T, len(w.embed))
+    grads = dict(zip(_DECODER_PARAMS, [
+        *d_s, *(np.concatenate([dy, dc_]) for dy, dc_ in zip(d_y[:3], d_c[:3])),
+        d_y[3], d_c[3], *d_b, None, d_scores.reshape(-1) @ att.reshape(-1, hid), d_embed]))
+    if t_len == 1:
+        grads = {name: d for name, d in grads.items() if name not in _GRU_PARAMS}
+    else:  # the last column has no GRU update
+        rh = np.array([gru[3] for *_, gru in caches[:-1]]).reshape(-1, hid)  # r * s_prev
+        grads["dec_Uh"] = rh.T @ d_yp[: n_rows - n, 2 * hid : 3 * hid]
+    d_states = np.matmul(alpha.transpose(1, 2, 0), dc.transpose(1, 0, 2))
+    return d_states, d_uh, ds, grads
 
 
 def train_step(batch: Batch, params: ParamSet, lr: float) -> float:
@@ -324,11 +352,24 @@ def train_step(batch: Batch, params: ParamSet, lr: float) -> float:
 
 
 def teacher_forced_loss(batch: Batch, params: ParamSet) -> Tensor:
-    """Mask-weighted mean -log p(reference token) over a batch."""
-    enc = encode_batch(batch.src, batch.src_mask, params)
+    """Mask-weighted mean -log p(reference token) over a batch.
+
+    One tape node runs from the parameters to the logits through the
+    encoder, decoder and readout pairs, and `cross_entropy` closes it.
+    """
+    enc, enc_cache = encode_forward(batch.src, batch.src_mask, params)
     y_in = np.concatenate([np.full((len(batch.tgt), 1), BOS_ID), batch.tgt[:, :-1]], axis=1)
-    z = decode_sequence(enc, y_in, params)  # [B * T, E], row-major over [B, T]
-    logits = matmul(z, transpose(params["tgt_embed"]))
+    z, dec_cache = decode_sequence(enc, y_in, params)  # [B * T, E], row-major over [B, T]
+    embed = params["tgt_embed"].data
+    names = params.names()
+
+    def grads_of(g):
+        d_states, d_uh, d_s0, grads = decode_sequence_backward(dec_cache, g @ embed)
+        grads["tgt_embed"] = grads["tgt_embed"] + (z.T @ g).T
+        grads.update(encode_backward(enc_cache, d_states, d_uh, d_s0))
+        return [grads.get(name) for name in names]
+
+    logits = fused(z @ embed.T, [params[name] for name in names], grads_of)
     return cross_entropy(logits, batch.tgt.reshape(-1), batch.tgt_mask.reshape(-1))
 
 
@@ -376,7 +417,7 @@ def beam_search(
 
     tokens = np.zeros((1, 0), dtype=np.int64)  # [n_live, step]
     log_probs = np.zeros(1)
-    states = enc.s0.data
+    states = enc.s0
     finished: list[Hypothesis] = []
     w = DecoderWeights(params)
     while len(tokens) and len(finished) < beam:

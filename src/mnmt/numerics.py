@@ -1,26 +1,22 @@
-"""Differentiable float64 kernels with reverse-mode gradients.
+"""Float64 kernels, a small reverse-mode tape, and the optimiser.
 
-Graphs are built eagerly: every operation returns a `Tensor` holding the
-result plus a closure that routes incoming gradients to its parents.
-`backward()` walks the graph once in reverse topological order.  Inside
-`no_grad()` the same operations run without recording anything, which is how
-decoding and frozen-model passes stay cheap.
+The tape holds few nodes: the parameters, one `fused` node per loss whose
+hand-written backward maps the gradient at its output to every parameter,
+and the few ops that close a loss (`cross_entropy`, plus `matmul`, `rows`
+and `add` around the memory scorer).  `backward()` walks the tape once in
+reverse topological order.  Inside `no_grad()` nothing is recorded, and an
+operation on constants alone records nothing either.
 
-Only parameters (`ParamSet.add`) and what is computed from them need a
-gradient: an operation on constants alone records nothing, and a kernel
-computes no gradient for a constant operand.
+The model's stages are plain-array forward/backward pairs that never touch
+the tape.  `gru_sequence` / `gru_sequence_backward` runs a whole GRU
+direction with its input GEMM hoisted out of the loop and a backward in
+reverse time; it and the decoder are built from `gru_cell`, `maxout`,
+`masked_softmax` and `sigmoid`.
 
-The recurrences are fused: `gru_sequence` runs a whole GRU direction as one
-tape node on plain arrays, with its input GEMM hoisted out of the loop and a
-hand-written backward in reverse time, and `fused` lets another module (the
-decoder) register such a node.  The plain-array pieces they are built from
-(`gru_cell`, `maxout`, `masked_softmax`, `sigmoid`) never touch the tape.
-
-Every kernel output is checked for NaN/Inf so numerical blowups surface at
-the operation that caused them.  A fused kernel checks its outputs the same
-way, and also each pre-activation it feeds to a saturating function
-(`check_finite`), since tanh and sigmoid would turn an overflow into a
-finite value.
+Every tape node's output is checked for NaN/Inf so numerical blowups
+surface at the operation that caused them.  A plain-array stage checks each
+pre-activation it feeds to a saturating function (`check_finite`), since
+tanh and sigmoid would turn an overflow into a finite value.
 """
 
 from __future__ import annotations
@@ -161,18 +157,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, (a, b), bw)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out, (a, b), bw)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``np.matmul``; a one-row stack in either operand serves every row of the other."""
     out = np.matmul(a.data, b.data)
@@ -193,46 +177,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 _accum(b, _unbroadcast(x.swapaxes(-1, -2) @ g, w.shape))
 
     return Tensor(out, (a, b), bw)
-
-
-def transpose(a: Tensor) -> Tensor:
-    out = a.data.T
-
-    def bw(g):
-        _accum(a, g.T)
-
-    return Tensor(out, (a,), bw)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def bw(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return Tensor(out, (a,), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def bw(g):
-        _accum(a, g * (1.0 - out * out))
-
-    return Tensor(out, (a,), bw)
-
-
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            if p.requires_grad:
-                _accum(p, piece)
-
-    return Tensor(out, tuple(parts), bw)
 
 
 def row_sums(ids: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -262,17 +206,6 @@ def rows(embedding: Tensor, ids: np.ndarray) -> Tensor:
         _accum(embedding, row_sums(ids, g, len(embedding.data)))
 
     return Tensor(out, (embedding,), bw)
-
-
-def take(a: Tensor, index) -> Tensor:
-    """``a.data[index]`` for a basic index; backward scatters into zeros."""
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        _accum(a, full)
-
-    return Tensor(a.data[index], (a,), bw)
 
 
 def fused(out: np.ndarray, parents: Sequence[Tensor],
@@ -305,17 +238,6 @@ def masked_softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Numerically stable softmax over the last axis; masked entries are 0."""
-    out = masked_softmax(logits.data, mask)
-
-    def bw(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        _accum(logits, out * (g - inner))
-
-    return Tensor(out, (logits,), bw)
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     """Weighted mean over rows of -log softmax(logits)[target]; fused for stability.
 
@@ -336,15 +258,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> T
         _accum(logits, p * (weights * (g * inv))[:, None])
 
     return Tensor(out, (logits,), bw)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = a.data.sum()
-
-    def bw(g):
-        _accum(a, np.full_like(a.data, float(g)))
-
-    return Tensor(out, (a,), bw)
 
 
 # --- plain-array pieces of the fused kernels -------------------------------
@@ -409,22 +322,21 @@ def gru_cell_backward(dh_new: np.ndarray, cache, u_h: np.ndarray):
     return np.concatenate([dz, dr, dn], axis=1), dh_new * (1.0 - z) + drh * r
 
 
-def gru_sequence(x: Tensor, mask: np.ndarray, params, prefix: str, reverse: bool) -> Tensor:
-    """GRU states [B, S, H] over inputs x [B, S, E] from a zero state: one tape node.
+def gru_sequence(x: np.ndarray, mask: np.ndarray, params, prefix: str, reverse: bool):
+    """GRU states [B, S, H] over inputs x [B, S, E] from a zero state: (states, cache).
 
     Runs right to left when ``reverse``.  A padded position (mask 0) keeps
-    the previous state.  x @ [Wz|Wr|Wh] + b is one GEMM over all positions;
-    the backward runs in reverse time and makes each weight gradient one GEMM
-    over all positions.
+    the previous state.  x @ [Wz|Wr|Wh] + b is one GEMM over all positions.
     """
-    weights = [params[f"{prefix}{kind}{gate}"] for kind in "WUb" for gate in "zrh"]
-    w_x = np.concatenate([t.data for t in weights[0:3]], axis=1)   # [E, 3H]
-    u_zr = np.concatenate([t.data for t in weights[3:5]], axis=1)  # [H, 2H]
-    u_h = weights[5].data
-    b_x = np.concatenate([t.data for t in weights[6:9]])
-    n_rows, s_len, e = x.data.shape
+    names = [f"{prefix}{kind}{gate}" for kind in "WUb" for gate in "zrh"]
+    weights = [params[name].data for name in names]
+    w_x = np.concatenate(weights[0:3], axis=1)   # [E, 3H]
+    u_zr = np.concatenate(weights[3:5], axis=1)  # [H, 2H]
+    u_h = weights[5]
+    b_x = np.concatenate(weights[6:9])
+    n_rows, s_len, e = x.shape
     hid = u_h.shape[0]
-    x2 = x.data.reshape(-1, e)
+    x2 = x.reshape(-1, e)
     gx = check_finite(x2 @ w_x + b_x).reshape(n_rows, s_len, 3 * hid)
     keep = (mask > 0)[:, :, None]
     order = range(s_len - 1, -1, -1) if reverse else range(s_len)
@@ -436,26 +348,33 @@ def gru_sequence(x: Tensor, mask: np.ndarray, params, prefix: str, reverse: bool
         h = np.where(keep[:, t], h_new, h)
         out[:, t] = h
         caches.append(cache)
+    return out, (names, x2, w_x, u_zr, u_h, keep, order, caches)
 
-    def grads_of(g):
-        dgx = np.empty_like(gx)
-        h_prev = np.empty_like(out)
-        rh = np.empty_like(out)
-        dh = np.zeros((n_rows, hid))
-        for t, cache in zip(reversed(order), reversed(caches)):
-            dh = dh + g[:, t]
-            dgx_t, dh_prev = gru_cell_backward(np.where(keep[:, t], dh, 0.0), cache, u_h)
-            dh = dh_prev + dgx_t[:, : 2 * hid] @ u_zr.T + np.where(keep[:, t], 0.0, dh)
-            dgx[:, t], h_prev[:, t], rh[:, t] = dgx_t, cache[0], cache[3]
-        dgx2 = dgx.reshape(-1, 3 * hid)
-        d_w = np.split(x2.T @ dgx2, 3, axis=1)
-        d_u = np.split(h_prev.reshape(-1, hid).T @ dgx2[:, : 2 * hid], 2, axis=1)
-        d_uh = rh.reshape(-1, hid).T @ dgx2[:, 2 * hid :]
-        d_b = np.split(dgx2.sum(axis=0), 3)
-        d_x = (dgx2 @ w_x.T).reshape(x.data.shape) if x.requires_grad else None
-        return [d_x, *d_w, *d_u, d_uh, *d_b]
 
-    return fused(out, [x, *weights], grads_of)
+def gru_sequence_backward(g: np.ndarray, cache):
+    """Backward of `gru_sequence` given d states: (d x, {parameter name: gradient}).
+
+    Runs in reverse time and makes each weight gradient one GEMM over all
+    positions.
+    """
+    names, x2, w_x, u_zr, u_h, keep, order, caches = cache
+    n_rows, s_len, hid = g.shape
+    dgx = np.empty((n_rows, s_len, 3 * hid))
+    h_prev = np.empty((n_rows, s_len, hid))
+    rh = np.empty((n_rows, s_len, hid))
+    dh = np.zeros((n_rows, hid))
+    for t, step in zip(reversed(order), reversed(caches)):
+        dh = dh + g[:, t]
+        dgx_t, dh_prev = gru_cell_backward(np.where(keep[:, t], dh, 0.0), step, u_h)
+        dh = dh_prev + dgx_t[:, : 2 * hid] @ u_zr.T + np.where(keep[:, t], 0.0, dh)
+        dgx[:, t], h_prev[:, t], rh[:, t] = dgx_t, step[0], step[3]
+    dgx2 = dgx.reshape(-1, 3 * hid)
+    d_w = np.split(x2.T @ dgx2, 3, axis=1)
+    d_u = np.split(h_prev.reshape(-1, hid).T @ dgx2[:, : 2 * hid], 2, axis=1)
+    d_uh = rh.reshape(-1, hid).T @ dgx2[:, 2 * hid :]
+    d_b = np.split(dgx2.sum(axis=0), 3)
+    d_x = (dgx2 @ w_x.T).reshape(n_rows, s_len, -1)
+    return d_x, dict(zip(names, [*d_w, *d_u, d_uh, *d_b]))
 
 
 # --- parameters, Adam, gradient checking ---------------------------------

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mnmt import numerics
+from mnmt.numerics import Tensor, _accum, _unbroadcast
 from mnmt.corpus import BOS_ID, EOS_ID, Vocabulary, build_vocabulary, encode_sentence, make_batches
 from mnmt.model import NmtConfig, encode, init_nmt_params, train_model
 
@@ -388,6 +389,95 @@ def tape_nodes(*roots) -> int:
     return len(seen)
 
 
+# --- per-op tape kernels that no module of the package calls ----------------
+# One tape node per elementwise op.  The model's and the memory scorer's
+# gradients are hand-written stage backwards, so these serve only the tape
+# oracles below and their own tests in test_numerics.py.
+
+
+def mul(a, b):
+    out = a.data * b.data
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+
+    return Tensor(out, (a, b), bw)
+
+
+def transpose(a):
+    out = a.data.T
+
+    def bw(g):
+        _accum(a, g.T)
+
+    return Tensor(out, (a,), bw)
+
+
+def reshape(a, shape):
+    out = a.data.reshape(shape)
+
+    def bw(g):
+        _accum(a, g.reshape(a.data.shape))
+
+    return Tensor(out, (a,), bw)
+
+
+def tanh(a):
+    out = np.tanh(a.data)
+
+    def bw(g):
+        _accum(a, g * (1.0 - out * out))
+
+    return Tensor(out, (a,), bw)
+
+
+def concat(parts, axis=-1):
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    sizes = [p.data.shape[axis] for p in parts]
+    splits = np.cumsum(sizes)[:-1]
+
+    def bw(g):
+        for p, piece in zip(parts, np.split(g, splits, axis=axis)):
+            if p.requires_grad:
+                _accum(p, piece)
+
+    return Tensor(out, tuple(parts), bw)
+
+
+def take(a, index):
+    """``a.data[index]`` for a basic index; backward scatters into zeros."""
+
+    def bw(g):
+        full = np.zeros_like(a.data)
+        full[index] = g
+        _accum(a, full)
+
+    return Tensor(a.data[index], (a,), bw)
+
+
+def softmax(logits, mask=None):
+    """Numerically stable softmax over the last axis; masked entries are 0."""
+    out = numerics.masked_softmax(logits.data, mask)
+
+    def bw(g):
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        _accum(logits, out * (g - inner))
+
+    return Tensor(out, (logits,), bw)
+
+
+def sum_all(a):
+    out = a.data.sum()
+
+    def bw(g):
+        _accum(a, np.full_like(a.data, float(g)))
+
+    return Tensor(out, (a,), bw)
+
+
 # --- the per-op tape path the fused kernels replaced --------------------------
 # One tape op per elementwise step, as the model computed it before its
 # recurrences were fused; kept as a test-only gradient reference.
@@ -424,16 +514,16 @@ def tape_gru_step(x, h_prev, params, prefix):
     def p(name):
         return params[prefix + name]
 
-    add, matmul, mul = numerics.add, numerics.matmul, numerics.mul
+    add, matmul = numerics.add, numerics.matmul
     z = _tape_sigmoid(add(add(matmul(x, p("Wz")), matmul(h_prev, p("Uz"))), p("bz")))
     r = _tape_sigmoid(add(add(matmul(x, p("Wr")), matmul(h_prev, p("Ur"))), p("br")))
-    n = numerics.tanh(add(add(matmul(x, p("Wh")), matmul(mul(r, h_prev), p("Uh"))), p("bh")))
+    n = tanh(add(add(matmul(x, p("Wh")), matmul(mul(r, h_prev), p("Uh"))), p("bh")))
     return add(mul(_tape_rsub(1.0, z), h_prev), mul(z, n))
 
 
 def tape_gru_direction(xs, mask, params, prefix, reverse):
     """Per-position GRU states of one direction, padded positions keeping the previous."""
-    add, mul, constant = numerics.add, numerics.mul, numerics.constant
+    add, constant = numerics.add, numerics.constant
     h = constant(np.zeros((xs[0].shape[0], params[prefix + "Uz"].shape[0])))
     out = [None] * len(xs)
     for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
@@ -443,26 +533,34 @@ def tape_gru_direction(xs, mask, params, prefix, reverse):
     return out
 
 
-def tape_encode_batch(src, src_mask, params):
-    from mnmt.model import EncodedSource
+@dataclass
+class TapeEncoding:
+    """`EncodedSource`'s fields as tape tensors."""
 
+    states: Tensor
+    uh: Tensor
+    mask: np.ndarray
+    s0: Tensor
+
+
+def tape_encode_batch(src, src_mask, params):
     xs = [numerics.rows(params["src_embed"], src[:, t]) for t in range(src.shape[1])]
     fwd = tape_gru_direction(xs, src_mask, params, "enc_f_", False)
     bwd = tape_gru_direction(xs, src_mask, params, "enc_b_", True)
-    states = numerics.concat([_tape_stack(fwd, 1), _tape_stack(bwd, 1)], axis=2)
+    states = concat([_tape_stack(fwd, 1), _tape_stack(bwd, 1)], axis=2)
     uh = numerics.matmul(states, params["att_U"])
-    s0 = numerics.tanh(numerics.matmul(bwd[0], params["dec_init_W"]))
-    return EncodedSource(states, uh, src_mask, s0)
+    s0 = tanh(numerics.matmul(bwd[0], params["dec_init_W"]))
+    return TapeEncoding(states, uh, src_mask, s0)
 
 
 def tape_decode_step(s_prev, y_prev_ids, enc, params):
-    add, matmul, reshape = numerics.add, numerics.matmul, numerics.reshape
+    add, matmul = numerics.add, numerics.matmul
     n = s_prev.shape[0]
     sa = reshape(matmul(s_prev, params["att_W"]), (n, 1, -1))
-    alpha = numerics.softmax(matmul(numerics.tanh(add(sa, enc.uh)), params["att_v"]), enc.mask)
+    alpha = softmax(matmul(tanh(add(sa, enc.uh)), params["att_v"]), enc.mask)
     c = reshape(matmul(reshape(alpha, (n, 1, -1)), enc.states), (n, -1))
     y_emb = numerics.rows(params["tgt_embed"], y_prev_ids)
-    s_new = tape_gru_step(numerics.concat([y_emb, c], axis=1), s_prev, params, "dec_")
+    s_new = tape_gru_step(concat([y_emb, c], axis=1), s_prev, params, "dec_")
     pre = add(add(add(matmul(y_emb, params["out_U"]), matmul(s_prev, params["out_V"])),
                   matmul(c, params["out_C"])), params["out_b"])
     return s_new, _tape_maxout(pre)
@@ -478,6 +576,26 @@ def tape_loss(batch, params):
         s, z = tape_decode_step(s, y_in, enc, params)
         zs.append(z)
         y_in = batch.tgt[:, i]
-    z = numerics.reshape(_tape_stack(zs, 1), (batch.tgt.size, -1))
-    logits = numerics.matmul(z, numerics.transpose(params["tgt_embed"]))
+    z = reshape(_tape_stack(zs, 1), (batch.tgt.size, -1))
+    logits = numerics.matmul(z, transpose(params["tgt_embed"]))
     return numerics.cross_entropy(logits, batch.tgt.reshape(-1), batch.tgt_mask.reshape(-1))
+
+
+# --- the per-op memory scorer the fused node replaced -------------------------
+# `memory.memory_scores` and `memory.chunk_loss` as they ran on the per-op
+# tape; kept as a test-only gradient reference.
+
+
+def tape_memory_scores(s_prev, y_emb, uw, pset):
+    add, matmul = numerics.add, numerics.matmul
+    sy = add(matmul(s_prev, pset["mem_Ws"]), matmul(y_emb, pset["mem_Wy"]))
+    return matmul(tanh(add(uw, reshape(sy, (sy.shape[0], 1, -1)))), pset["mem_v"])
+
+
+def tape_chunk_loss(chunk, pset):
+    constant = numerics.constant
+    uw = numerics.matmul(constant(chunk.u), pset["mem_Wu"])
+    scores = tape_memory_scores(constant(chunk.s_prev), constant(chunk.y_emb),
+                                numerics.rows(uw, chunk.slot_entry), pset)
+    return numerics.cross_entropy(numerics.add(scores, constant(chunk.pad_bias)), chunk.target,
+                                  np.ones(chunk.n_positions))

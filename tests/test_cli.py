@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import re
 from dataclasses import fields
 
@@ -10,6 +11,7 @@ from mnmt.cli import RunConfig, main
 from mnmt.checkpoint import checkpoint_checksum, save_checkpoint
 from mnmt.corpus import build_vocabulary
 from mnmt.lexicon import Lexicon, save_lexicon
+from mnmt import memory
 from mnmt.memory import init_memory_params
 from mnmt.model import NmtConfig, init_nmt_params
 
@@ -54,6 +56,15 @@ class TestRunConfig:
         good.write_text("# comment\nlr = 0.25\nbeam_size = 7\n", encoding="utf-8")
         cfg = RunConfig.from_file(str(good))
         assert cfg.lr == 0.25 and cfg.beam_size == 7
+
+    def test_memory_defaults_of_signatures_are_the_config_defaults(self):
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        train = inspect.signature(memory.train_memory_attention).parameters
+        translate = inspect.signature(cli.translate_lines).parameters
+        assert train["k"].default == translate["k"].default == defaults["memory_k"]
+        assert train["lr"].default == defaults["memory_lr"]
+        assert (defaults["memory_k"], defaults["memory_lr"]) == (memory.DEFAULT_MEMORY_K,
+                                                                 memory.DEFAULT_MEMORY_LR)
 
 
 def _config_flags():

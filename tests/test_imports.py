@@ -6,6 +6,7 @@ from pathlib import Path
 import mnmt
 
 SRC = Path(mnmt.__file__).parent
+TAPE_ONLY = {"mul", "sum_all", "transpose", "reshape", "tanh", "concat", "take", "softmax"}
 
 
 def test_no_module_imports_another_modules_private_names():
@@ -30,3 +31,21 @@ def test_each_module_level_constant_is_assigned_in_one_module():
                     if isinstance(name, ast.Name) and name.id != "logger":
                         owners.setdefault(name.id, []).append(path.name)
     assert {name: files for name, files in owners.items() if len(files) > 1} == {}
+
+
+def test_no_module_defines_or_imports_a_test_only_tape_kernel():
+    # the per-op tape kernels live in tests/conftest.py; numpy's functions and
+    # array methods of the same names are not theirs
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}: def {node.name}" for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name in TAPE_ONLY]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{path.name}: import {alias.name}"
+                              for alias in node.names if alias.name in TAPE_ONLY]
+            elif (isinstance(node, ast.Attribute) and node.attr in TAPE_ONLY
+                  and isinstance(node.value, ast.Name) and node.value.id == "numerics"):
+                offenders.append(f"{path.name}: numerics.{node.attr}")
+    assert offenders == []

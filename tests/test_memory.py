@@ -12,6 +12,8 @@ from conftest import (
     quick_train,
     reference_memory_loss,
     reference_sentence_memory,
+    tape_chunk_loss,
+    tape_memory_scores,
     tape_nodes,
 )
 from mnmt import memory as memory_module
@@ -44,6 +46,7 @@ from mnmt.memory import (
 from mnmt.model import EncodedSource, encode, init_nmt_params
 from mnmt.numerics import (
     ParamSet,
+    backward,
     constant,
     cross_entropy,
     grad_check,
@@ -145,7 +148,7 @@ class TestMergeMemory:
 
 
 def _uw(mem, mparams, params):
-    return matmul(constant(entry_matrix(mem, params["tgt_embed"].data)), mparams.pset["mem_Wu"])
+    return entry_matrix(mem, params["tgt_embed"].data) @ mparams.pset["mem_Wu"].data
 
 
 class TestMemoryAttention:
@@ -200,7 +203,7 @@ class TestMemoryAttention:
         mem = self._mem(rng, cfg.hidden_dim)
         s = constant(rng.normal(size=(1, cfg.hidden_dim)))
         y = constant(params["tgt_embed"].data[[4]])
-        e = memory_scores(s, y, _uw(mem, mparams, params), mparams.pset).data[0]
+        e = memory_scores(s, y, constant(_uw(mem, mparams, params)), mparams.pset).data[0]
         soft = np.exp(e - e.max()) / np.exp(e - e.max()).sum()
         shifted = e + 17.3
         soft2 = np.exp(shifted - shifted.max()) / np.exp(shifted - shifted.max()).sum()
@@ -482,8 +485,7 @@ def test_one_pass_memory_matches_two_pass_reference(case):
     src_vocab, tgt_vocab = vocab_of(SRC_IN), vocab_of(TGT_IN)
     tokens, record = apply_oov_substitution(tokens, src_vocab, sim)
     h = np.random.default_rng(seed).normal(size=(len(tokens) + 1, 6))
-    enc = EncodedSource(constant(h[None]), constant(np.zeros((1, len(h), 3))),
-                        np.ones((1, len(h))), constant(np.zeros((1, 3))))
+    enc = EncodedSource(h[None], np.zeros((1, len(h), 3)), np.ones((1, len(h))), np.zeros((1, 3)))
     mem = sentence_memory(tokens, enc, lex, tgt_vocab, k, record, sim)
     want, oov_labels, skipped = reference_sentence_memory(tokens, h, lex, tgt_vocab, k,
                                                           record, sim)
@@ -577,8 +579,8 @@ class TestTrainMemoryAttention:
         e, h = cfg.embed_dim, cfg.hidden_dim
         mparams = init_memory_params(cfg, 6)
         calls = []
-        real = memory_module.memory_scores
-        monkeypatch.setattr(memory_module, "memory_scores",
+        real = memory_module.score_entries
+        monkeypatch.setattr(memory_module, "score_entries",
                             lambda *a: calls.append(1) or real(*a))
         chunk = training_chunk([
             TrainingRecord(rng.normal(size=(k, e + 2 * h)), rng.normal(size=(n, h)),
@@ -648,6 +650,52 @@ class TestTrainMemoryAttention:
             losses = train_memory_attention([(["a"], ["x"])], src_vocab, tgt_vocab,
                                             params, mparams, lex, epochs=2)
         assert losses == []
+
+
+def _loss_and_grads(loss_fn, pset):
+    """Loss value and every parameter's gradient."""
+    pset.zero_grads()
+    loss = loss_fn(pset)
+    backward(loss)
+    grads = {n: pset[n].grad.copy() for n in pset.names() if pset[n].grad is not None}
+    pset.zero_grads()
+    return float(loss.data), grads
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16),
+       records=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), min_size=1, max_size=4))
+def test_fused_scorer_matches_per_op_tape(seed, records):
+    # the per-op tape of conftest is the reference: a chunk's padded
+    # [N, K_max, A] slot table, and one [K, A] uw shared by every row as c01 scores it
+    rng = np.random.default_rng(seed)
+    cfg = desk_config(8, 8, embed=4, hidden=3)
+    e, h = cfg.embed_dim, cfg.hidden_dim
+    pset = init_memory_params(cfg, seed).pset
+    for t in pset.params.values():
+        t.data[...] = rng.uniform(-0.6, 0.6, size=t.data.shape)
+    chunk = training_chunk([
+        TrainingRecord(rng.normal(size=(k, e + 2 * h)), rng.normal(size=(n, h)),
+                       rng.normal(size=(n, e)), rng.integers(0, k, size=n))
+        for k, n in records])
+    u = chunk.u[: records[0][0]]
+
+    def shared_loss(scorer):
+        def loss(p):
+            uw = matmul(constant(u), p["mem_Wu"])
+            e = scorer(constant(chunk.s_prev), constant(chunk.y_emb), uw, p)
+            return cross_entropy(e, chunk.target % len(u), np.ones(chunk.n_positions))
+        return loss
+
+    for fused, tape in ((lambda p: chunk_loss(chunk, p), lambda p: tape_chunk_loss(chunk, p)),
+                        (shared_loss(memory_scores), shared_loss(tape_memory_scores))):
+        loss, got = _loss_and_grads(fused, pset)
+        want_loss, want = _loss_and_grads(tape, pset)
+        assert loss == pytest.approx(want_loss, rel=1e-10)
+        assert got.keys() == want.keys() == set(pset.names())
+        for name, ref in want.items():
+            np.testing.assert_allclose(got[name], ref, rtol=1e-10,
+                                       atol=1e-13 * np.abs(ref).max(), err_msg=name)
 
 
 class TestMemoryParams:

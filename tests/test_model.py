@@ -7,9 +7,11 @@ from conftest import (
     desk_config,
     greedy_reference,
     make_copy_task,
+    mul,
     reference_beam,
     reference_encode,
     reference_step,
+    sum_all,
     table_hook,
     tape_encode_batch,
     tape_loss,
@@ -17,14 +19,26 @@ from conftest import (
 )
 from mnmt import model, numerics
 from mnmt.corpus import BOS_ID, EOS_ID, Batch, make_batches
+from mnmt.memory import (
+    LocalMemoryEntry,
+    MemoryHook,
+    TrainingRecord,
+    chunk_loss,
+    init_memory_params,
+    merge_memory,
+    training_chunk,
+)
 from mnmt.model import (
     DecoderWeights,
     EncodedSource,
     NmtConfig,
     beam_search,
     decode_sequence,
+    decode_sequence_backward,
     encode,
+    encode_backward,
     encode_batch,
+    encode_forward,
     init_nmt_params,
     step_forward,
     teacher_forced_loss,
@@ -35,10 +49,9 @@ from mnmt.numerics import (
     ParamSet,
     backward,
     constant,
+    fused,
     grad_check,
-    mul,
     no_grad,
-    sum_all,
 )
 
 
@@ -164,10 +177,27 @@ def test_teacher_forced_tape_does_not_grow_with_lengths():
     assert tape_nodes(teacher_forced_loss(_padded_batch(rng, 20, 8, 9, 40), params)) < 50
 
 
+def test_losses_record_one_node_past_their_parameters():
+    # the desk batch shape: the 37 parameters, the fused node and cross_entropy
+    rng = np.random.default_rng(6)
+    cfg, params = tiny_params(seed=6, src_v=40, tgt_v=40, embed=24, hidden=32)
+    assert len(params.names()) == 37
+    assert tape_nodes(teacher_forced_loss(_padded_batch(rng, 20, 8, 9, 40), params)) == 39
+    e, h = cfg.embed_dim, cfg.hidden_dim
+    chunk = training_chunk([
+        TrainingRecord(rng.normal(size=(k, e + 2 * h)), rng.normal(size=(n, h)),
+                       rng.normal(size=(n, e)), rng.integers(0, k, size=n))
+        for k, n in ((3, 5), (1, 2))])
+    assert tape_nodes(chunk_loss(chunk, init_memory_params(cfg, 6).pset)) <= 19
+
+
 def test_beam_search_builds_no_tensor(monkeypatch):
-    _, params = tiny_params(seed=7, src_v=15, tgt_v=15)
+    cfg, params = tiny_params(seed=7, src_v=15, tgt_v=15)
     src = [4, 9, 6, EOS_ID]
     enc = encode(src, params)
+    mparams = init_memory_params(cfg, 7)
+    mparams.pset["mem_v"].data[...] = 0.5
+    mem = merge_memory([LocalMemoryEntry(f"w{i}", 4 + i, i, enc.h[i], 0.5) for i in range(3)])
     built = []
     real_init = numerics.Tensor.__init__
 
@@ -177,8 +207,11 @@ def test_beam_search_builds_no_tensor(monkeypatch):
 
     monkeypatch.setattr(numerics.Tensor, "__init__", counting_init)
     hyp = beam_search(src, params, beam=3, max_len=8, enc=enc)
+    hooked = beam_search(src, params, beam=3, max_len=8,
+                         memory_hook=MemoryHook(mem, mparams, params), enc=enc)
     assert built == []
     assert hyp.finished and len(hyp.tokens) >= 1
+    assert hooked.finished and len(hooked.tokens) >= 1
 
 
 def _positive_params(src_v=10, tgt_v=10):
@@ -216,6 +249,25 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
             beam_search([4, 5, EOS_ID], params, beam=2, enc=enc)
 
+    def test_memory_hook(self):
+        params = _positive_params()
+        cfg = NmtConfig(src_vocab_size=10, tgt_vocab_size=10, embed_dim=6, hidden_dim=8)
+        mparams = init_memory_params(cfg, 0)
+        mparams.pset["mem_Ws"].data[...] = 1e308
+        mem = merge_memory([LocalMemoryEntry("w", 4, 0, np.ones(16), 0.5)])
+        hook = MemoryHook(mem, mparams, params)
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            hook(np.ones((2, 8)), np.array([4, 5]), np.full((2, 10), 0.1))
+
+    def test_chunk_loss(self):
+        cfg = NmtConfig(src_vocab_size=10, tgt_vocab_size=10, embed_dim=6, hidden_dim=8)
+        pset = init_memory_params(cfg, 0).pset
+        pset["mem_Ws"].data[...] = 1e308
+        chunk = training_chunk([TrainingRecord(np.ones((2, 22)), np.ones((3, 8)),
+                                               np.ones((3, 6)), np.array([0, 1, 1]))])
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            chunk_loss(chunk, pset)
+
 
 def _toy_batch(rng, b=2, s=5, t=5, vocab=20):
     src = rng.integers(4, vocab, size=(b, s))
@@ -241,13 +293,13 @@ class TestBatchingConsistency:
         src[1, :] = long
         mask = np.array([[1.0, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
         enc = encode_batch(src, mask, params)
-        batched = enc.states.data  # [B, S, 2H]
+        batched = enc.states  # [B, S, 2H]
         np.testing.assert_allclose(batched[0, :3], encode(short, params).h, atol=1e-12)
         np.testing.assert_allclose(batched[1], encode(long, params).h, atol=1e-12)
         # the decoder starts from the backward state at position 0
         b0 = encode(short, params).h[0, cfg.hidden_dim :]
         np.testing.assert_allclose(
-            enc.s0.data[0], np.tanh(b0 @ params["dec_init_W"].data), atol=1e-12
+            enc.s0[0], np.tanh(b0 @ params["dec_init_W"].data), atol=1e-12
         )
 
     def test_batch_loss_is_token_weighted_mean_of_singles(self):
@@ -530,18 +582,18 @@ def test_fused_gradients_match_per_op_tape(seed, b, s_len, t_len):
         t.data[...] = rng.uniform(-0.6, 0.6, size=t.data.shape)
     batch = _padded_batch(rng, b, s_len, t_len)
 
-    # the encoder nodes alone, through a random linear function of their outputs
-    out_w = [constant(rng.normal(size=shape)) for shape in ((b, s_len, 10), (b, s_len, 5), (b, 5))]
+    # the encoder pair alone, on random cotangents of its outputs
+    out_w = [rng.normal(size=shape) for shape in ((b, s_len, 10), (b, s_len, 5), (b, 5))]
+    enc, cache = encode_forward(batch.src, batch.src_mask, params)
+    loss = sum(float((t * w).sum()) for t, w in zip((enc.states, enc.uh, enc.s0), out_w))
+    got = encode_backward(cache, *out_w)
 
-    def enc_loss(encoder):
-        def loss(p):
-            enc = encoder(batch.src, batch.src_mask, p)
-            parts = [sum_all(mul(t, w)) for t, w in zip((enc.states, enc.uh, enc.s0), out_w)]
-            return numerics.add(numerics.add(parts[0], parts[1]), parts[2])
-        return loss
+    def tape_enc_loss(p):
+        enc = tape_encode_batch(batch.src, batch.src_mask, p)
+        parts = [sum_all(mul(t, constant(w))) for t, w in zip((enc.states, enc.uh, enc.s0), out_w)]
+        return numerics.add(numerics.add(parts[0], parts[1]), parts[2])
 
-    loss, got = _grads(enc_loss(encode_batch), params)
-    want_loss, want = _grads(enc_loss(tape_encode_batch), params)
+    want_loss, want = _grads(tape_enc_loss, params)
     assert loss == pytest.approx(want_loss, rel=1e-12)
     _assert_same_gradients(got, want)
 
@@ -563,9 +615,18 @@ def test_decoder_node_gradient_check():
         params.add(name, rng.uniform(-0.9, 0.9, size=shape))
     y_in = np.array([[BOS_ID, 5, 7], [BOS_ID, 9, EOS_ID]])
     out_w = constant(rng.normal(size=(6, 4)))
+    inputs = ("states", "uh", "s0")
+    names = [name for name in params.names() if name not in inputs]
 
     def loss(p):
-        enc = EncodedSource(p["states"], p["uh"], mask, p["s0"])
-        return sum_all(mul(decode_sequence(enc, y_in, p), out_w))
+        enc = EncodedSource(p["states"].data, p["uh"].data, mask, p["s0"].data)
+        z, cache = decode_sequence(enc, y_in, p)
+
+        def grads_of(g):
+            *d_inputs, grads = decode_sequence_backward(cache, g)
+            return [*d_inputs, *(grads.get(name) for name in names)]
+
+        node = fused(z, [p[name] for name in (*inputs, *names)], grads_of)
+        return sum_all(mul(node, out_w))
 
     assert grad_check(loss, params, max_samples_per_tensor=20) < 1e-4

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import concat, mul, softmax, sum_all, tanh
 from mnmt.numerics import (
     GradientError,
     MaskedSoftmaxError,
@@ -11,22 +12,19 @@ from mnmt.numerics import (
     add,
     backward,
     clip_gradients,
-    concat,
     constant,
     cross_entropy,
+    fused,
     grad_check,
     gru_cell,
     gru_sequence,
+    gru_sequence_backward,
     matmul,
     maxout,
     maxout_backward,
-    mul,
     no_grad,
     rows,
     sigmoid,
-    softmax,
-    sum_all,
-    tanh,
 )
 
 
@@ -98,9 +96,8 @@ class TestGruStep:
             f"{k}{g}": np.zeros((dim, dim)) for k in ("W", "U") for g in ("z", "r", "h")
         }
         zeros.update({f"b{g}": np.zeros(dim) for g in ("z", "r", "h")})
-        h = gru_sequence(constant(np.zeros((2, 4, dim))), np.ones((2, 4)), _gru_params(zeros), "",
-                         False)
-        np.testing.assert_array_equal(h.data, np.zeros((2, 4, dim)))
+        h, _ = gru_sequence(np.zeros((2, 4, dim)), np.ones((2, 4)), _gru_params(zeros), "", False)
+        np.testing.assert_array_equal(h, np.zeros((2, 4, dim)))
 
     def test_matches_scalar_reevaluation(self):
         # straight-line recomputation of the gate formulas, seeded 2-dim case
@@ -149,7 +146,7 @@ class TestGruSequence:
         x = rng.normal(size=(2, 5, 3))
         mask = np.array([[1.0, 1, 1, 1, 1], [1, 1, 1, 0, 0]])
         for reverse in (False, True):
-            out = gru_sequence(constant(x), mask, pset, "", reverse).data
+            out, _ = gru_sequence(x, mask, pset, "", reverse)
             h = np.zeros((2, 4))
             for t in (reversed(range(5)) if reverse else range(5)):
                 h = np.where(mask[:, t, None] > 0, _cell(x[:, t], h, pset), h)
@@ -162,9 +159,17 @@ class TestGruSequence:
         pset.add("x", rng.normal(size=(3, 4, 3)))
         mask = np.array([[1.0, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])
         weights = constant(rng.normal(size=(3, 4, 4)))
+        names = [f"g_{kind}{gate}" for kind in "WUb" for gate in "zrh"]
 
         def loss(p):
-            return sum_all(mul(gru_sequence(p["x"], mask, p, "g_", reverse), weights))
+            out, cache = gru_sequence(p["x"].data, mask, p, "g_", reverse)
+
+            def grads_of(g):
+                d_x, grads = gru_sequence_backward(g, cache)
+                return [d_x, *(grads[name] for name in names)]
+
+            return sum_all(mul(fused(out, [p["x"], *(p[name] for name in names)], grads_of),
+                               weights))
 
         assert grad_check(loss, pset) < 1e-4
 
@@ -173,7 +178,7 @@ class TestGruSequence:
         pset = _random_gru(rng, 3, 4)
         pset["Wh"].data[...] = 1e308  # tanh would map the overflow to 1
         with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
-            gru_sequence(constant(np.ones((2, 3, 3))), np.ones((2, 3)), pset, "", False)
+            gru_sequence(np.ones((2, 3, 3)), np.ones((2, 3)), pset, "", False)
 
 
 class TestMaxout:
