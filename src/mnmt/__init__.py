@@ -37,6 +37,6 @@ from .memory import (
     train_memory_attention,
 )
 from .bleu import BleuReport, bleu, brevity_penalty, ngram_precisions, recalled_words
-from .numerics import ParamSet, Tensor, adam_step, grad_check
+from .numerics import ParamSet, adam_step, grad_check
 
 __version__ = "0.1.0"

@@ -118,10 +118,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray]) -> ParamSet:
-    pset = ParamSet()
-    for name, arr in arrays.items():
-        pset.add(name, arr)
-    return pset
+    """The arrays packed into one parameter store, in file order."""
+    return ParamSet(arrays)
 
 
 def checkpoint_checksum(path: str) -> str:

@@ -157,9 +157,9 @@ def _memory_params_for(path: str, arrays: dict[str, np.ndarray], nmt_params: Par
     if missing:
         raise ValueError(f"{path}: not a memory checkpoint, missing {', '.join(missing)}")
     for name in want.names():
-        if arrays[name].shape != want[name].shape:
+        if arrays[name].shape != want[name].data.shape:
             raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, but the "
-                             f"translation model (E={e}, H={h}) needs {want[name].shape}")
+                             f"translation model (E={e}, H={h}) needs {want[name].data.shape}")
     return params_from_arrays(arrays)
 
 

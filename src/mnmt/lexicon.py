@@ -23,7 +23,7 @@ class LexiconFormatError(ValueError):
 
 
 class EmptyCorpusError(ValueError):
-    """EM training was asked to run on an empty corpus."""
+    """EM training was asked to run on an empty corpus, or on a pair with an empty side."""
 
 
 @dataclass
@@ -107,6 +107,9 @@ def train_ibm1(corpus: ParallelCorpus, iterations: int = 10, prob_floor: float =
     pairs = corpus.pairs
     if not pairs:
         raise EmptyCorpusError("cannot train an aligner on an empty corpus")
+    empty = next((i for i, (src, tgt) in enumerate(pairs) if not src or not tgt), None)
+    if empty is not None:
+        raise EmptyCorpusError(f"pair {empty} has an empty side; IBM-1 needs words on both")
     t_given_s, ll_ts = _em_direction(pairs, iterations)
     swapped = [(t, s) for s, t in pairs]
     s_given_t, ll_st = _em_direction(swapped, iterations)

@@ -6,7 +6,7 @@ are merged, once per sentence, into one element whose hidden vector blends
 the contributing source states, weighted by the reverse translation
 probabilities.  A small tanh scoring net, `score_entries`, attends over the
 merged entries on plain arrays; decoding calls it directly, and training
-through `memory_scores`, its tape node with a hand-written backward.  It is
+through `chunk_loss`, whose closure writes the net's gradients.  It is
 trained against a frozen translation model, and its attention is
 interpolated into the decoder posterior.
 
@@ -32,19 +32,16 @@ from .model import INIT_SCALE, DecoderWeights, EncodedSource, NmtConfig, encode_
 # not called here: bench/layers.py wraps memory.encode by name and needs it to exist
 from .model import encode  # noqa: F401
 from .numerics import (
+    Loss,
     ParamSet,
-    Tensor,
     adam_step,
-    add,
     backward,
     check_finite,
     clip_gradients,
-    constant,
     cross_entropy,
-    fused,
+    cross_entropy_backward,
     masked_softmax,
-    matmul,
-    rows,
+    row_sums,
 )
 
 logger = logging.getLogger(__name__)
@@ -92,6 +89,13 @@ class MergedMemory:
     def embed_proxy(self, token_id: int) -> int:
         info = self.oov_labels.get(token_id)
         return token_id if info is None else info[1]
+
+    def proxy_ids(self, vocab_size: int) -> np.ndarray:
+        """`embed_proxy` of every label id: the vocabulary, then the OOV labels."""
+        ids = np.arange(vocab_size + len(self.oov_labels))
+        for label, (_, stand_in) in self.oov_labels.items():
+            ids[label] = stand_in
+        return ids
 
     def label_ids(self, vocab_size: int) -> np.ndarray:
         """Each entry's output label id: unique, and inside the vocabulary or its OOV extension."""
@@ -160,11 +164,12 @@ def init_memory_params(cfg: NmtConfig, seed: int, beta: float = DEFAULT_BETA) ->
     rng = np.random.default_rng(seed)
     e, h = cfg.embed_dim, cfg.hidden_dim
     a = h
-    pset = ParamSet()
-    pset.add("mem_Ws", rng.uniform(-INIT_SCALE, INIT_SCALE, size=(h, a)))
-    pset.add("mem_Wu", rng.uniform(-INIT_SCALE, INIT_SCALE, size=(e + 2 * h, a)))
-    pset.add("mem_Wy", rng.uniform(-INIT_SCALE, INIT_SCALE, size=(e, a)))
-    pset.add("mem_v", np.zeros(a))
+    pset = ParamSet({
+        "mem_Ws": rng.uniform(-INIT_SCALE, INIT_SCALE, size=(h, a)),
+        "mem_Wu": rng.uniform(-INIT_SCALE, INIT_SCALE, size=(e + 2 * h, a)),
+        "mem_Wy": rng.uniform(-INIT_SCALE, INIT_SCALE, size=(e, a)),
+        "mem_v": np.zeros(a),
+    })
     return MemoryParams(pset, beta)
 
 
@@ -244,25 +249,6 @@ def score_entries(s_prev: np.ndarray, y_emb: np.ndarray, uw: np.ndarray,
     return check_finite(np.matmul(act, pset["mem_v"].data)), act
 
 
-def memory_scores(s_prev: Tensor, y_emb: Tensor, uw: Tensor, pset: ParamSet) -> Tensor:
-    """`score_entries` as one tape node, with its hand-written backward.
-
-    ``s_prev`` and ``y_emb`` are constants: the gradient reaches ``uw`` and
-    the scorer's parameters.
-    """
-    s, y = s_prev.data, y_emb.data
-    scores, act = score_entries(s, y, uw.data, pset)
-
-    def grads_of(g):
-        d_pre = np.multiply.outer(g, pset["mem_v"].data) * (1.0 - act * act)
-        d_sy = d_pre.sum(axis=1)
-        return [d_pre.sum(axis=0) if uw.data.ndim == 2 else d_pre, s.T @ d_sy, y.T @ d_sy,
-                act.reshape(-1, act.shape[-1]).T @ g.reshape(-1)]
-
-    return fused(scores, [uw, *(pset[name] for name in ("mem_Ws", "mem_Wy", "mem_v"))],
-                 grads_of)
-
-
 def memory_attention(s_prev: np.ndarray, y_emb: np.ndarray, uw: np.ndarray,
                      pset: ParamSet) -> np.ndarray:
     """[n, K] attention of n decoder states (with their previous-word embeddings)
@@ -298,8 +284,8 @@ def interpolate_posterior(
 class MemoryHook:
     """Row-wise posterior transformer plugged into beam search.
 
-    Each entry's u @ mem_Wu and the label ids are computed once, here; a
-    call scores every row against them and interpolates.
+    Each entry's u @ mem_Wu, the label ids and the proxy ids are computed
+    once, here; a call scores every row against them and interpolates.
     """
 
     def __init__(self, mem: MergedMemory, mparams: MemoryParams, nmt_params: ParamSet):
@@ -310,15 +296,13 @@ class MemoryHook:
         self.tgt_embed = nmt_params["tgt_embed"].data
         self.labels = mem.label_ids(self.tgt_embed.shape[0])
         self.uw = entry_matrix(mem, self.tgt_embed) @ mparams.pset["mem_Wu"].data
+        self.proxy_ids = mem.proxy_ids(self.tgt_embed.shape[0])  # read by beam_search too
 
     def __call__(self, s_prev: np.ndarray, y_prev: np.ndarray, p_nmt: np.ndarray) -> np.ndarray:
-        y_emb = self.tgt_embed[[self.mem.embed_proxy(int(y)) for y in y_prev]]
+        y_emb = self.tgt_embed[self.proxy_ids[y_prev]]
         alpha = memory_attention(s_prev, y_emb, self.uw, self.mparams.pset)
         return interpolate_posterior(p_nmt, alpha, self.labels, len(self.mem.oov_labels),
                                      self.mparams.beta)
-
-    def embed_proxy(self, token_id: int) -> int:
-        return self.mem.embed_proxy(token_id)
 
 
 def make_memory_hook(
@@ -464,17 +448,31 @@ def training_chunk(records: list[TrainingRecord]) -> TrainingChunk:
     )
 
 
-def chunk_loss(chunk: TrainingChunk, pset: ParamSet) -> Tensor:
+def chunk_loss(chunk: TrainingChunk, pset: ParamSet) -> Loss:
     """Mean over the chunk's positions of -log(attention at the reference entry).
 
     Each entry's u @ mem_Wu is computed once and gathered into the slots, a
-    [N, K_max, A] table that `memory_scores` scores as decoding does.
+    [N, K_max, A] table that `score_entries` scores as decoding does; pad
+    slots carry ``pad_bias``.  The loss's closure writes the gradients of
+    the four scorer parameters.
     """
-    uw = matmul(constant(chunk.u), pset["mem_Wu"])
-    scores = memory_scores(constant(chunk.s_prev), constant(chunk.y_emb),
-                           rows(uw, chunk.slot_entry), pset)
-    return cross_entropy(add(scores, constant(chunk.pad_bias)), chunk.target,
-                         np.ones(chunk.n_positions))
+    uw = check_finite(chunk.u @ pset["mem_Wu"].data)
+    scores, act = score_entries(chunk.s_prev, chunk.y_emb, uw[chunk.slot_entry], pset)
+    value, ce_cache = cross_entropy(scores + chunk.pad_bias, chunk.target,
+                                    np.ones(chunk.n_positions))
+
+    def write_grads():
+        g = cross_entropy_backward(ce_cache)  # d scores, [N, K_max]
+        d_pre = np.multiply.outer(g, pset["mem_v"].data) * (1.0 - act * act)
+        d_sy = d_pre.sum(axis=1)
+        pset.write_grads({
+            "mem_Ws": chunk.s_prev.T @ d_sy,
+            "mem_Wu": chunk.u.T @ row_sums(chunk.slot_entry, d_pre, len(chunk.u)),
+            "mem_Wy": chunk.y_emb.T @ d_sy,
+            "mem_v": act.reshape(-1, act.shape[-1]).T @ g.reshape(-1),
+        })
+
+    return Loss(value, write_grads)
 
 
 def _training_records(
@@ -566,10 +564,9 @@ def train_memory_attention(
         for chunk in chunks:
             loss = chunk_loss(chunk, mparams.pset)
             backward(loss)
-            grads = mparams.pset.grads()
+            clip_gradients(mparams.pset)
+            adam_step(mparams.pset, lr)
             mparams.pset.zero_grads()
-            clip_gradients(grads)
-            adam_step(mparams.pset, grads, lr)
             total_nll += float(loss.data) * chunk.n_positions
         epoch_losses.append(total_nll / n_positions)
         logger.info("memory epoch %d/%d: loss %.6f", epoch + 1, epochs, epoch_losses[-1])

@@ -7,8 +7,8 @@ logits share weights with the target embedding matrix, so the readout width
 equals the embedding width.
 
 The encoder, the decoder and the readout are plain-array forward/backward
-pairs; `teacher_forced_loss` chains them into one tape node from the
-parameters to the logits.
+pairs; `teacher_forced_loss` chains them into one loss, whose closure runs
+their backwards and writes every parameter's gradient.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, Batch
 from .numerics import (
+    Loss,
     ParamSet,
-    Tensor,
     adam_step,
     backward,
     check_finite,
     clip_gradients,
     cross_entropy,
-    fused,
+    cross_entropy_backward,
     gru_cell,
     gru_cell_backward,
     gru_sequence,
@@ -102,10 +102,10 @@ def init_nmt_params(cfg: NmtConfig, seed: int) -> ParamSet:
     """Uniform [-0.08, 0.08] init; the attention score vector starts at zero."""
     rng = np.random.default_rng(seed)
     e, h = cfg.embed_dim, cfg.hidden_dim
-    pset = ParamSet()
+    arrays: dict[str, np.ndarray] = {}
 
     def u(name: str, *shape: int) -> None:
-        pset.add(name, rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape))
+        arrays[name] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
     u("src_embed", cfg.src_vocab_size, e)
     for d in ("enc_f_", "enc_b_"):
@@ -116,7 +116,7 @@ def init_nmt_params(cfg: NmtConfig, seed: int) -> ParamSet:
     u("dec_init_W", h, h)
     u("att_W", h, h)
     u("att_U", 2 * h, h)
-    pset.add("att_v", np.zeros(h))
+    arrays["att_v"] = np.zeros(h)
     for gate in ("z", "r", "h"):
         u(f"dec_W{gate}", e + 2 * h, h)
         u(f"dec_U{gate}", h, h)
@@ -126,7 +126,7 @@ def init_nmt_params(cfg: NmtConfig, seed: int) -> ParamSet:
     u("out_C", 2 * h, 2 * e)
     u("out_b", 2 * e)
     u("tgt_embed", cfg.tgt_vocab_size, e)
-    return pset
+    return ParamSet(arrays)
 
 
 def encode_forward(src: np.ndarray, src_mask: np.ndarray, params: ParamSet):
@@ -344,33 +344,35 @@ def train_step(batch: Batch, params: ParamSet, lr: float) -> float:
     """One teacher-forced step: returns the pre-update mean token NLL."""
     loss = teacher_forced_loss(batch, params)
     backward(loss)
-    grads = params.grads()
+    clip_gradients(params)
+    adam_step(params, lr)
     params.zero_grads()
-    clip_gradients(grads)
-    adam_step(params, grads, lr)
     return float(loss.data)
 
 
-def teacher_forced_loss(batch: Batch, params: ParamSet) -> Tensor:
+def teacher_forced_loss(batch: Batch, params: ParamSet) -> Loss:
     """Mask-weighted mean -log p(reference token) over a batch.
 
-    One tape node runs from the parameters to the logits through the
-    encoder, decoder and readout pairs, and `cross_entropy` closes it.
+    The encoder, decoder and readout pairs run forward and `cross_entropy`
+    closes them; the loss's closure runs the backwards in reverse.
     """
     enc, enc_cache = encode_forward(batch.src, batch.src_mask, params)
     y_in = np.concatenate([np.full((len(batch.tgt), 1), BOS_ID), batch.tgt[:, :-1]], axis=1)
     z, dec_cache = decode_sequence(enc, y_in, params)  # [B * T, E], row-major over [B, T]
     embed = params["tgt_embed"].data
-    names = params.names()
+    value, ce_cache = cross_entropy(check_finite(z @ embed.T), batch.tgt.reshape(-1),
+                                    batch.tgt_mask.reshape(-1))
 
-    def grads_of(g):
-        d_states, d_uh, d_s0, grads = decode_sequence_backward(dec_cache, g @ embed)
-        grads["tgt_embed"] = grads["tgt_embed"] + (z.T @ g).T
+    def write_grads():
+        g = cross_entropy_backward(ce_cache)  # [B * T, V], freed before the stage backwards
+        d_z, d_readout = g @ embed, (z.T @ g).T
+        del g
+        d_states, d_uh, d_s0, grads = decode_sequence_backward(dec_cache, d_z)
+        grads["tgt_embed"] = grads["tgt_embed"] + d_readout
         grads.update(encode_backward(enc_cache, d_states, d_uh, d_s0))
-        return [grads.get(name) for name in names]
+        params.write_grads(grads)
 
-    logits = fused(z @ embed.T, [params[name] for name in names], grads_of)
-    return cross_entropy(logits, batch.tgt.reshape(-1), batch.tgt_mask.reshape(-1))
+    return Loss(value, write_grads)
 
 
 def train_model(batches: list[Batch], params: ParamSet, lr: float, steps: int) -> list[float]:
@@ -397,10 +399,11 @@ def beam_search(
     over their stacked states and one softmax into a [n_live, V] posterior,
     all on plain arrays.
     ``memory_hook(S_prev, y_prev, P)`` may transform those rows, possibly
-    extending them beyond the vocabulary; ``memory_hook.embed_proxy`` (when
-    present) maps extended token ids to in-vocabulary ids whose embeddings
-    feed the next decoder step.  Each row offers its ``beam`` most probable
-    tokens, ties toward lower ids; the pool is ranked by (-log_prob, tokens).
+    extending them beyond the vocabulary; ``memory_hook.proxy_ids`` (when
+    present) is an id array that maps every token id the hook can emit to
+    the in-vocabulary id whose embedding feeds the next decoder step.  Each
+    row offers its ``beam`` most probable tokens, ties toward lower ids; the
+    pool is ranked by (-log_prob, tokens).
     ``enc`` is the sentence's encoding when the caller already has it;
     otherwise ``src_ids`` is encoded here.
     """
@@ -413,7 +416,7 @@ def beam_search(
                          f"expected (1, {len(src_ids)}) for the source ids")
     if max_len is None or max_len <= 0:
         max_len = 2 * len(src_ids) + 5
-    proxy = getattr(memory_hook, "embed_proxy", None)
+    proxy = getattr(memory_hook, "proxy_ids", None)
 
     tokens = np.zeros((1, 0), dtype=np.int64)  # [n_live, step]
     log_probs = np.zeros(1)
@@ -423,7 +426,7 @@ def beam_search(
     while len(tokens) and len(finished) < beam:
         n, length = tokens.shape
         y_prev = tokens[:, -1] if length else np.full(n, BOS_ID, dtype=np.int64)
-        emb_ids = y_prev if proxy is None else np.array([proxy(int(y)) for y in y_prev])
+        emb_ids = y_prev if proxy is None else proxy[y_prev]
         s_new, z, _ = step_forward(states, w.project(emb_ids), enc, w, True)
         p = masked_softmax(z @ w.embed.T, None)
         if memory_hook is not None:

@@ -1,28 +1,31 @@
-"""Float64 kernels, a small reverse-mode tape, and the optimiser.
+"""Float64 kernels, the packed parameter store, and the optimiser.
 
-The tape holds few nodes: the parameters, one `fused` node per loss whose
-hand-written backward maps the gradient at its output to every parameter,
-and the few ops that close a loss (`cross_entropy`, plus `matmul`, `rows`
-and `add` around the memory scorer).  `backward()` walks the tape once in
-reverse topological order.  Inside `no_grad()` nothing is recorded, and an
-operation on constants alone records nothing either.
+Every gradient is hand-written.  The model's stages are plain-array
+forward/backward pairs: `gru_sequence` / `gru_sequence_backward` runs a
+whole GRU direction with its input GEMM hoisted out of the loop and a
+backward in reverse time; it and the decoder are built from `gru_cell`,
+`maxout`, `masked_softmax` and `sigmoid`.  `cross_entropy` /
+`cross_entropy_backward` closes both losses.
 
-The model's stages are plain-array forward/backward pairs that never touch
-the tape.  `gru_sequence` / `gru_sequence_backward` runs a whole GRU
-direction with its input GEMM hoisted out of the loop and a backward in
-reverse time; it and the decoder are built from `gru_cell`, `maxout`,
-`masked_softmax` and `sigmoid`.
+A loss is a `Loss`: its value, plus one closure that runs the stage
+backwards in reverse and writes every parameter's gradient into the
+parameter set's store.  `backward(loss)` calls that closure.  Inside
+`no_grad()` a loss keeps no closure.
 
-Every tape node's output is checked for NaN/Inf so numerical blowups
-surface at the operation that caused them.  A plain-array stage checks each
-pre-activation it feeds to a saturating function (`check_finite`), since
-tanh and sigmoid would turn an overflow into a finite value.
+`ParamSet` keeps the parameters, their gradients and both Adam moments in
+four flat float64 buffers; each named parameter is a contiguous view of
+them.  `clip_gradients` and `adam_step` are a few vector ops over the
+buffers, and they skip the parameters that received no gradient.
+
+A plain-array stage checks each pre-activation it feeds to a saturating
+function (`check_finite`), since tanh and sigmoid would turn an overflow
+into a finite value; a loss checks its value.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +50,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @contextlib.contextmanager
 def no_grad():
-    """Run kernels without building the backward graph."""
+    """Compute losses without keeping what their gradients need."""
     global _grad_enabled
     saved = _grad_enabled
     _grad_enabled = False
@@ -57,40 +60,6 @@ def no_grad():
         _grad_enabled = saved
 
 
-class Tensor:
-    """A float64 array plus reverse-mode bookkeeping.
-
-    ``requires_grad`` is set on parameters and on results computed from one
-    with gradients enabled; only such a result records its parents.
-    """
-
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
-
-    def __init__(self, data, _parents: tuple = (), _backward: Callable | None = None):
-        arr = check_finite(np.asarray(data, dtype=np.float64))
-        self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = _grad_enabled and any(p.requires_grad for p in _parents)
-        if self.requires_grad:
-            self._parents = _parents
-            self._backward = _backward
-        else:
-            self._parents = ()
-            self._backward = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape})"
-
-
-def constant(data) -> Tensor:
-    """A leaf that never receives a gradient."""
-    return Tensor(data)
-
-
 def check_finite(x: np.ndarray) -> np.ndarray:
     """``x`` itself; raises NonFiniteError if it holds NaN or Inf."""
     if not np.isfinite(x).all():
@@ -98,85 +67,24 @@ def check_finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+class Loss:
+    """A scalar loss: its value ``data`` and, unless built under `no_grad`,
+    the closure that writes its parameters' gradients."""
+
+    __slots__ = ("data", "_write_grads")
+
+    def __init__(self, value, write_grads: Callable[[], None]):
+        self.data = check_finite(np.asarray(value, dtype=np.float64))
+        self._write_grads = write_grads if _grad_enabled else None
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, size in enumerate(shape):
-        if size == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into every reachable leaf's `.grad`.
-
-    An interior node's gradient is freed once it has been passed on.
-    """
-    if root.data.size != 1:
-        raise ValueError("backward() needs a scalar root")
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None  # passed on; only leaves keep theirs
-
-
-# --- elementwise and linear kernels -------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    return Tensor(out, (a, b), bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``np.matmul``; a one-row stack in either operand serves every row of the other."""
-    out = np.matmul(a.data, b.data)
-
-    def bw(g):
-        x, w = a.data, b.data
-        if w.ndim <= 2:
-            # b is a matrix or a vector: a's leading axes fold into one GEMM
-            if a.requires_grad:
-                _accum(a, g @ w.T if w.ndim == 2 else np.multiply.outer(g, w))
-            if b.requires_grad:
-                _accum(b, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, *w.shape[1:]))
-        else:
-            # both stacked: batched GEMMs, summed over the axes an operand broadcast on
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g @ w.swapaxes(-1, -2), x.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(x.swapaxes(-1, -2) @ g, w.shape))
-
-    return Tensor(out, (a, b), bw)
+def backward(loss: Loss) -> None:
+    """Write d(loss)/d(parameter) into the gradient views; once per loss."""
+    write, loss._write_grads = loss._write_grads, None
+    if write is None:
+        raise GradientError("the loss keeps no gradients: built under no_grad(), "
+                            "or backward() already ran")
+    write()
 
 
 def row_sums(ids: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -197,34 +105,6 @@ def row_sums(ids: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
     return out
 
 
-def rows(embedding: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of an embedding matrix; backward scatter-adds."""
-    ids = np.asarray(ids, dtype=np.int64)
-    out = embedding.data[ids]
-
-    def bw(g):
-        _accum(embedding, row_sums(ids, g, len(embedding.data)))
-
-    return Tensor(out, (embedding,), bw)
-
-
-def fused(out: np.ndarray, parents: Sequence[Tensor],
-          grads_of: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
-    """One tape node for a kernel computed on plain arrays.
-
-    ``grads_of(g)`` maps the output's gradient to one gradient per parent, in
-    order, None where it computed none; only parents that need a gradient
-    receive theirs.
-    """
-
-    def bw(g):
-        for p, gp in zip(parents, grads_of(g)):
-            if gp is not None and p.requires_grad:
-                _accum(p, gp)
-
-    return Tensor(out, tuple(parents), bw)
-
-
 # --- softmax family ------------------------------------------------------
 
 
@@ -238,29 +118,30 @@ def masked_softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Weighted mean over rows of -log softmax(logits)[target]; fused for stability.
+def cross_entropy(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray):
+    """Weighted mean over rows of -log softmax(logits)[target]: (value, cache).
 
-    sum_i weights_i * nll_i / sum_i weights_i, with weights 0 on padding.
+    sum_i weights_i * nll_i / sum_i weights_i, with weights 0 on padding;
+    log-sum-exp keeps it stable.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    x = logits.data
-    m = x.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
-    picked = x[np.arange(x.shape[0]), targets]
+    m = logits.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+    picked = logits[np.arange(logits.shape[0]), targets]
     inv = 1.0 / weights.sum()
-    out = ((lse - picked) * weights).sum() * inv
-
-    def bw(g):
-        p = np.exp(x - m)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(x.shape[0]), targets] -= 1.0
-        _accum(logits, p * (weights * (g * inv))[:, None])
-
-    return Tensor(out, (logits,), bw)
+    return ((lse - picked) * weights).sum() * inv, (logits, m, targets, weights, inv)
 
 
-# --- plain-array pieces of the fused kernels -------------------------------
+def cross_entropy_backward(cache) -> np.ndarray:
+    """d value / d logits of `cross_entropy`."""
+    logits, m, targets, weights, inv = cache
+    p = np.exp(logits - m)
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(logits.shape[0]), targets] -= 1.0
+    return p * (weights * inv)[:, None]
+
+
+# --- plain-array pieces of the stages ------------------------------------
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -380,31 +261,47 @@ def gru_sequence_backward(g: np.ndarray, cache):
 # --- parameters, Adam, gradient checking ---------------------------------
 
 
-class ParamSet:
-    """Named parameter tensors plus per-parameter Adam moments.
+class Param:
+    """One named parameter: ``data`` and ``grad`` are views of its set's buffers."""
 
-    The step counter is shared by the whole set and advances once per
-    `adam_step` call.  Mutation (adding parameters, optimizer steps) needs
-    exclusive access; read-only sharing is safe.
+    __slots__ = ("data", "grad")
+
+    def __init__(self, data: np.ndarray, grad: np.ndarray):
+        self.data, self.grad = data, grad
+
+
+class ParamSet:
+    """Named parameters packed into four flat float64 buffers: ``values``,
+    ``grad`` and Adam's moments ``adam_m`` and ``adam_v``.
+
+    Parameter ``name`` occupies ``spans[name]`` of each buffer, in the
+    order of ``arrays``; ``self[name]`` holds its value and gradient views,
+    so an in-place write to ``.data`` or ``.grad`` lands in the store.  A
+    loss writes its gradients with `write_grads`, which marks them;
+    `zero_grads` clears the marks, and only marked gradients are clipped and
+    stepped.  The step counter is shared by the whole set and advances once
+    per `adam_step` call.  Optimizer steps need exclusive access; read-only
+    sharing is safe.
     """
 
-    def __init__(self):
-        self.params: dict[str, Tensor] = {}
-        self.adam_m: dict[str, np.ndarray] = {}
-        self.adam_v: dict[str, np.ndarray] = {}
+    def __init__(self, arrays: dict[str, np.ndarray] | None = None):
+        arrays = {name: np.asarray(a, dtype=np.float64) for name, a in (arrays or {}).items()}
+        total = sum(a.size for a in arrays.values())
+        self.values, self.grad = np.empty(total), np.zeros(total)
+        self.adam_m, self.adam_v = np.zeros(total), np.zeros(total)
+        self.params: dict[str, Param] = {}
+        self.spans: dict[str, slice] = {}
+        start = 0
+        for name, a in arrays.items():
+            self.spans[name] = span = slice(start, start + a.size)
+            start = span.stop
+            self.values[span] = a.reshape(-1)
+            self.params[name] = Param(self.values[span].reshape(a.shape),
+                                      self.grad[span].reshape(a.shape))
+        self.written: set[str] = set()
         self.step = 0
 
-    def add(self, name: str, values) -> Tensor:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(values, dtype=np.float64))
-        t.requires_grad = True
-        self.params[name] = t
-        self.adam_m[name] = np.zeros_like(t.data)
-        self.adam_v[name] = np.zeros_like(t.data)
-        return t
-
-    def __getitem__(self, name: str) -> Tensor:
+    def __getitem__(self, name: str) -> Param:
         return self.params[name]
 
     def __contains__(self, name: str) -> bool:
@@ -413,55 +310,89 @@ class ParamSet:
     def names(self) -> list[str]:
         return list(self.params)
 
+    def write_grads(self, grads: dict[str, np.ndarray]) -> None:
+        """Copy each gradient into its parameter's view and mark it written."""
+        unknown = set(grads) - set(self.params)
+        if unknown:
+            raise KeyError(f"gradients for unknown parameters: {sorted(unknown)}")
+        for name, g in grads.items():
+            self.params[name].grad[...] = g
+        self.written.update(grads)
+
     def zero_grads(self) -> None:
-        for t in self.params.values():
-            t.grad = None
+        self.written.clear()
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {n: t.grad for n, t in self.params.items() if t.grad is not None}
+        """The written gradient views, in parameter order."""
+        return {n: p.grad for n, p in self.params.items() if n in self.written}
+
+    def written_spans(self) -> list[slice]:
+        """The written parameters' spans, adjacent ones merged."""
+        out: list[slice] = []
+        for name, span in self.spans.items():
+            if name not in self.written:
+                continue
+            if out and out[-1].stop == span.start:
+                out[-1] = slice(out[-1].start, span.stop)
+            else:
+                out.append(span)
+        return out
 
     def value_bytes(self) -> bytes:
         """Concatenated raw parameter bytes, for freeze/determinism checks."""
         return b"".join(self.params[n].data.tobytes() for n in sorted(self.params))
 
 
-def clip_gradients(grads: dict[str, np.ndarray]) -> float:
-    """Scale all gradients in place so their global L2 norm is <= GRAD_CLIP."""
+def clip_gradients(pset: ParamSet) -> float:
+    """Scale the written gradients in place so their global L2 norm is <= GRAD_CLIP.
+
+    Returns the norm before clipping, summed parameter by parameter.
+    """
     total = 0.0
-    for g in grads.values():
+    for g in pset.grads().values():
         total += float((g * g).sum())
     norm = np.sqrt(total)
     if norm > GRAD_CLIP:
         factor = GRAD_CLIP / norm
-        for g in grads.values():
-            g *= factor
+        for span in pset.written_spans():
+            pset.grad[span] *= factor
     return float(norm)
 
 
-def adam_step(pset: ParamSet, grads: dict[str, np.ndarray], lr: float) -> None:
-    """Bias-corrected Adam update applied in place to the named parameters."""
-    unknown = set(grads) - set(pset.params)
-    if unknown:
-        raise KeyError(f"gradients for unknown parameters: {sorted(unknown)}")
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise GradientError(f"non-finite gradient for parameter {name!r}")
+def adam_step(pset: ParamSet, lr: float) -> None:
+    """Bias-corrected Adam update of the parameters whose gradient was written.
+
+    Each run of adjacent written parameters is one slice of the buffers,
+    updated with a few vector ops in the order of lr * m_hat / (sqrt(v_hat)
+    + eps), through two temporaries; a parameter without a gradient keeps
+    its value and its moments.
+    """
+    spans = pset.written_spans()
+    if not all(np.isfinite(pset.grad[span]).all() for span in spans):
+        bad = next(n for n, g in pset.grads().items() if not np.isfinite(g).all())
+        raise GradientError(f"non-finite gradient for parameter {bad!r}")
     pset.step += 1
     t = pset.step
-    for name, g in grads.items():
-        m = pset.adam_m[name]
-        v = pset.adam_v[name]
+    for span in spans:
+        g, m, v = pset.grad[span], pset.adam_m[span], pset.adam_v[span]
+        tmp = (1.0 - ADAM_BETA1) * g
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += tmp
+        np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
+        tmp *= g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        pset.params[name].data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += tmp
+        update = m / (1.0 - ADAM_BETA1**t)            # m_hat
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)    # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        update *= lr
+        update /= tmp
+        pset.values[span] -= update
 
 
 def grad_check(
-    loss_fn: Callable[[ParamSet], Tensor],
+    loss_fn: Callable[[ParamSet], Loss],
     pset: ParamSet,
     eps: float = 1e-5,
     max_samples_per_tensor: int = 200,
@@ -471,6 +402,7 @@ def grad_check(
 
     Returns max over sampled entries of |ga - gn| / max(1e-8, |ga| + |gn|).
     ``loss_fn`` must be deterministic; it is evaluated twice to verify.
+    Each sampled entry is perturbed in the value buffer itself.
     """
     pset.zero_grads()
     with no_grad():
@@ -479,24 +411,20 @@ def grad_check(
     if first != second:
         raise GradientError("loss function is not deterministic")
 
-    loss = loss_fn(pset)
-    backward(loss)
-    analytic = {
-        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-        for name, t in pset.params.items()
-    }
+    backward(loss_fn(pset))
+    analytic = {name: g.reshape(-1).copy() for name, g in pset.grads().items()}
     pset.zero_grads()
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for name, t in pset.params.items():
-        flat = t.data.reshape(-1)
+    for name, span in pset.spans.items():
+        flat = pset.values[span]
         n = flat.size
         if n <= max_samples_per_tensor:
             idxs = np.arange(n)
         else:
             idxs = np.sort(rng.choice(n, size=max_samples_per_tensor, replace=False))
-        ga_flat = analytic[name].reshape(-1)
+        ga_flat = analytic.get(name, np.zeros(n))
         for i in idxs:
             saved = flat[i]
             with no_grad():

@@ -1,12 +1,14 @@
-"""Shared builders for desk-scale synthetic translation tasks."""
+"""Helpers that make desk-scale synthetic translation tasks, and the
+test-only references the package is checked against: plain-numpy decoders,
+a generic reverse-mode tape and per-op oracles built on it."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from mnmt import numerics
-from mnmt.numerics import Tensor, _accum, _unbroadcast
 from mnmt.corpus import BOS_ID, EOS_ID, Vocabulary, build_vocabulary, encode_sentence, make_batches
+from mnmt.memory import score_entries
 from mnmt.model import NmtConfig, encode, init_nmt_params, train_model
 
 
@@ -198,14 +200,14 @@ def reference_beam(src_ids, params, beam, max_len, hook=None):
     p = {name: params[name].data for name in params.names()}
     h = reference_encode(src_ids, params)
     hidden = p["dec_init_W"].shape[0]
-    proxy = getattr(hook, "embed_proxy", lambda tid: tid)
+    proxy = getattr(hook, "proxy_ids", None)
     live = [([], 0.0, np.tanh(h[0, hidden:] @ p["dec_init_W"]))]
     finished = []
     while live and len(finished) < beam:
         pool = []
         for toks, lp_sum, s in live:
             y_prev = toks[-1] if toks else BOS_ID
-            s_new, z = reference_step(s, proxy(y_prev), h, params)
+            s_new, z = reference_step(s, y_prev if proxy is None else proxy[y_prev], h, params)
             logits = p["tgt_embed"] @ z
             probs = np.exp(logits - logits.max())
             probs = probs / probs.sum()
@@ -379,14 +381,208 @@ def reference_sentence_memory(tokens, h, lex, tgt_vocab, k, record=None, sim=Non
 
 
 def tape_nodes(*roots) -> int:
-    """Tensors reachable from ``roots`` through the tape's parent links."""
+    """Nodes reachable from ``roots`` through the tape's parent links; a
+    package loss has none, so it counts as one."""
     seen, stack = set(), list(roots)
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            stack.extend(node._parents)
+            stack.extend(getattr(node, "_parents", ()))
     return len(seen)
+
+
+# --- a generic reverse-mode tape ------------------------------------------------
+# Every loss of the package is a hand-written forward/backward pair; this tape
+# is the independent reference the per-op oracles below are built on, and
+# test_numerics.py tests it.  `numerics.no_grad` switches its recording off.
+
+
+class Tensor:
+    """A float64 array plus reverse-mode bookkeeping.
+
+    ``requires_grad`` is set on leaves made by `leaf` and on results computed
+    from one with gradients enabled; only such a result records its parents.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, data, _parents: tuple = (), _backward=None):
+        self.data = numerics.check_finite(np.asarray(data, dtype=np.float64))
+        self.grad = None
+        self.requires_grad = numerics._grad_enabled and any(p.requires_grad for p in _parents)
+        if self.requires_grad:
+            self._parents = _parents
+            self._backward = _backward
+        else:
+            self._parents = ()
+            self._backward = None
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+
+def constant(data) -> Tensor:
+    """A leaf that never receives a gradient."""
+    return Tensor(data)
+
+
+def leaf(data) -> Tensor:
+    """A leaf that receives a gradient; it shares ``data``'s memory."""
+    t = Tensor(data)
+    t.requires_grad = True
+    return t
+
+
+def _accum(t, g):
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+def _unbroadcast(g, shape):
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, size in enumerate(shape):
+        if size == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
+
+
+def backward(root) -> None:
+    """Accumulate d(root)/d(leaf) into every reachable leaf's `.grad`.
+
+    Walks the tape once in reverse topological order; an interior node's
+    gradient is freed once it has been passed on.
+    """
+    if root.data.size != 1:
+        raise ValueError("backward() needs a scalar root")
+    topo, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+            node.grad = None  # passed on; only leaves keep theirs
+
+
+def on_tape(tape_loss):
+    """A loss function for `numerics.grad_check` from a tape loss.
+
+    ``tape_loss(leaves)`` gets one `leaf` per parameter, viewing the stored
+    values, and returns a scalar tape root; the package loss it becomes runs
+    the tape's backward and writes the leaves' gradients into the store.
+    """
+
+    def loss_fn(pset):
+        leaves = {name: leaf(pset[name].data) for name in pset.names()}
+        root = tape_loss(leaves)
+
+        def write_grads():
+            backward(root)
+            pset.write_grads({n: t.grad for n, t in leaves.items() if t.grad is not None})
+
+        return numerics.Loss(root.data, write_grads)
+
+    return loss_fn
+
+
+def add(a, b):
+    out = a.data + b.data
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
+
+    return Tensor(out, (a, b), bw)
+
+
+def matmul(a, b):
+    """``np.matmul``; a one-row stack in either operand serves every row of the other."""
+    out = np.matmul(a.data, b.data)
+
+    def bw(g):
+        x, w = a.data, b.data
+        if w.ndim <= 2:
+            # b is a matrix or a vector: a's leading axes fold into one GEMM
+            if a.requires_grad:
+                _accum(a, g @ w.T if w.ndim == 2 else np.multiply.outer(g, w))
+            if b.requires_grad:
+                _accum(b, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, *w.shape[1:]))
+        else:
+            # both stacked: batched GEMMs, summed over the axes an operand broadcast on
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g @ w.swapaxes(-1, -2), x.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(x.swapaxes(-1, -2) @ g, w.shape))
+
+    return Tensor(out, (a, b), bw)
+
+
+def rows(embedding, ids):
+    """Gather rows of an embedding matrix; backward scatter-adds."""
+    ids = np.asarray(ids, dtype=np.int64)
+
+    def bw(g):
+        _accum(embedding, numerics.row_sums(ids, g, len(embedding.data)))
+
+    return Tensor(embedding.data[ids], (embedding,), bw)
+
+
+def fused(out, parents, grads_of):
+    """One tape node for a kernel computed on plain arrays.
+
+    ``grads_of(g)`` maps the output's gradient to one gradient per parent, in
+    order, None where it computed none; only parents that need a gradient
+    receive theirs.
+    """
+
+    def bw(g):
+        for p, gp in zip(parents, grads_of(g)):
+            if gp is not None and p.requires_grad:
+                _accum(p, gp)
+
+    return Tensor(out, tuple(parents), bw)
+
+
+def cross_entropy(logits, targets, weights):
+    """`numerics.cross_entropy` as a tape node."""
+    value, cache = numerics.cross_entropy(logits.data, targets, weights)
+    return fused(value, [logits], lambda g: [g * numerics.cross_entropy_backward(cache)])
+
+
+def memory_scores(s_prev, y_emb, uw, pset):
+    """`memory.score_entries` as one tape node with a hand-written backward.
+
+    ``s_prev`` and ``y_emb`` are constants: the gradient reaches ``uw`` and
+    the scorer's parameters, leaves of ``pset``.
+    """
+    s, y = s_prev.data, y_emb.data
+    scores, act = score_entries(s, y, uw.data, pset)
+
+    def grads_of(g):
+        d_pre = np.multiply.outer(g, pset["mem_v"].data) * (1.0 - act * act)
+        d_sy = d_pre.sum(axis=1)
+        return [d_pre.sum(axis=0) if uw.data.ndim == 2 else d_pre, s.T @ d_sy, y.T @ d_sy,
+                act.reshape(-1, act.shape[-1]).T @ g.reshape(-1)]
+
+    return fused(scores, [uw, *(pset[name] for name in ("mem_Ws", "mem_Wy", "mem_v"))],
+                 grads_of)
 
 
 # --- per-op tape kernels that no module of the package calls ----------------
@@ -485,11 +681,11 @@ def sum_all(a):
 
 def _tape_sigmoid(a):
     out = 1.0 / (1.0 + np.exp(-a.data))
-    return numerics.fused(out, [a], lambda g: [g * out * (1.0 - out)])
+    return fused(out, [a], lambda g: [g * out * (1.0 - out)])
 
 
 def _tape_rsub(s, a):
-    return numerics.fused(s - a.data, [a], lambda g: [-g])
+    return fused(s - a.data, [a], lambda g: [-g])
 
 
 def _tape_maxout(a):
@@ -502,19 +698,18 @@ def _tape_maxout(a):
         np.put_along_axis(dg, arg[..., None], g[..., None], axis=-1)
         return [dg.reshape(a.data.shape)]
 
-    return numerics.fused(out, [a], grads)
+    return fused(out, [a], grads)
 
 
 def _tape_stack(parts, axis):
     out = np.stack([p.data for p in parts], axis=axis)
-    return numerics.fused(out, parts, lambda g: list(np.moveaxis(g, axis, 0)))
+    return fused(out, parts, lambda g: list(np.moveaxis(g, axis, 0)))
 
 
 def tape_gru_step(x, h_prev, params, prefix):
     def p(name):
         return params[prefix + name]
 
-    add, matmul = numerics.add, numerics.matmul
     z = _tape_sigmoid(add(add(matmul(x, p("Wz")), matmul(h_prev, p("Uz"))), p("bz")))
     r = _tape_sigmoid(add(add(matmul(x, p("Wr")), matmul(h_prev, p("Ur"))), p("br")))
     n = tanh(add(add(matmul(x, p("Wh")), matmul(mul(r, h_prev), p("Uh"))), p("bh")))
@@ -523,7 +718,6 @@ def tape_gru_step(x, h_prev, params, prefix):
 
 def tape_gru_direction(xs, mask, params, prefix, reverse):
     """Per-position GRU states of one direction, padded positions keeping the previous."""
-    add, constant = numerics.add, numerics.constant
     h = constant(np.zeros((xs[0].shape[0], params[prefix + "Uz"].shape[0])))
     out = [None] * len(xs)
     for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
@@ -544,22 +738,21 @@ class TapeEncoding:
 
 
 def tape_encode_batch(src, src_mask, params):
-    xs = [numerics.rows(params["src_embed"], src[:, t]) for t in range(src.shape[1])]
+    xs = [rows(params["src_embed"], src[:, t]) for t in range(src.shape[1])]
     fwd = tape_gru_direction(xs, src_mask, params, "enc_f_", False)
     bwd = tape_gru_direction(xs, src_mask, params, "enc_b_", True)
     states = concat([_tape_stack(fwd, 1), _tape_stack(bwd, 1)], axis=2)
-    uh = numerics.matmul(states, params["att_U"])
-    s0 = tanh(numerics.matmul(bwd[0], params["dec_init_W"]))
+    uh = matmul(states, params["att_U"])
+    s0 = tanh(matmul(bwd[0], params["dec_init_W"]))
     return TapeEncoding(states, uh, src_mask, s0)
 
 
 def tape_decode_step(s_prev, y_prev_ids, enc, params):
-    add, matmul = numerics.add, numerics.matmul
     n = s_prev.shape[0]
     sa = reshape(matmul(s_prev, params["att_W"]), (n, 1, -1))
     alpha = softmax(matmul(tanh(add(sa, enc.uh)), params["att_v"]), enc.mask)
     c = reshape(matmul(reshape(alpha, (n, 1, -1)), enc.states), (n, -1))
-    y_emb = numerics.rows(params["tgt_embed"], y_prev_ids)
+    y_emb = rows(params["tgt_embed"], y_prev_ids)
     s_new = tape_gru_step(concat([y_emb, c], axis=1), s_prev, params, "dec_")
     pre = add(add(add(matmul(y_emb, params["out_U"]), matmul(s_prev, params["out_V"])),
                   matmul(c, params["out_C"])), params["out_b"])
@@ -577,25 +770,23 @@ def tape_loss(batch, params):
         zs.append(z)
         y_in = batch.tgt[:, i]
     z = reshape(_tape_stack(zs, 1), (batch.tgt.size, -1))
-    logits = numerics.matmul(z, transpose(params["tgt_embed"]))
-    return numerics.cross_entropy(logits, batch.tgt.reshape(-1), batch.tgt_mask.reshape(-1))
+    logits = matmul(z, transpose(params["tgt_embed"]))
+    return cross_entropy(logits, batch.tgt.reshape(-1), batch.tgt_mask.reshape(-1))
 
 
 # --- the per-op memory scorer the fused node replaced -------------------------
-# `memory.memory_scores` and `memory.chunk_loss` as they ran on the per-op
-# tape; kept as a test-only gradient reference.
+# `memory_scores` and `memory.chunk_loss` as they ran on the per-op tape; kept
+# as a test-only gradient reference.
 
 
 def tape_memory_scores(s_prev, y_emb, uw, pset):
-    add, matmul = numerics.add, numerics.matmul
     sy = add(matmul(s_prev, pset["mem_Ws"]), matmul(y_emb, pset["mem_Wy"]))
     return matmul(tanh(add(uw, reshape(sy, (sy.shape[0], 1, -1)))), pset["mem_v"])
 
 
 def tape_chunk_loss(chunk, pset):
-    constant = numerics.constant
-    uw = numerics.matmul(constant(chunk.u), pset["mem_Wu"])
+    uw = matmul(constant(chunk.u), pset["mem_Wu"])
     scores = tape_memory_scores(constant(chunk.s_prev), constant(chunk.y_emb),
-                                numerics.rows(uw, chunk.slot_entry), pset)
-    return numerics.cross_entropy(numerics.add(scores, constant(chunk.pad_bias)), chunk.target,
-                                  np.ones(chunk.n_positions))
+                                rows(uw, chunk.slot_entry), pset)
+    return cross_entropy(add(scores, constant(chunk.pad_bias)), chunk.target,
+                         np.ones(chunk.n_positions))

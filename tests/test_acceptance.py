@@ -31,15 +31,17 @@ from mnmt.memory import (
     LocalMemoryEntry,
     MemoryHook,
     SimilarWordMap,
+    TrainingRecord,
+    chunk_loss,
     entry_matrix,
-    memory_scores,
     init_memory_params,
     merge_memory,
     sentence_memory,
     train_memory_attention,
+    training_chunk,
 )
 from mnmt.model import NmtConfig, beam_search, encode, init_nmt_params, teacher_forced_loss
-from mnmt.numerics import constant, cross_entropy, grad_check, matmul
+from mnmt.numerics import grad_check
 
 
 @contextmanager
@@ -86,13 +88,9 @@ def test_c01_gradient_fidelity():
         u = entry_matrix(mem, params["tgt_embed"].data)
         s_vec = rng.standard_normal(cfg.hidden_dim)
         y_emb = params["tgt_embed"].data[6]
-
-        def mem_loss(pset):
-            uw = matmul(constant(u), pset["mem_Wu"])
-            e = memory_scores(constant(s_vec[None]), constant(y_emb[None]), uw, pset)
-            return cross_entropy(e, np.array([3]), np.ones(1))
-
-        err_mem = grad_check(mem_loss, mparams.pset, seed=0)
+        # the loss memory training minimizes, at one position whose reference is entry 3
+        chunk = training_chunk([TrainingRecord(u, s_vec[None], y_emb[None], np.array([3]))])
+        err_mem = grad_check(lambda p: chunk_loss(chunk, p), mparams.pset, seed=0)
         assert err_mem < 1e-4, f"memory loss gradient error {err_mem:.2e}"
         elapsed = time.time() - start
         assert elapsed < 60.0, f"gradient checks took {elapsed:.0f}s"
@@ -177,8 +175,9 @@ class _MassSpy:
         self.sums.extend(out.sum(axis=1).tolist())
         return out
 
-    def embed_proxy(self, tid):
-        return self.inner.embed_proxy(tid)
+    @property
+    def proxy_ids(self):
+        return self.inner.proxy_ids
 
 
 def test_c04_interpolation_identities():

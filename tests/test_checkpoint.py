@@ -19,9 +19,7 @@ from mnmt.numerics import ParamSet
 @pytest.fixture
 def pset():
     rng = np.random.default_rng(0)
-    ps = ParamSet()
-    ps.add("alpha", rng.normal(size=(3, 4)))
-    ps.add("beta", rng.normal(size=7))
+    ps = ParamSet({"alpha": rng.normal(size=(3, 4)), "beta": rng.normal(size=7)})
     return ps
 
 

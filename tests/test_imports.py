@@ -49,3 +49,19 @@ def test_no_module_defines_or_imports_a_test_only_tape_kernel():
                   and isinstance(node.value, ast.Name) and node.value.id == "numerics"):
                 offenders.append(f"{path.name}: numerics.{node.attr}")
     assert offenders == []
+
+
+def test_no_module_defines_a_tape():
+    # every gradient is a hand-written backward that writes into the parameter
+    # store; the generic tape (Tensor, parent links, a topological sort) lives
+    # in tests/conftest.py as a reference
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "Tensor":
+                offenders.append(f"{path.name}: defines {node.name}")
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else "")
+            if name in {"Tensor", "_parents"} or "topo" in name:
+                offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []

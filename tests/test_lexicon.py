@@ -73,6 +73,12 @@ class TestTrainIbm1:
         with pytest.raises(EmptyCorpusError):
             train_ibm1(ParallelCorpus([]), iterations=1)
 
+    @pytest.mark.parametrize("bad", [(["a"], []), ([], ["x"])])
+    def test_pair_with_an_empty_side_is_named(self, bad):
+        # EM would divide by the empty side's length deep inside the E-step
+        with pytest.raises(EmptyCorpusError, match="pair 2 "):
+            train_ibm1(ParallelCorpus([*TOY_PAIRS[:2], bad]), iterations=1)
+
     def test_bad_iteration_count(self):
         with pytest.raises(ValueError):
             train_ibm1(ParallelCorpus(TOY_PAIRS), iterations=0)

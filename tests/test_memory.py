@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    constant,
+    cross_entropy,
     desk_config,
     make_mapped_task,
+    matmul,
+    memory_scores,
+    on_tape,
     quick_train,
     reference_memory_loss,
     reference_sentence_memory,
@@ -31,7 +36,6 @@ from mnmt.memory import (
     TrainingRecord,
     chunk_loss,
     entry_matrix,
-    memory_scores,
     apply_oov_substitution,
     build_local_memory,
     init_memory_params,
@@ -44,14 +48,7 @@ from mnmt.memory import (
     training_chunk,
 )
 from mnmt.model import EncodedSource, encode, init_nmt_params
-from mnmt.numerics import (
-    ParamSet,
-    backward,
-    constant,
-    cross_entropy,
-    grad_check,
-    matmul,
-)
+from mnmt.numerics import ParamSet, backward, grad_check
 
 
 def small_lexicon():
@@ -201,9 +198,9 @@ class TestMemoryAttention:
         mparams = init_memory_params(cfg, 3)
         mparams.pset["mem_v"].data[...] = rng.normal(size=cfg.hidden_dim)
         mem = self._mem(rng, cfg.hidden_dim)
-        s = constant(rng.normal(size=(1, cfg.hidden_dim)))
-        y = constant(params["tgt_embed"].data[[4]])
-        e = memory_scores(s, y, constant(_uw(mem, mparams, params)), mparams.pset).data[0]
+        s = rng.normal(size=(1, cfg.hidden_dim))
+        y = params["tgt_embed"].data[[4]]
+        e = memory_module.score_entries(s, y, _uw(mem, mparams, params), mparams.pset)[0][0]
         soft = np.exp(e - e.max()) / np.exp(e - e.max()).sum()
         shifted = e + 17.3
         soft2 = np.exp(shifted - shifted.max()) / np.exp(shifted - shifted.max()).sum()
@@ -231,7 +228,7 @@ class TestMemoryAttention:
             e = memory_scores(constant(s), constant(y_emb), uw, pset)
             return cross_entropy(e, np.array([2, 0]), np.ones(2))
 
-        assert grad_check(loss, mparams.pset, seed=0) < 1e-4
+        assert grad_check(on_tape(loss), mparams.pset, seed=0) < 1e-4
 
 
 class TestMemoryHook:
@@ -657,7 +654,7 @@ def _loss_and_grads(loss_fn, pset):
     pset.zero_grads()
     loss = loss_fn(pset)
     backward(loss)
-    grads = {n: pset[n].grad.copy() for n in pset.names() if pset[n].grad is not None}
+    grads = {n: g.copy() for n, g in pset.grads().items()}
     pset.zero_grads()
     return float(loss.data), grads
 
@@ -687,8 +684,9 @@ def test_fused_scorer_matches_per_op_tape(seed, records):
             return cross_entropy(e, chunk.target % len(u), np.ones(chunk.n_positions))
         return loss
 
-    for fused, tape in ((lambda p: chunk_loss(chunk, p), lambda p: tape_chunk_loss(chunk, p)),
-                        (shared_loss(memory_scores), shared_loss(tape_memory_scores))):
+    pairs = ((lambda p: chunk_loss(chunk, p), on_tape(lambda p: tape_chunk_loss(chunk, p))),
+             (on_tape(shared_loss(memory_scores)), on_tape(shared_loss(tape_memory_scores))))
+    for fused, tape in pairs:
         loss, got = _loss_and_grads(fused, pset)
         want_loss, want = _loss_and_grads(tape, pset)
         assert loss == pytest.approx(want_loss, rel=1e-10)

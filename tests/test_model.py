@@ -4,10 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    add,
+    constant,
     desk_config,
+    fused,
     greedy_reference,
     make_copy_task,
     mul,
+    on_tape,
     reference_beam,
     reference_encode,
     reference_step,
@@ -48,8 +52,6 @@ from mnmt.numerics import (
     NonFiniteError,
     ParamSet,
     backward,
-    constant,
-    fused,
     grad_check,
     no_grad,
 )
@@ -178,20 +180,25 @@ def test_teacher_forced_tape_does_not_grow_with_lengths():
 
 
 def test_losses_record_one_node_past_their_parameters():
-    # the desk batch shape: the 37 parameters, the fused node and cross_entropy
+    # at the desk batch shape a loss is one node: it links to no parameter or
+    # operation, and its closure writes the 37 parameters' gradients
     rng = np.random.default_rng(6)
     cfg, params = tiny_params(seed=6, src_v=40, tgt_v=40, embed=24, hidden=32)
     assert len(params.names()) == 37
-    assert tape_nodes(teacher_forced_loss(_padded_batch(rng, 20, 8, 9, 40), params)) == 39
+    loss = teacher_forced_loss(_padded_batch(rng, 20, 8, 9, 40), params)
+    assert tape_nodes(loss) == 1
+    backward(loss)
+    assert list(params.grads()) == params.names()
     e, h = cfg.embed_dim, cfg.hidden_dim
     chunk = training_chunk([
         TrainingRecord(rng.normal(size=(k, e + 2 * h)), rng.normal(size=(n, h)),
                        rng.normal(size=(n, e)), rng.integers(0, k, size=n))
         for k, n in ((3, 5), (1, 2))])
-    assert tape_nodes(chunk_loss(chunk, init_memory_params(cfg, 6).pset)) <= 19
+    assert tape_nodes(chunk_loss(chunk, init_memory_params(cfg, 6).pset)) == 1
 
 
 def test_beam_search_builds_no_tensor(monkeypatch):
+    # nor any loss: decoding keeps nothing for a backward
     cfg, params = tiny_params(seed=7, src_v=15, tgt_v=15)
     src = [4, 9, 6, EOS_ID]
     enc = encode(src, params)
@@ -199,13 +206,13 @@ def test_beam_search_builds_no_tensor(monkeypatch):
     mparams.pset["mem_v"].data[...] = 0.5
     mem = merge_memory([LocalMemoryEntry(f"w{i}", 4 + i, i, enc.h[i], 0.5) for i in range(3)])
     built = []
-    real_init = numerics.Tensor.__init__
+    real_init = numerics.Loss.__init__
 
     def counting_init(self, *args):
         built.append(1)
         real_init(self, *args)
 
-    monkeypatch.setattr(numerics.Tensor, "__init__", counting_init)
+    monkeypatch.setattr(numerics.Loss, "__init__", counting_init)
     hyp = beam_search(src, params, beam=3, max_len=8, enc=enc)
     hooked = beam_search(src, params, beam=3, max_len=8,
                          memory_hook=MemoryHook(mem, mparams, params), enc=enc)
@@ -508,7 +515,7 @@ class _ExtendedLabelHook:
 
     def __init__(self, vocab: int, proxy_id: int):
         self.vocab = vocab
-        self.proxy_id = proxy_id
+        self.proxy_ids = np.r_[np.arange(vocab), proxy_id]
 
     def __call__(self, s_prev, y_prev, p):
         share = 0.5 / (1.0 + np.exp(-s_prev.sum(axis=1) - 0.1 * y_prev))
@@ -516,9 +523,6 @@ class _ExtendedLabelHook:
         out[:, : self.vocab] = (1.0 - share)[:, None] * p
         out[:, self.vocab] = share
         return out
-
-    def embed_proxy(self, tid: int) -> int:
-        return self.proxy_id if tid == self.vocab else tid
 
 
 def test_reference_encoder_matches_encode():
@@ -556,7 +560,7 @@ def _grads(loss_fn, params):
     params.zero_grads()
     loss = loss_fn(params)
     backward(loss)
-    grads = {n: params[n].grad.copy() for n in params.names() if params[n].grad is not None}
+    grads = {n: g.copy() for n, g in params.grads().items()}
     params.zero_grads()
     return float(loss.data), grads
 
@@ -591,15 +595,15 @@ def test_fused_gradients_match_per_op_tape(seed, b, s_len, t_len):
     def tape_enc_loss(p):
         enc = tape_encode_batch(batch.src, batch.src_mask, p)
         parts = [sum_all(mul(t, constant(w))) for t, w in zip((enc.states, enc.uh, enc.s0), out_w)]
-        return numerics.add(numerics.add(parts[0], parts[1]), parts[2])
+        return add(add(parts[0], parts[1]), parts[2])
 
-    want_loss, want = _grads(tape_enc_loss, params)
+    want_loss, want = _grads(on_tape(tape_enc_loss), params)
     assert loss == pytest.approx(want_loss, rel=1e-12)
     _assert_same_gradients(got, want)
 
     # the whole loss, through the decoder node
     loss, got = _grads(lambda p: teacher_forced_loss(batch, p), params)
-    want_loss, want = _grads(lambda p: tape_loss(batch, p), params)
+    want_loss, want = _grads(on_tape(lambda p: tape_loss(batch, p)), params)
     assert loss == pytest.approx(want_loss, rel=1e-12)
     _assert_same_gradients(got, want)
 
@@ -611,8 +615,9 @@ def test_decoder_node_gradient_check():
     for t in params.params.values():
         t.data[...] = rng.uniform(-0.6, 0.6, size=t.data.shape)
     mask = np.array([[1.0, 1, 1, 1], [1, 1, 0, 0]])
-    for name, shape in (("states", (2, 4, 10)), ("uh", (2, 4, 5)), ("s0", (2, 5))):
-        params.add(name, rng.uniform(-0.9, 0.9, size=shape))
+    params = ParamSet({**{name: params[name].data for name in params.names()},
+                       **{name: rng.uniform(-0.9, 0.9, size=shape) for name, shape in
+                          (("states", (2, 4, 10)), ("uh", (2, 4, 5)), ("s0", (2, 5)))}})
     y_in = np.array([[BOS_ID, 5, 7], [BOS_ID, 9, EOS_ID]])
     out_w = constant(rng.normal(size=(6, 4)))
     inputs = ("states", "uh", "s0")
@@ -629,4 +634,4 @@ def test_decoder_node_gradient_check():
         node = fused(z, [p[name] for name in (*inputs, *names)], grads_of)
         return sum_all(mul(node, out_w))
 
-    assert grad_check(loss, params, max_samples_per_tensor=20) < 1e-4
+    assert grad_check(on_tape(loss), params, max_samples_per_tensor=20) < 1e-4

@@ -1,29 +1,43 @@
 import numpy as np
 import pytest
 
-from conftest import concat, mul, softmax, sum_all, tanh
+from conftest import (
+    Tensor,
+    add,
+    backward,
+    concat,
+    constant,
+    fused,
+    leaf,
+    matmul,
+    mul,
+    on_tape,
+    rows,
+    softmax,
+    sum_all,
+    tanh,
+)
+from mnmt import numerics
+from mnmt.corpus import Batch
+from mnmt.memory import TrainingRecord, chunk_loss, init_memory_params, training_chunk
+from mnmt.model import NmtConfig, init_nmt_params, teacher_forced_loss
 from mnmt.numerics import (
     GradientError,
+    Loss,
     MaskedSoftmaxError,
     NonFiniteError,
     ParamSet,
-    Tensor,
     adam_step,
-    add,
-    backward,
     clip_gradients,
-    constant,
     cross_entropy,
-    fused,
+    cross_entropy_backward,
     grad_check,
     gru_cell,
     gru_sequence,
     gru_sequence_backward,
-    matmul,
     maxout,
     maxout_backward,
     no_grad,
-    rows,
     sigmoid,
 )
 
@@ -59,13 +73,6 @@ class TestSoftmax:
             softmax(constant(np.array([[1.0, 2.0]])), np.array([[0.0, 0.0]]))
 
 
-def _gru_params(values):
-    pset = ParamSet()
-    for name, v in values.items():
-        pset.add(name, v)
-    return pset
-
-
 def _packed(pset):
     """[Wz|Wr|Wh], [bz|br|bh], [Uz|Ur] and Uh of a prefix-free GRU parameter set."""
     w = np.concatenate([pset[f"W{g}"].data for g in "zrh"], axis=1)
@@ -86,7 +93,7 @@ class TestGruStep:
             f"{k}{g}": np.zeros((dim, dim)) for k in ("W", "U") for g in ("z", "r", "h")
         }
         zeros.update({f"b{g}": np.zeros(dim) for g in ("z", "r", "h")})
-        pset = _gru_params(zeros)
+        pset = ParamSet(zeros)
         h = _cell(np.array([[0.3, 0.7]]), np.array([[0.4, -0.2]]), pset)
         np.testing.assert_allclose(h, [[0.2, -0.1]], atol=1e-15)
 
@@ -96,7 +103,7 @@ class TestGruStep:
             f"{k}{g}": np.zeros((dim, dim)) for k in ("W", "U") for g in ("z", "r", "h")
         }
         zeros.update({f"b{g}": np.zeros(dim) for g in ("z", "r", "h")})
-        h, _ = gru_sequence(np.zeros((2, 4, dim)), np.ones((2, 4)), _gru_params(zeros), "", False)
+        h, _ = gru_sequence(np.zeros((2, 4, dim)), np.ones((2, 4)), ParamSet(zeros), "", False)
         np.testing.assert_array_equal(h, np.zeros((2, 4, dim)))
 
     def test_matches_scalar_reevaluation(self):
@@ -106,7 +113,7 @@ class TestGruStep:
             f"{k}{g}": rng.normal(size=(2, 2)) for k in ("W", "U") for g in ("z", "r", "h")
         }
         vals.update({f"b{g}": rng.normal(size=2) for g in ("z", "r", "h")})
-        pset = _gru_params(vals)
+        pset = ParamSet(vals)
         x = rng.normal(size=2)
         h = rng.normal(size=2)
         got = _cell(x[None], h[None], pset)[0]
@@ -131,18 +138,18 @@ class TestGruStep:
 
 
 def _random_gru(rng, e, hid, prefix=""):
-    pset = ParamSet()
+    arrays = {}
     for g in "zrh":
-        pset.add(f"{prefix}W{g}", rng.uniform(-0.7, 0.7, size=(e, hid)))
-        pset.add(f"{prefix}U{g}", rng.uniform(-0.7, 0.7, size=(hid, hid)))
-        pset.add(f"{prefix}b{g}", rng.uniform(-0.7, 0.7, size=hid))
-    return pset
+        arrays[f"{prefix}W{g}"] = rng.uniform(-0.7, 0.7, size=(e, hid))
+        arrays[f"{prefix}U{g}"] = rng.uniform(-0.7, 0.7, size=(hid, hid))
+        arrays[f"{prefix}b{g}"] = rng.uniform(-0.7, 0.7, size=hid)
+    return arrays
 
 
 class TestGruSequence:
     def test_steps_equal_cells_and_padding_keeps_state(self):
         rng = np.random.default_rng(11)
-        pset = _random_gru(rng, 3, 4)
+        pset = ParamSet(_random_gru(rng, 3, 4))
         x = rng.normal(size=(2, 5, 3))
         mask = np.array([[1.0, 1, 1, 1, 1], [1, 1, 1, 0, 0]])
         for reverse in (False, True):
@@ -155,8 +162,7 @@ class TestGruSequence:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradient_check(self, reverse):
         rng = np.random.default_rng(12)
-        pset = _random_gru(rng, 3, 4, "g_")
-        pset.add("x", rng.normal(size=(3, 4, 3)))
+        pset = ParamSet({**_random_gru(rng, 3, 4, "g_"), "x": rng.normal(size=(3, 4, 3))})
         mask = np.array([[1.0, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])
         weights = constant(rng.normal(size=(3, 4, 4)))
         names = [f"g_{kind}{gate}" for kind in "WUb" for gate in "zrh"]
@@ -171,11 +177,11 @@ class TestGruSequence:
             return sum_all(mul(fused(out, [p["x"], *(p[name] for name in names)], grads_of),
                                weights))
 
-        assert grad_check(loss, pset) < 1e-4
+        assert grad_check(on_tape(loss), pset) < 1e-4
 
     def test_overflow_raises(self):
         rng = np.random.default_rng(13)
-        pset = _random_gru(rng, 3, 4)
+        pset = ParamSet(_random_gru(rng, 3, 4))
         pset["Wh"].data[...] = 1e308  # tanh would map the overflow to 1
         with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
             gru_sequence(np.ones((2, 3, 3)), np.ones((2, 3)), pset, "", False)
@@ -211,19 +217,17 @@ class TestSigmoid:
 
 
 def _product_loss(fn, shapes, seed):
-    """A parameter set of the given shapes and sum(fn(params) * fixed weights)."""
+    """A parameter set of the given shapes and sum(fn(leaves) * fixed weights) on the tape."""
     rng = np.random.default_rng(seed)
-    pset = ParamSet()
-    for name, shape in shapes.items():
-        pset.add(name, rng.normal(size=shape))
+    pset = ParamSet({name: rng.normal(size=shape) for name, shape in shapes.items()})
     with no_grad():
-        out_shape = fn(pset).shape
+        out_shape = fn({name: constant(pset[name].data) for name in shapes}).shape
     weights = constant(rng.normal(size=out_shape))
 
     def loss(p):
         return sum_all(mul(fn(p), weights))
 
-    return loss, pset
+    return on_tape(loss), pset
 
 
 class TestMatmul:
@@ -259,8 +263,7 @@ class TestBackward:
         x = rng.normal(size=(3, 4))
         w_init = rng.normal(size=(4, 2))
 
-        pset = ParamSet()
-        w = pset.add("w", w_init)
+        w = leaf(w_init)
         inp = constant(x)
         hidden = tanh(matmul(inp, w))
         backward(sum_all(mul(hidden, hidden)))
@@ -273,9 +276,7 @@ class TestBackward:
 class TestConstants:
     def test_constant_operands_get_no_gradient(self):
         rng = np.random.default_rng(9)
-        pset = ParamSet()
-        w = pset.add("w", rng.normal(size=(3, 2)))
-        emb = pset.add("emb", rng.normal(size=(5, 3)))
+        w, emb = leaf(rng.normal(size=(3, 2))), leaf(rng.normal(size=(5, 3)))
         x, bias, mask = (constant(rng.normal(size=shape)) for shape in ((4, 3), (2,), (8, 2)))
         h = concat([matmul(x, w), matmul(rows(emb, [0, 2, 2, 4]), w)], axis=0)  # [8, 2]
         backward(sum_all(mul(tanh(add(h, bias)), mask)))
@@ -287,6 +288,16 @@ class TestConstants:
         assert not out.requires_grad and out._parents == ()
 
 
+def _logits_loss(targets, weights):
+    """`cross_entropy` over the parameter ``logits`` as a package loss."""
+
+    def loss(p):
+        value, cache = cross_entropy(p["logits"].data, targets, weights)
+        return Loss(value, lambda: p.write_grads({"logits": cross_entropy_backward(cache)}))
+
+    return loss
+
+
 class TestCrossEntropy:
     def test_weighted_mean_of_row_losses(self):
         rng = np.random.default_rng(10)
@@ -294,45 +305,43 @@ class TestCrossEntropy:
         targets = np.array([0, 3, 4, 1])
         weights = np.array([1.0, 0.0, 1.0, 1.0])
         nll = np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(4), targets]
-        got = cross_entropy(constant(logits), targets, weights).data
+        got, _ = cross_entropy(logits, targets, weights)
         assert got == pytest.approx((nll * weights).sum() / 3, rel=1e-14)
 
     def test_zero_weight_row_gets_no_gradient(self):
         rng = np.random.default_rng(11)
-        pset = ParamSet()
-        logits = pset.add("logits", rng.normal(size=(3, 4)))
-
-        def loss(p):
-            return cross_entropy(p["logits"], np.array([1, 2, 3]), np.array([1.0, 0.0, 2.0]))
-
+        pset = ParamSet({"logits": rng.normal(size=(3, 4))})
+        loss = _logits_loss(np.array([1, 2, 3]), np.array([1.0, 0.0, 2.0]))
         assert grad_check(loss, pset) < 1e-7
-        backward(loss(pset))
-        np.testing.assert_array_equal(logits.grad[1], np.zeros(4))
+        numerics.backward(loss(pset))
+        np.testing.assert_array_equal(pset["logits"].grad[1], np.zeros(4))
+
+
+def _written(pset, grads):
+    pset.write_grads({name: np.asarray(g, dtype=float) for name, g in grads.items()})
+    return pset
 
 
 class TestAdam:
     def test_first_step_moves_by_signed_lr(self):
-        pset = ParamSet()
-        pset.add("theta", np.array([1.0]))
-        adam_step(pset, {"theta": np.array([0.3])}, lr=0.0005)
+        pset = ParamSet({"theta": np.array([1.0])})
+        adam_step(_written(pset, {"theta": [0.3]}), lr=0.0005)
         expected = 1.0 - 0.0005 * 0.3 / (0.3 + 1e-8)
         np.testing.assert_allclose(pset["theta"].data, [expected], atol=1e-15)
         assert pset["theta"].data[0] == pytest.approx(0.9995, abs=1e-8)
 
     def test_zero_gradient_keeps_value_but_counts(self):
-        pset = ParamSet()
-        pset.add("theta", np.array([2.0]))
-        adam_step(pset, {"theta": np.array([0.0])}, lr=0.1)
+        pset = ParamSet({"theta": np.array([2.0])})
+        adam_step(_written(pset, {"theta": [0.0]}), lr=0.1)
         assert pset["theta"].data[0] == 2.0
         assert pset.step == 1
 
     def test_two_steps_match_unrolled_recurrence(self):
         lr, b1, b2, eps = 0.0005, 0.9, 0.999, 1e-8
         g = 0.3
-        pset = ParamSet()
-        pset.add("theta", np.array([1.0]))
-        adam_step(pset, {"theta": np.array([g])}, lr=lr)
-        adam_step(pset, {"theta": np.array([g])}, lr=lr)
+        pset = ParamSet({"theta": np.array([1.0])})
+        adam_step(_written(pset, {"theta": [g]}), lr=lr)
+        adam_step(_written(pset, {"theta": [g]}), lr=lr)
 
         m = v = 0.0
         theta = 1.0
@@ -347,53 +356,88 @@ class TestAdam:
 
     def test_zero_lr_is_identity_on_values(self):
         rng = np.random.default_rng(0)
-        pset = ParamSet()
-        pset.add("w", rng.normal(size=(3, 2)))
+        pset = ParamSet({"w": rng.normal(size=(3, 2))})
         before = pset["w"].data.copy()
-        adam_step(pset, {"w": rng.normal(size=(3, 2))}, lr=0.0)
+        adam_step(_written(pset, {"w": rng.normal(size=(3, 2))}), lr=0.0)
         np.testing.assert_array_equal(pset["w"].data, before)
 
     def test_nan_gradient_names_parameter(self):
-        pset = ParamSet()
-        pset.add("w", np.array([1.0]))
+        pset = ParamSet({"v": np.array([1.0]), "w": np.array([1.0])})
         with pytest.raises(GradientError, match="'w'"):
-            adam_step(pset, {"w": np.array([np.nan])}, lr=0.1)
+            adam_step(_written(pset, {"v": [0.5], "w": [np.nan]}), lr=0.1)
 
     def test_unknown_gradient_name_rejected(self):
-        pset = ParamSet()
-        pset.add("w", np.array([1.0]))
+        pset = ParamSet({"w": np.array([1.0])})
         with pytest.raises(KeyError):
-            adam_step(pset, {"nope": np.array([1.0])}, lr=0.1)
+            _written(pset, {"nope": [1.0]})
+
+    def test_parameters_without_a_gradient_keep_values_and_moments(self):
+        # the set's written parameters a and c step as a set of a and c alone
+        rng = np.random.default_rng(1)
+        arrays = {name: rng.normal(size=shape) for name, shape in
+                  (("a", (2, 3)), ("b", (4,)), ("c", (3, 1)), ("d", ()))}
+        full, part = ParamSet(arrays), ParamSet({n: arrays[n] for n in "ac"})
+        first = {name: rng.normal(size=a.shape) for name, a in arrays.items()}
+        adam_step(_written(full, first), lr=0.01)
+        adam_step(_written(part, {n: first[n] for n in "ac"}), lr=0.01)
+        full.zero_grads()
+        kept = {n: [full[n].data.copy()] + [buf[full.spans[n]].copy()
+                                            for buf in (full.adam_m, full.adam_v)] for n in "bd"}
+        second = {n: rng.normal(size=arrays[n].shape) for n in "ac"}
+        adam_step(_written(full, second), lr=0.01)
+        adam_step(_written(part, second), lr=0.01)
+        for name in "ac":
+            np.testing.assert_array_equal(full[name].data, part[name].data)
+        for name, (value, m, v) in kept.items():
+            np.testing.assert_array_equal(full[name].data, value)
+            np.testing.assert_array_equal(full.adam_m[full.spans[name]], m)
+            np.testing.assert_array_equal(full.adam_v[full.spans[name]], v)
+
+
+class TestParamSet:
+    def test_parameters_are_views_of_the_packed_buffers(self):
+        pset = ParamSet({"a": np.ones((2, 3)), "b": np.full(4, 2.0), "c": np.zeros(())})
+        assert [pset.spans[n] for n in pset.names()] == [slice(0, 6), slice(6, 10),
+                                                         slice(10, 11)]
+        for name in pset.names():
+            assert np.shares_memory(pset[name].data, pset.values)
+            assert np.shares_memory(pset[name].grad, pset.grad)
+            assert pset[name].data.flags.c_contiguous
+        pset["b"].data[1] = 7.0
+        assert pset.values[7] == 7.0
+
+    def test_written_spans_merge_adjacent_parameters(self):
+        pset = ParamSet({n: np.ones(2) for n in "abcd"})
+        _written(pset, {"a": [1, 1], "b": [1, 1], "d": [1, 1]})
+        assert pset.written_spans() == [slice(0, 4), slice(6, 8)]
+        assert list(pset.grads()) == ["a", "b", "d"]
+        pset.zero_grads()
+        assert pset.written_spans() == [] and pset.grads() == {}
 
 
 class TestGradCheck:
     def test_quadratic(self):
-        pset = ParamSet()
-        pset.add("theta", np.array([0.5, -1.5, 2.0]))
+        pset = ParamSet({"theta": np.array([0.5, -1.5, 2.0])})
 
         def loss(p):
             t = p["theta"]
             return sum_all(mul(mul(t, t), constant(np.full(3, 0.5))))
 
-        assert grad_check(loss, pset) < 1e-9
+        assert grad_check(on_tape(loss), pset) < 1e-9
 
     def test_softmax_cross_entropy(self):
-        pset = ParamSet()
-        logits = pset.add("logits", np.array([[0.2, -0.4, 1.1]]))
-
-        def loss(p):
-            return cross_entropy(p["logits"], np.array([2]), np.ones(1))
-
+        pset = ParamSet({"logits": np.array([[0.2, -0.4, 1.1]])})
+        loss = _logits_loss(np.array([2]), np.ones(1))
         assert grad_check(loss, pset) < 1e-7
-        backward(loss(pset))
-        p = np.exp(logits.data[0]) / np.exp(logits.data[0]).sum()
+        numerics.backward(loss(pset))
+        logits = pset["logits"].data
+        p = np.exp(logits[0]) / np.exp(logits[0]).sum()
         expected = p.copy()
         expected[2] -= 1.0
-        np.testing.assert_allclose(logits.grad[0], expected, atol=1e-12)
+        np.testing.assert_allclose(pset["logits"].grad[0], expected, atol=1e-12)
 
     def test_non_deterministic_loss_rejected(self):
-        pset = ParamSet()
-        pset.add("theta", np.array([1.0]))
+        pset = ParamSet({"theta": np.array([1.0])})
         state = {"n": 0.0}
 
         def loss(p):
@@ -401,7 +445,53 @@ class TestGradCheck:
             return sum_all(mul(p["theta"], constant(np.array([state["n"]]))))
 
         with pytest.raises(GradientError, match="deterministic"):
-            grad_check(loss, pset)
+            grad_check(on_tape(loss), pset)
+
+
+def _scaled(loss_fn, name, factor):
+    """``loss_fn`` whose written gradient of ``name`` is off by ``factor``."""
+
+    def loss(p):
+        inner = loss_fn(p)
+
+        def write_grads():
+            numerics.backward(inner)
+            p[name].grad[...] *= factor
+
+        return Loss(inner.data, write_grads)
+
+    return loss
+
+
+def _nmt_case():
+    cfg = NmtConfig(src_vocab_size=12, tgt_vocab_size=12, embed_dim=4, hidden_dim=6)
+    rng = np.random.default_rng(4)
+    params = init_nmt_params(cfg, 4)
+    params.values[:] = rng.uniform(-0.5, 0.5, size=params.values.shape)
+    batch = Batch(rng.integers(4, 12, size=(2, 4)), np.array([[1.0, 1, 1, 1], [1, 1, 1, 0]]),
+                  rng.integers(4, 12, size=(2, 3)), np.array([[1.0, 1, 1], [1, 1, 0]]))
+    return (lambda p: teacher_forced_loss(batch, p)), params, "out_b"
+
+
+def _memory_case():
+    cfg = NmtConfig(src_vocab_size=12, tgt_vocab_size=12, embed_dim=4, hidden_dim=6)
+    rng = np.random.default_rng(5)
+    pset = init_memory_params(cfg, 5).pset
+    pset.values[:] = rng.uniform(-0.5, 0.5, size=pset.values.shape)
+    chunk = training_chunk([TrainingRecord(rng.normal(size=(k, 16)), rng.normal(size=(n, 6)),
+                                           rng.normal(size=(n, 4)), rng.integers(0, k, size=n))
+                            for k, n in ((3, 2), (2, 3))])
+    return (lambda p: chunk_loss(chunk, p)), pset, "mem_v"
+
+
+@pytest.mark.parametrize("case", [_nmt_case, _memory_case])
+def test_grad_check_perturbs_the_stored_parameters(case):
+    # a numeric gradient is read through the value buffer; were the perturbed
+    # entry a copy, every numeric gradient would be 0 and the error 1
+    loss_fn, pset, name = case()
+    assert grad_check(loss_fn, pset, max_samples_per_tensor=6) < 1e-4
+    err = grad_check(_scaled(loss_fn, name, 1.01), pset, max_samples_per_tensor=6)
+    assert 1e-4 < err < 1e-2
 
 
 class TestTensorHygiene:
@@ -410,18 +500,21 @@ class TestTensorHygiene:
             Tensor(np.array([1.0, np.inf]))
         with pytest.raises(NonFiniteError):
             Tensor(np.array([np.nan]))
+        with pytest.raises(NonFiniteError):
+            Loss(np.nan, lambda: None)
 
     def test_clip_rescales_global_norm(self):
-        grads = {"a": np.array([3.0, 4.0]), "b": np.array([0.0, 12.0])}
-        norm = clip_gradients(grads)
+        pset = _written(ParamSet({"a": np.zeros(2), "b": np.zeros(2), "c": np.ones(2)}),
+                        {"a": [3.0, 4.0], "b": [0.0, 12.0]})
+        norm = clip_gradients(pset)
         assert norm == pytest.approx(13.0)
-        total = sum(float((g * g).sum()) for g in grads.values())
+        total = sum(float((g * g).sum()) for g in pset.grads().values())
         assert np.sqrt(total) == pytest.approx(5.0)
 
     def test_clip_leaves_small_gradients_alone(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        clip_gradients(grads)
-        np.testing.assert_array_equal(grads["a"], [0.3, 0.4])
+        pset = _written(ParamSet({"a": np.zeros(2)}), {"a": [0.3, 0.4]})
+        clip_gradients(pset)
+        np.testing.assert_array_equal(pset["a"].grad, [0.3, 0.4])
 
     def test_kernels_bit_deterministic(self):
         rng = np.random.default_rng(3)
@@ -434,5 +527,8 @@ class TestTensorHygiene:
     def test_no_grad_builds_leaf_tensors(self):
         with no_grad():
             out = mul(constant(np.ones(2)), constant(np.ones(2)))
+            loss = Loss(1.0, lambda: None)
         assert out._parents == ()
         backward(sum_all(out))  # nothing to propagate, must not raise
+        with pytest.raises(GradientError, match="no_grad"):
+            numerics.backward(loss)
