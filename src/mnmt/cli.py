@@ -23,7 +23,7 @@ from .corpus import (
     load_parallel_corpus,
     make_batches,
 )
-from .lexicon import Lexicon, load_lexicon, save_lexicon, train_ibm1
+from .lexicon import Lexicon, check_ibm1_settings, load_lexicon, save_lexicon, train_ibm1
 from .memory import (
     DEFAULT_BETA,
     DEFAULT_MEMORY_K,
@@ -194,7 +194,7 @@ def translate_lines(
         hook = None
         mem = None
         if lexicon is not None and mparams is not None:
-            mem = sentence_memory(tokens, enc, lexicon, tgt_vocab, k, record, sim)
+            mem = sentence_memory(tokens, enc.h, lexicon, tgt_vocab, k, record, sim)
             hook = make_memory_hook(mem, mparams, nmt_params)
         hyp = beam_search(src_ids, nmt_params, beam,
                           max_decode_len if max_decode_len > 0 else None, hook, enc=enc)
@@ -226,6 +226,7 @@ def _cmd_build_vocab(args) -> int:
 def _cmd_train_lexicon(args) -> int:
     cfg = _resolve_config(args)
     _require(cfg, "src", "tgt", "out")
+    check_ibm1_settings(args.iters, args.floor)
     corpus = load_parallel_corpus(cfg.src, cfg.tgt)
     lex = train_ibm1(corpus, iterations=args.iters, prob_floor=args.floor)
     save_lexicon(lex, cfg.out)

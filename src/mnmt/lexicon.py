@@ -96,14 +96,21 @@ def _em_direction(pairs: list[tuple[list[str], list[str]]], iterations: int):
     return table, lls
 
 
+def check_ibm1_settings(iterations: int, prob_floor: float) -> None:
+    """Reject what `train_ibm1` cannot use; a floor above 1 keeps no pair, a NaN one all."""
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if not 0.0 <= prob_floor <= 1.0:
+        raise ValueError(f"prob_floor must be in [0, 1], got {prob_floor}")
+
+
 def train_ibm1(corpus: ParallelCorpus, iterations: int = 10, prob_floor: float = 0.01) -> Lexicon:
     """Run EM in both directions and keep pairs clearing the probability floor.
 
     An entry survives when at least one of its two conditional probabilities
     reaches ``prob_floor``.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    check_ibm1_settings(iterations, prob_floor)
     pairs = corpus.pairs
     if not pairs:
         raise EmptyCorpusError("cannot train an aligner on an empty corpus")

@@ -8,7 +8,8 @@ probabilities.  A small tanh scoring net, `score_entries`, attends over the
 merged entries on plain arrays; decoding calls it directly, and training
 through `chunk_loss`, whose closure writes the net's gradients.  It is
 trained against a frozen translation model, and its attention is
-interpolated into the decoder posterior.
+interpolated into the decoder posterior.  Training builds its memories with
+decoding's `sentence_memory` and takes its decoder states from `decode_sequence`.
 
 Out-of-vocabulary words are handled by borrowing: source-side OOVs are
 replaced by an in-vocabulary similar word before encoding, and at such a
@@ -28,7 +29,7 @@ import numpy as np
 
 from .corpus import BOS_ID, Vocabulary, encode_sentence, pad_batch
 from .lexicon import Lexicon, lexicon_lookup
-from .model import INIT_SCALE, DecoderWeights, EncodedSource, NmtConfig, encode_batch, step_forward
+from .model import INIT_SCALE, NmtConfig, decode_sequence, encode_batch
 # not called here: bench/layers.py wraps memory.encode by name and needs it to exist
 from .model import encode  # noqa: F401
 from .numerics import (
@@ -86,12 +87,8 @@ class MergedMemory:
     def size(self) -> int:
         return len(self.entries)
 
-    def embed_proxy(self, token_id: int) -> int:
-        info = self.oov_labels.get(token_id)
-        return token_id if info is None else info[1]
-
     def proxy_ids(self, vocab_size: int) -> np.ndarray:
-        """`embed_proxy` of every label id: the vocabulary, then the OOV labels."""
+        """The embedding row of every label id: the vocabulary, then the OOV labels' stand-ins."""
         ids = np.arange(vocab_size + len(self.oov_labels))
         for label, (_, stand_in) in self.oov_labels.items():
             ids[label] = stand_in
@@ -229,9 +226,8 @@ def merge_memory(entries: list[LocalMemoryEntry]) -> MergedMemory:
 
 def entry_matrix(mem: MergedMemory, tgt_embed: np.ndarray) -> np.ndarray:
     """Stack u_k = [target embedding; blended source state] as a [K, E+2H] matrix."""
-    return np.stack(
-        [np.concatenate([tgt_embed[mem.embed_proxy(e.label_id)], e.h_blend]) for e in mem.entries]
-    )
+    proxy = mem.proxy_ids(len(tgt_embed))[[e.label_id for e in mem.entries]]
+    return np.concatenate([tgt_embed[proxy], np.stack([e.h_blend for e in mem.entries])], axis=1)
 
 
 def score_entries(s_prev: np.ndarray, y_emb: np.ndarray, uw: np.ndarray,
@@ -348,14 +344,14 @@ def apply_oov_substitution(
 
 def sentence_memory(
     tokens: list[str],
-    enc: EncodedSource,
+    h: np.ndarray,
     lex: Lexicon,
     tgt_vocab: Vocabulary,
     k: int,
     record: OovRecord | None = None,
     sim: SimilarWordMap | None = None,
 ) -> MergedMemory:
-    """The sentence's merged memory: local entries built once, merged once.
+    """The merged memory over a sentence's [S, 2H] states ``h``, built once, merged once.
 
     At each position of ``record``'s substitutions (given ``sim``) the
     original OOV word's lexicon candidates are entered instead of the
@@ -369,7 +365,7 @@ def sentence_memory(
     """
     subs = record.substitutions if record is not None and sim is not None else []
     substituted = {pos for pos, _, _ in subs}
-    local = [e for e in build_local_memory(tokens, enc.h, lex, k, tgt_vocab)
+    local = [e for e in build_local_memory(tokens, h, lex, k, tgt_vocab)
              if e.source_pos not in substituted]
     oov_labels: dict[int, tuple[str, int]] = {}
     ext_by_label: dict[str, int] = {}
@@ -390,7 +386,7 @@ def sentence_memory(
                     continue
                 label_id = ext_by_label[tgt_tok] = len(tgt_vocab) + len(oov_labels)
                 oov_labels[label_id] = (tgt_tok, tgt_vocab.id_of(stand_ins[0]))
-            local.append(LocalMemoryEntry(tgt_tok, label_id, pos, enc.h[pos],
+            local.append(LocalMemoryEntry(tgt_tok, label_id, pos, h[pos],
                                           lex.entries[(orig, tgt_tok)][1]))
     if skipped:
         logger.warning("OOV injection skipped %d entries", len(skipped))
@@ -484,9 +480,9 @@ def _training_records(
     k: int,
     batch_pairs: int,
 ) -> list[TrainingRecord]:
-    """One frozen encoding per batch of pairs, decoded up to its last memory position."""
-    w = DecoderWeights(nmt_params)
-    tgt_embed = w.embed
+    """One frozen encoding per batch of pairs, teacher-forced by `decode_sequence`
+    up to its last memory position; each memory is the one decoding builds."""
+    tgt_embed = nmt_params["tgt_embed"].data
     records: list[TrainingRecord] = []
     for start in range(0, len(pairs), batch_pairs):
         group = pairs[start : start + batch_pairs]
@@ -494,11 +490,9 @@ def _training_records(
                 encode_sentence(t, tgt_vocab, append_eos=True)) for s, t in group]
         batch = pad_batch(ids)
         enc = encode_batch(batch.src, batch.src_mask, nmt_params)
-        h = enc.states  # [B, S, 2H]
         hits = []  # (row, merged memory, target columns, entry per column)
-        for row, ((src_tokens, _), (src_ids, tgt_ids)) in enumerate(zip(group, ids)):
-            mem = merge_memory(
-                build_local_memory(src_tokens, h[row, : len(src_ids)], lex, k, tgt_vocab))
+        for row, ((src_tokens, _), (_, tgt_ids)) in enumerate(zip(group, ids)):
+            mem = sentence_memory(src_tokens, enc.states[row], lex, tgt_vocab, k)
             entry_of_label = {e.label_id: i for i, e in enumerate(mem.entries)}
             cols = [i for i, tid in enumerate(tgt_ids) if tid in entry_of_label]
             if cols:
@@ -507,11 +501,7 @@ def _training_records(
             continue
         last = max(hit_cols[-1] for _, _, hit_cols, _ in hits)
         y_prev = np.concatenate([np.full((len(group), 1), BOS_ID), batch.tgt[:, :last]], axis=1)
-        y_proj = w.project(y_prev[:, :last])
-        s_prev = [enc.s0]  # s_{i-1} of columns 0..last
-        for i in range(last):
-            s_prev.append(step_forward(s_prev[-1], y_proj[:, i], enc, w, True)[0])
-        s_prev = np.stack(s_prev)
+        _, s_prev, _ = decode_sequence(enc, y_prev, nmt_params)  # s_{i-1} of columns 0..last
         for row, mem, cols, entries in hits:
             records.append(TrainingRecord(
                 u=entry_matrix(mem, tgt_embed),

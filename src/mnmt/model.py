@@ -269,12 +269,12 @@ _GRU_PARAMS = {f"dec_{kind}{gate}" for kind in "WUb" for gate in "zrh"}
 
 
 def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet):
-    """Teacher-forced readouts z [B * T, E], row-major over [B, T]: (z, cache).
+    """Teacher-forced readouts z [B * T, E], row-major over [B, T]: (z, s_prev, cache).
 
-    ``y_in`` [B, T] holds each column's previous target word, BOS first.
-    The embedding half of the decoder's input GEMM runs once over all T
-    columns; `step_forward` runs over the columns and skips the last
-    column's GRU update, which no readout reads.
+    ``y_in`` [B, T] holds each column's previous target word, BOS first, and
+    ``s_prev`` [T, B, H] each column's state s_{i-1}.  The embedding half of the
+    decoder's input GEMM runs once over all T columns; `step_forward` runs over
+    the columns and skips the last column's GRU update, which no readout reads.
     """
     n, t_len = y_in.shape
     if enc.mask.shape[0] != n:
@@ -297,7 +297,7 @@ def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet):
             s_prev[i + 1] = s
         zs.append(z)
     out = np.stack(zs, axis=1).reshape(n * t_len, -1)
-    return out, (enc, y_in, w, s_prev, att, alpha, c, caches)
+    return out, s_prev, (enc, y_in, w, s_prev, att, alpha, c, caches)
 
 
 def decode_sequence_backward(cache, g: np.ndarray):
@@ -358,7 +358,7 @@ def teacher_forced_loss(batch: Batch, params: ParamSet) -> Loss:
     """
     enc, enc_cache = encode_forward(batch.src, batch.src_mask, params)
     y_in = np.concatenate([np.full((len(batch.tgt), 1), BOS_ID), batch.tgt[:, :-1]], axis=1)
-    z, dec_cache = decode_sequence(enc, y_in, params)  # [B * T, E], row-major over [B, T]
+    z, _, dec_cache = decode_sequence(enc, y_in, params)  # [B * T, E], row-major over [B, T]
     embed = params["tgt_embed"].data
     value, ce_cache = cross_entropy(check_finite(z @ embed.T), batch.tgt.reshape(-1),
                                     batch.tgt_mask.reshape(-1))

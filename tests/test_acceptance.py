@@ -195,7 +195,7 @@ def test_c04_interpolation_identities():
             for s_toks, _ in task.heldout_pairs:
                 ids = encode_sentence(s_toks, task.src_vocab, True)
                 enc = encode(ids, params)
-                mem = sentence_memory(s_toks, enc, lex, task.tgt_vocab, 3)
+                mem = sentence_memory(s_toks, enc.h, lex, task.tgt_vocab, 3)
                 if not mem.entries:
                     continue
                 spy = _MassSpy(MemoryHook(mem, mparams, params))

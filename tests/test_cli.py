@@ -136,6 +136,14 @@ class TestConfigRejectedBeforeInput:
         with pytest.raises(ValueError, match=f"^{key} must"):
             main([command, flag, value, *self._missing_paths(tmp_path, command)])
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--floor", "1.5", "prob_floor"), ("--floor", "nan", "prob_floor"),
+        ("--iters", "0", "iterations"),
+    ])
+    def test_lexicon_settings_checked_before_the_corpus(self, tmp_path, flag, value, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            main(["train-lexicon", flag, value, *self._missing_paths(tmp_path, "train-lexicon")])
+
 
 class TestCommands:
     # a 12-step model may emit hypotheses too short for 4-gram scoring

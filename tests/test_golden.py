@@ -55,7 +55,7 @@ def _capture() -> dict:
             ids = encode_sentence(src_toks, task.src_vocab, append_eos=True)
             hyp = beam_search(ids, params, beam)
             plain[beam].append((hyp.tokens, hyp.log_prob))
-            mem = sentence_memory(src_toks, encode(ids, params), lex, task.tgt_vocab, 3)
+            mem = sentence_memory(src_toks, encode(ids, params).h, lex, task.tgt_vocab, 3)
             hyp = beam_search(ids, params, beam, None, make_memory_hook(mem, mparams, params))
             hooked[beam].append((hyp.tokens, hyp.log_prob))
 

@@ -65,3 +65,20 @@ def test_no_module_defines_a_tape():
             if name in {"Tensor", "_parents"} or "topo" in name:
                 offenders.append(f"{path.name}:{node.lineno}: {name}")
     assert offenders == []
+
+
+def test_only_the_model_runs_the_decoder_step():
+    # one decoder recurrence: training, memory records and beam search reach
+    # the step through model.py's drivers, never by stepping it themselves
+    step_names = {"step_forward", "DecoderWeights"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ({alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
+                     else {node.name} if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                     else {node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute) else set())
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in names & step_names]
+    assert offenders == []

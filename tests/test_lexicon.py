@@ -83,6 +83,16 @@ class TestTrainIbm1:
         with pytest.raises(ValueError):
             train_ibm1(ParallelCorpus(TOY_PAIRS), iterations=0)
 
+    @pytest.mark.parametrize("floor", [1.5, -0.1, float("nan")])
+    def test_floor_outside_the_unit_interval_is_rejected(self, floor):
+        # a floor above 1 keeps no entry; a NaN floor compares false and keeps every pair
+        with pytest.raises(ValueError, match=r"^prob_floor must be in \[0, 1\]"):
+            train_ibm1(ParallelCorpus(TOY_PAIRS), iterations=1, prob_floor=floor)
+
+    def test_floor_of_one_is_accepted(self):
+        lex = train_ibm1(ParallelCorpus([(["a"], ["x"])]), iterations=1, prob_floor=1.0)
+        assert lex.entries == {("a", "x"): (1.0, 1.0)}
+
     def test_conditional_sums_bounded(self):
         lex = train_ibm1(ParallelCorpus(TOY_PAIRS), iterations=5, prob_floor=0.0)
         by_s, by_t = {}, {}

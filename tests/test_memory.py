@@ -22,6 +22,7 @@ from conftest import (
     tape_nodes,
 )
 from mnmt import memory as memory_module
+from mnmt import model as model_module
 from mnmt.corpus import EOS_ID, build_vocabulary
 from mnmt.lexicon import Lexicon, train_ibm1
 from mnmt.corpus import ParallelCorpus
@@ -47,7 +48,7 @@ from mnmt.memory import (
     train_memory_attention,
     training_chunk,
 )
-from mnmt.model import EncodedSource, encode, init_nmt_params
+from mnmt.model import encode, init_nmt_params
 from mnmt.numerics import ParamSet, backward, grad_check
 
 
@@ -180,11 +181,12 @@ class TestMemoryAttention:
         emb = params["tgt_embed"].data
         alpha = memory_attention(s, emb[y_prev], _uw(mem, mparams, params), mparams.pset)
         assert alpha.shape == (4, 3)
+        proxy = mem.proxy_ids(len(emb))
 
         for row in range(4):
             scores = []
             for e in mem.entries:
-                u = np.concatenate([emb[mem.embed_proxy(e.label_id)], e.h_blend])
+                u = np.concatenate([emb[proxy[e.label_id]], e.h_blend])
                 pre = (s[row] @ mparams.pset["mem_Ws"].data + u @ mparams.pset["mem_Wu"].data
                        + emb[y_prev[row]] @ mparams.pset["mem_Wy"].data)
                 scores.append(mparams.pset["mem_v"].data @ np.tanh(pre))
@@ -408,7 +410,7 @@ class TestInjectOovTargets:
         tokens, record = apply_oov_substitution(["oov_s", "c1"], src_vocab, sim)
         assert tokens == ["sim_s", "c1"]
         enc = encode([src_vocab.id_of(t) for t in tokens] + [EOS_ID], params)
-        mem = sentence_memory(tokens, enc, lex, tgt_vocab, k=2, record=record, sim=sim)
+        mem = sentence_memory(tokens, enc.h, lex, tgt_vocab, k=2, record=record, sim=sim)
 
         labels = {e.label_id for e in mem.entries}
         ext_id = len(tgt_vocab)
@@ -417,7 +419,7 @@ class TestInjectOovTargets:
         assert mem.oov_labels[ext_id] == ("oov_t", tgt_vocab.id_of("sim_t"))
         entry = next(e for e in mem.entries if e.label_id == ext_id)
         np.testing.assert_array_equal(entry.h_blend, enc.h[0])
-        assert mem.embed_proxy(ext_id) == tgt_vocab.id_of("sim_t")
+        assert mem.proxy_ids(len(tgt_vocab))[ext_id] == tgt_vocab.id_of("sim_t")
 
     def test_in_vocab_translation_becomes_plain_entry(self):
         src_vocab, tgt_vocab, cfg, params, lex, sim = self._setup()
@@ -426,7 +428,7 @@ class TestInjectOovTargets:
         lex.__post_init__()
         tokens, record = apply_oov_substitution(["oov_s"], src_vocab, sim)
         enc = encode([src_vocab.id_of(t) for t in tokens] + [EOS_ID], params)
-        mem = sentence_memory(tokens, enc, lex, tgt_vocab, k=1, record=record, sim=sim)
+        mem = sentence_memory(tokens, enc.h, lex, tgt_vocab, k=1, record=record, sim=sim)
         assert [e.label_id for e in mem.entries] == [tgt_vocab.id_of("d1")]
         assert mem.oov_labels == {}
 
@@ -435,7 +437,7 @@ class TestInjectOovTargets:
         sim = SimilarWordMap(source={"oov_s": ["sim_s"]}, target={})
         tokens, record = apply_oov_substitution(["oov_s"], src_vocab, sim)
         enc = encode([src_vocab.id_of(t) for t in tokens] + [EOS_ID], params)
-        mem = sentence_memory(tokens, enc, lex, tgt_vocab, k=1, record=record, sim=sim)
+        mem = sentence_memory(tokens, enc.h, lex, tgt_vocab, k=1, record=record, sim=sim)
         assert mem.injection_skipped == [(0, "oov_s", "oov_t")]
         assert all(e.label_id < len(tgt_vocab) for e in mem.entries)
 
@@ -446,7 +448,7 @@ class TestInjectOovTargets:
         lex.__post_init__()
         tokens, record = apply_oov_substitution(["oov_s"], src_vocab, sim)
         enc = encode([src_vocab.id_of(t) for t in tokens] + [EOS_ID], params)
-        mem = sentence_memory(tokens, enc, lex, tgt_vocab, k=1, record=record, sim=sim)
+        mem = sentence_memory(tokens, enc.h, lex, tgt_vocab, k=1, record=record, sim=sim)
         assert mem.injection_skipped == [(0, "oov_s", "")]
 
 
@@ -482,8 +484,7 @@ def test_one_pass_memory_matches_two_pass_reference(case):
     src_vocab, tgt_vocab = vocab_of(SRC_IN), vocab_of(TGT_IN)
     tokens, record = apply_oov_substitution(tokens, src_vocab, sim)
     h = np.random.default_rng(seed).normal(size=(len(tokens) + 1, 6))
-    enc = EncodedSource(h[None], np.zeros((1, len(h), 3)), np.ones((1, len(h))), np.zeros((1, 3)))
-    mem = sentence_memory(tokens, enc, lex, tgt_vocab, k, record, sim)
+    mem = sentence_memory(tokens, h, lex, tgt_vocab, k, record, sim)
     want, oov_labels, skipped = reference_sentence_memory(tokens, h, lex, tgt_vocab, k,
                                                           record, sim)
     assert mem.oov_labels == oov_labels
@@ -491,9 +492,10 @@ def test_one_pass_memory_matches_two_pass_reference(case):
     got = {e.label_id: e for e in mem.entries}
     assert len(got) == len(mem.entries)
     assert got.keys() == {e.label_id for e in want}
+    proxy = mem.proxy_ids(len(tgt_vocab))
     for ref in want:
         entry = got[ref.label_id]
-        assert mem.embed_proxy(entry.label_id) == ref.embed_id
+        assert proxy[entry.label_id] == ref.embed_id
         assert sorted(entry.contributors) == sorted(ref.contributors)
         np.testing.assert_array_equal(entry.h_blend, ref.h_blend)
 
@@ -532,16 +534,16 @@ class TestTrainMemoryAttention:
         want, n_positions = reference_memory_loss(pairs, src_vocab, tgt_vocab, params, lex, 3,
                                                   mparams.pset)
         assert n_positions == 7
-        steps = []
-        step_forward = memory_module.step_forward
-        monkeypatch.setattr(memory_module, "step_forward",
-                            lambda *a: steps.append(1) or step_forward(*a))
+        advances = []
+        step_forward = model_module.step_forward
+        monkeypatch.setattr(model_module, "step_forward",
+                            lambda *a: advances.append(a[4]) or step_forward(*a))
         (got,) = train_memory_attention(pairs, src_vocab, tgt_vocab, params, mparams, lex,
                                         epochs=1, lr=0.01, k=3, batch_pairs=16)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        # the last memory position is column 3 of the first pair: three steps
-        # give its state s_3, and nothing decodes past it
-        assert len(steps) == 3
+        # the last memory position is column 3 of the first pair: three GRU
+        # updates give its state s_3, and nothing decodes past that column
+        assert advances == [True, True, True, False]
 
     def test_logs_positions_coverage_and_epochs(self, caplog):
         pairs, src_vocab, tgt_vocab, params, mparams, lex = oracle_task()

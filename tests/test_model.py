@@ -22,7 +22,7 @@ from conftest import (
     tape_nodes,
 )
 from mnmt import model, numerics
-from mnmt.corpus import BOS_ID, EOS_ID, Batch, make_batches
+from mnmt.corpus import BOS_ID, EOS_ID, Batch, make_batches, pad_batch
 from mnmt.memory import (
     LocalMemoryEntry,
     MemoryHook,
@@ -359,6 +359,18 @@ class TestTrainStep:
                          max_samples_per_tensor=8, seed=0)
         assert err < 1e-4
 
+    def test_decoding_after_a_step_reads_the_stepped_parameters(self):
+        # train_step moves the ParamSet in place, and the next beam search must
+        # score with the moved values; the rescoring encodes through
+        # encode_forward, so an encoding kept from before the step would show
+        _, params = tiny_params(seed=3, src_v=15, tgt_v=15)
+        src = [4, 9, 6, EOS_ID]
+        beam_search(src, params, beam=3)
+        train_step(pad_batch([(src, [7, 5, EOS_ID])]), params, 0.05)
+        hyp = beam_search(src, params, beam=3)
+        loss = teacher_forced_loss(pad_batch([(src, hyp.tokens)]), params)
+        assert hyp.log_prob == pytest.approx(-float(loss.data) * len(hyp.tokens), rel=0, abs=1e-9)
+
     def test_deterministic_given_seed(self):
         batch = _toy_batch(np.random.default_rng(2))
         runs = []
@@ -625,7 +637,7 @@ def test_decoder_node_gradient_check():
 
     def loss(p):
         enc = EncodedSource(p["states"].data, p["uh"].data, mask, p["s0"].data)
-        z, cache = decode_sequence(enc, y_in, p)
+        z, _, cache = decode_sequence(enc, y_in, p)
 
         def grads_of(g):
             *d_inputs, grads = decode_sequence_backward(cache, g)
