@@ -29,11 +29,9 @@ from .memory import (
     MergedMemory,
     SimilarWordMap,
     apply_oov_substitution,
-    build_local_memory,
     init_memory_params,
     interpolate_posterior,
     memory_attention,
-    merge_memory,
     train_memory_attention,
 )
 from .bleu import BleuReport, bleu, brevity_penalty, ngram_precisions, recalled_words

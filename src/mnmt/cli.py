@@ -163,6 +163,22 @@ def _memory_params_for(path: str, arrays: dict[str, np.ndarray], nmt_params: Par
     return params_from_arrays(arrays)
 
 
+def _load_usable_lexicon(path: str, tgt_vocab: Vocabulary, sim: SimilarWordMap | None) -> Lexicon:
+    """The lexicon at ``path``.  Entries whose target is outside the target vocabulary
+    and has no in-vocabulary stand-in are logged; a lexicon of only those is rejected."""
+    lex = load_lexicon(path)
+    stand_ins = sim.target if sim is not None else {}
+    unusable = sum(1 for _, t in lex.entries if t not in tgt_vocab
+                   and not any(c in tgt_vocab for c in stand_ins.get(t, ())))
+    if unusable:
+        logger.warning("%s: %d of %d lexicon entries have a target outside the target "
+                       "vocabulary and no in-vocabulary stand-in", path, unusable, len(lex))
+    if unusable == len(lex):
+        raise ValueError(f"{path}: no lexicon entry has a target in the target vocabulary "
+                         "or an in-vocabulary stand-in; every sentence memory would be empty")
+    return lex
+
+
 # --- translation pipeline ---------------------------------------------------
 
 
@@ -293,7 +309,10 @@ def _cmd_translate(args) -> int:
     nmt_params = params_from_arrays(arrays)
     src_vocab = _load_vocab_for(cfg.vocab_src, nmt_params, "src_embed")
     tgt_vocab = _load_vocab_for(cfg.vocab_tgt, nmt_params, "tgt_embed")
-    lexicon = load_lexicon(cfg.lexicon) if cfg.lexicon else None
+    sim = None
+    if cfg.sim_src or cfg.sim_tgt:
+        sim = SimilarWordMap.load(cfg.sim_src or None, cfg.sim_tgt or None)
+    lexicon = _load_usable_lexicon(cfg.lexicon, tgt_vocab, sim) if cfg.lexicon else None
     mparams = None
     if cfg.mem_ckpt:
         mem_cfg, mem_arrays = load_checkpoint(cfg.mem_ckpt)
@@ -303,9 +322,6 @@ def _cmd_translate(args) -> int:
         beta = cfg.beta if beta_set else float(mem_cfg.get("beta", cfg.beta))
         pset = _memory_params_for(cfg.mem_ckpt, mem_arrays, nmt_params)
         mparams = MemoryParams(pset, beta)
-    sim = None
-    if cfg.sim_src or cfg.sim_tgt:
-        sim = SimilarWordMap.load(cfg.sim_src or None, cfg.sim_tgt or None)
     lines = _read_text_lines(cfg.src)
     outputs = translate_lines(
         lines, src_vocab, tgt_vocab, nmt_params, cfg.beam_size, cfg.max_decode_len,

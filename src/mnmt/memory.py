@@ -1,15 +1,15 @@
 """Lexicon-derived translation memory and its attention network.
 
-Per sentence, lexicon candidates for each source word form a local memory of
-(target word, source hidden state) entries.  Entries sharing a target word
-are merged, once per sentence, into one element whose hidden vector blends
-the contributing source states, weighted by the reverse translation
+Per sentence, one grouping pass, `sentence_memory`, anchors each source
+word's lexicon candidates at its encoder state and fills a `MergedMemory`
+of arrays: one entry per target word, whose hidden vector blends the
+contributing source states, weighted by the reverse translation
 probabilities.  A small tanh scoring net, `score_entries`, attends over the
-merged entries on plain arrays; decoding calls it directly, and training
-through `chunk_loss`, whose closure writes the net's gradients.  It is
-trained against a frozen translation model, and its attention is
-interpolated into the decoder posterior.  Training builds its memories with
-decoding's `sentence_memory` and takes its decoder states from `decode_sequence`.
+entries on plain arrays; decoding calls it directly, and training through
+`chunk_loss`, whose closure writes the net's gradients.  It is trained
+against a frozen translation model, and its attention is interpolated into
+the decoder posterior.  Training builds its memories with `sentence_memory`
+and takes its decoder states from a forward-only `decode_sequence`.
 
 Out-of-vocabulary words are handled by borrowing: source-side OOVs are
 replaced by an in-vocabulary similar word before encoding, and at such a
@@ -42,6 +42,7 @@ from .numerics import (
     cross_entropy,
     cross_entropy_backward,
     masked_softmax,
+    no_grad,
     row_sums,
 )
 
@@ -57,35 +58,45 @@ class EmptyLexiconError(ValueError):
 
 
 @dataclass
-class LocalMemoryEntry:
-    """One lexicon candidate anchored at one source position."""
-
-    target_token: str
-    target_id: int
-    source_pos: int
-    h_src: np.ndarray
-    p_s_given_t: float
-
-
-@dataclass
-class MemoryEntry:
-    """A merged element: one target label, one blended source vector."""
-
-    label_id: int                           # vocab id, or extended OOV label id
-    h_blend: np.ndarray
-    contributors: list[tuple[int, float]]   # (source position, raw blend weight)
-
-
-@dataclass
 class MergedMemory:
-    entries: list[MemoryEntry]
+    """A sentence's merged memory as arrays: K entries, R the size of the largest group."""
+
+    labels: np.ndarray      # [K] int64 output label id: a vocab id, or an extended OOV label id
+    h: np.ndarray           # [K, 2H] blended source states
+    pos: np.ndarray         # [K, R] int64 contributing source positions, padded with -1
+    weight: np.ndarray      # [K, R] their raw p(s|t), padded with 0
     # extended label id -> (verbatim label string, in-vocab embedding id)
     oov_labels: dict[int, tuple[str, int]] = field(default_factory=dict)
     injection_skipped: list[tuple[int, str, str]] = field(default_factory=list)
 
+    @classmethod
+    def from_groups(cls, groups: dict[int, list[tuple[int, float]]], h: np.ndarray,
+                    oov_labels: dict[int, tuple[str, int]] | None = None,
+                    injection_skipped: list[tuple[int, str, str]] | None = None
+                    ) -> "MergedMemory":
+        """One entry per label of ``groups`` (label -> [(source position, p(s|t))]),
+        in its order, blending the rows of the [S, 2H] ``h`` at its positions.
+
+        Each group's weights are renormalised by their total, summed in group
+        order, or made uniform when that total is 0; the blend accumulates
+        from zeros rank by rank, and a padded slot adds w * h = ±0.
+        """
+        k, r = len(groups), max(map(len, groups.values()), default=0)
+        pos = np.full((k, r), -1, dtype=np.int64)
+        weight, norm = np.zeros((k, r)), np.zeros((k, r))
+        for i, group in enumerate(groups.values()):
+            n, total = len(group), sum(w for _, w in group)
+            pos[i, :n], weight[i, :n] = zip(*group)
+            norm[i, :n] = [w / total for _, w in group] if total > 0.0 else 1.0 / n
+        blend = np.zeros((k, h.shape[1]))
+        for rank in range(r):
+            blend = blend + norm[:, rank, None] * h[pos[:, rank]]
+        return cls(np.fromiter(groups, dtype=np.int64, count=k), blend, pos, weight,
+                   oov_labels or {}, injection_skipped or [])
+
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.labels)
 
     def proxy_ids(self, vocab_size: int) -> np.ndarray:
         """The embedding row of every label id: the vocabulary, then the OOV labels' stand-ins."""
@@ -96,11 +107,11 @@ class MergedMemory:
 
     def label_ids(self, vocab_size: int) -> np.ndarray:
         """Each entry's output label id: unique, and inside the vocabulary or its OOV extension."""
-        labels = np.array([e.label_id for e in self.entries], dtype=np.int64)
-        assert len(np.unique(labels)) == len(labels), "merged memory labels must be unique"
-        if len(labels) and labels.max() >= vocab_size + len(self.oov_labels):
+        if len(np.unique(self.labels)) != len(self.labels):
+            raise ValueError("merged memory labels must be unique")
+        if len(self.labels) and self.labels.max() >= vocab_size + len(self.oov_labels):
             raise ValueError("memory label id beyond the extended distribution")
-        return labels
+        return self.labels
 
 
 @dataclass
@@ -170,64 +181,13 @@ def init_memory_params(cfg: NmtConfig, seed: int, beta: float = DEFAULT_BETA) ->
     return MemoryParams(pset, beta)
 
 
-# --- memory construction --------------------------------------------------
-
-
-def build_local_memory(
-    tokens: list[str],
-    h: np.ndarray,
-    lex: Lexicon,
-    k: int,
-    tgt_vocab: Vocabulary,
-) -> list[LocalMemoryEntry]:
-    """Top-k lexicon candidates per source position (real tokens only).
-
-    ``h`` holds the sentence's [S, 2H] encoder states; row j is h_j.
-    Candidates outside the target vocabulary are skipped here; only OOV
-    injection can give such targets a usable embedding.
-    """
-    entries = []
-    for pos, tok in enumerate(tokens):
-        for tgt_tok, _ in lexicon_lookup(lex, tok, k):
-            if tgt_tok not in tgt_vocab:
-                continue
-            p_st = lex.entries[(tok, tgt_tok)][1]
-            entries.append(LocalMemoryEntry(tgt_tok, tgt_vocab.id_of(tgt_tok), pos, h[pos], p_st))
-    return entries
-
-
-def _blend(group: list[LocalMemoryEntry]) -> np.ndarray:
-    """Convex combination of source states; raw weights are renormalized."""
-    total = sum(e.p_s_given_t for e in group)
-    if total > 0.0:
-        weights = [e.p_s_given_t / total for e in group]
-    else:
-        weights = [1.0 / len(group)] * len(group)
-    out = np.zeros_like(group[0].h_src)
-    for e, w in zip(group, weights):
-        out = out + w * e.h_src
-    return out
-
-
-def merge_memory(entries: list[LocalMemoryEntry]) -> MergedMemory:
-    """Consolidate local entries sharing a target id into single elements, in order
-    of first appearance; each blends its group's states in the group's order."""
-    by_target: dict[int, list[LocalMemoryEntry]] = {}
-    for e in entries:
-        by_target.setdefault(e.target_id, []).append(e)
-    return MergedMemory([
-        MemoryEntry(tid, _blend(group), [(e.source_pos, e.p_s_given_t) for e in group])
-        for tid, group in by_target.items()
-    ])
-
-
 # --- attention and interpolation ------------------------------------------
 
 
 def entry_matrix(mem: MergedMemory, tgt_embed: np.ndarray) -> np.ndarray:
     """Stack u_k = [target embedding; blended source state] as a [K, E+2H] matrix."""
-    proxy = mem.proxy_ids(len(tgt_embed))[[e.label_id for e in mem.entries]]
-    return np.concatenate([tgt_embed[proxy], np.stack([e.h_blend for e in mem.entries])], axis=1)
+    proxy = mem.proxy_ids(len(tgt_embed))[mem.labels]
+    return np.concatenate([tgt_embed[proxy], mem.h], axis=1)
 
 
 def score_entries(s_prev: np.ndarray, y_emb: np.ndarray, uw: np.ndarray,
@@ -285,7 +245,7 @@ class MemoryHook:
     """
 
     def __init__(self, mem: MergedMemory, mparams: MemoryParams, nmt_params: ParamSet):
-        if not mem.entries:
+        if not mem.size:
             raise ValueError("memory hook over an empty memory; skip interpolation instead")
         self.mem = mem
         self.mparams = mparams
@@ -305,7 +265,7 @@ def make_memory_hook(
     mem: MergedMemory, mparams: MemoryParams, nmt_params: ParamSet
 ) -> MemoryHook | None:
     """None when the memory is empty (interpolation must then be skipped)."""
-    if not mem.entries:
+    if not mem.size:
         return None
     return MemoryHook(mem, mparams, nmt_params)
 
@@ -351,22 +311,29 @@ def sentence_memory(
     record: OovRecord | None = None,
     sim: SimilarWordMap | None = None,
 ) -> MergedMemory:
-    """The merged memory over a sentence's [S, 2H] states ``h``, built once, merged once.
+    """The merged memory over a sentence's [S, 2H] states ``h``, in one grouping pass.
 
-    At each position of ``record``'s substitutions (given ``sim``) the
-    original OOV word's lexicon candidates are entered instead of the
-    substitute's, after every other position's.  An in-vocabulary candidate
-    is a plain entry; an OOV candidate gets an extended output label,
-    allocated in substitution order, whose embedding is borrowed from a
-    similar in-vocabulary target word.  Decoding an extended label emits the
-    label string verbatim.  An original word without candidates is recorded
-    as skipped with target "", and an OOV candidate without a stand-in with
-    its target.
+    Each position's top-k in-vocabulary candidates are grouped by label, in
+    order of first appearance.  At each position of ``record``'s
+    substitutions (given ``sim``) the original OOV word's lexicon candidates
+    are entered instead of the substitute's, after every other position's.
+    An in-vocabulary candidate is a plain entry; an OOV candidate gets an
+    extended output label, allocated in substitution order, whose embedding
+    is borrowed from a similar in-vocabulary target word.  Decoding an
+    extended label emits the label string verbatim.  An original word
+    without candidates is recorded as skipped with target "", and an OOV
+    candidate without a stand-in with its target.
     """
     subs = record.substitutions if record is not None and sim is not None else []
     substituted = {pos for pos, _, _ in subs}
-    local = [e for e in build_local_memory(tokens, h, lex, k, tgt_vocab)
-             if e.source_pos not in substituted]
+    groups: dict[int, list[tuple[int, float]]] = {}  # label -> [(source position, p(s|t))]
+    for pos, tok in enumerate(tokens):
+        if pos in substituted:
+            continue
+        for tgt_tok, _ in lexicon_lookup(lex, tok, k):
+            if tgt_tok in tgt_vocab:
+                groups.setdefault(tgt_vocab.id_of(tgt_tok), []).append(
+                    (pos, lex.entries[(tok, tgt_tok)][1]))
     oov_labels: dict[int, tuple[str, int]] = {}
     ext_by_label: dict[str, int] = {}
     skipped: list[tuple[int, str, str]] = []
@@ -386,13 +353,10 @@ def sentence_memory(
                     continue
                 label_id = ext_by_label[tgt_tok] = len(tgt_vocab) + len(oov_labels)
                 oov_labels[label_id] = (tgt_tok, tgt_vocab.id_of(stand_ins[0]))
-            local.append(LocalMemoryEntry(tgt_tok, label_id, pos, h[pos],
-                                          lex.entries[(orig, tgt_tok)][1]))
+            groups.setdefault(label_id, []).append((pos, lex.entries[(orig, tgt_tok)][1]))
     if skipped:
         logger.warning("OOV injection skipped %d entries", len(skipped))
-    mem = merge_memory(local)
-    mem.oov_labels, mem.injection_skipped = oov_labels, skipped
-    return mem
+    return MergedMemory.from_groups(groups, h, oov_labels, skipped)
 
 
 # --- staged training --------------------------------------------------------
@@ -493,7 +457,7 @@ def _training_records(
         hits = []  # (row, merged memory, target columns, entry per column)
         for row, ((src_tokens, _), (_, tgt_ids)) in enumerate(zip(group, ids)):
             mem = sentence_memory(src_tokens, enc.states[row], lex, tgt_vocab, k)
-            entry_of_label = {e.label_id: i for i, e in enumerate(mem.entries)}
+            entry_of_label = {label: i for i, label in enumerate(mem.labels.tolist())}
             cols = [i for i, tid in enumerate(tgt_ids) if tid in entry_of_label]
             if cols:
                 hits.append((row, mem, cols, [entry_of_label[tgt_ids[i]] for i in cols]))
@@ -501,7 +465,8 @@ def _training_records(
             continue
         last = max(hit_cols[-1] for _, _, hit_cols, _ in hits)
         y_prev = np.concatenate([np.full((len(group), 1), BOS_ID), batch.tgt[:, :last]], axis=1)
-        _, s_prev, _ = decode_sequence(enc, y_prev, nmt_params)  # s_{i-1} of columns 0..last
+        with no_grad():  # keeps no attention records for a backward
+            _, s_prev, _ = decode_sequence(enc, y_prev, nmt_params)  # s_{i-1} of columns 0..last
         for row, mem, cols, entries in hits:
             records.append(TrainingRecord(
                 u=entry_matrix(mem, tgt_embed),

@@ -28,6 +28,7 @@ from .numerics import (
     clip_gradients,
     cross_entropy,
     cross_entropy_backward,
+    grad_enabled,
     gru_cell,
     gru_cell_backward,
     gru_sequence,
@@ -275,6 +276,8 @@ def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet):
     ``s_prev`` [T, B, H] each column's state s_{i-1}.  The embedding half of the
     decoder's input GEMM runs once over all T columns; `step_forward` runs over
     the columns and skips the last column's GRU update, which no readout reads.
+    Inside `no_grad()` the steps' records for the backward are not kept, and
+    the cache is None.
     """
     n, t_len = y_in.shape
     if enc.mask.shape[0] != n:
@@ -282,22 +285,26 @@ def decode_sequence(enc: EncodedSource, y_in: np.ndarray, params: ParamSet):
     w = DecoderWeights(params)
     hid = w.u_h.shape[0]
     y_proj = w.project(y_in)
-    # step-major [T, B, .] records of the steps' inputs and attention; each
-    # step's cache holds views of them, so the backward reads them unstacked
-    s_len, width = enc.states.shape[1:]
-    s_prev, att, alpha, c = (np.empty((t_len, n, *shape))
-                             for shape in ((hid,), (s_len, hid), (s_len,), (width,)))
+    s_prev = np.empty((t_len, n, hid))
     s_prev[0] = enc.s0
+    keep = grad_enabled()
+    if keep:
+        # step-major [T, B, .] records of the steps' attention; each step's
+        # cache holds views of them, so the backward reads them unstacked
+        s_len, width = enc.states.shape[1:]
+        att, alpha, c = (np.empty((t_len, n, *shape))
+                         for shape in ((s_len, hid), (s_len,), (width,)))
     caches, zs = [], []
     for i in range(t_len):
         s, z, cache = step_forward(s_prev[i], y_proj[:, i], enc, w, i + 1 < t_len)
-        att[i], alpha[i], c[i] = cache[1:4]
-        caches.append((s_prev[i], att[i], alpha[i], c[i], *cache[4:]))
+        if keep:
+            att[i], alpha[i], c[i] = cache[1:4]
+            caches.append((s_prev[i], att[i], alpha[i], c[i], *cache[4:]))
         if s is not None:
             s_prev[i + 1] = s
         zs.append(z)
     out = np.stack(zs, axis=1).reshape(n * t_len, -1)
-    return out, s_prev, (enc, y_in, w, s_prev, att, alpha, c, caches)
+    return out, s_prev, (enc, y_in, w, s_prev, att, alpha, c, caches) if keep else None
 
 
 def decode_sequence_backward(cache, g: np.ndarray):

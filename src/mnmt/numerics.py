@@ -60,6 +60,11 @@ def no_grad():
         _grad_enabled = saved
 
 
+def grad_enabled() -> bool:
+    """False inside `no_grad()`: a forward may then skip what only its backward reads."""
+    return _grad_enabled
+
+
 def check_finite(x: np.ndarray) -> np.ndarray:
     """``x`` itself; raises NonFiniteError if it holds NaN or Inf."""
     if not np.isfinite(x).all():

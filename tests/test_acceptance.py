@@ -28,14 +28,13 @@ from mnmt.cli import translate_lines
 from mnmt.corpus import BOS_ID, EOS_ID, Batch, ParallelCorpus, encode_sentence
 from mnmt.lexicon import train_ibm1
 from mnmt.memory import (
-    LocalMemoryEntry,
     MemoryHook,
+    MergedMemory,
     SimilarWordMap,
     TrainingRecord,
     chunk_loss,
     entry_matrix,
     init_memory_params,
-    merge_memory,
     sentence_memory,
     train_memory_attention,
     training_chunk,
@@ -80,11 +79,8 @@ def test_c01_gradient_fidelity():
         mparams = init_memory_params(cfg, 7)
         for t in mparams.pset.params.values():
             t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
-        entries = [
-            LocalMemoryEntry(f"w{i}", 4 + i, i, rng.standard_normal(2 * cfg.hidden_dim), 0.5)
-            for i in range(5)  # K = 5
-        ]
-        mem = merge_memory(entries)
+        mem = MergedMemory.from_groups(  # K = 5
+            {4 + i: [(i, 0.5)] for i in range(5)}, rng.standard_normal((5, 2 * cfg.hidden_dim)))
         u = entry_matrix(mem, params["tgt_embed"].data)
         s_vec = rng.standard_normal(cfg.hidden_dim)
         y_emb = params["tgt_embed"].data[6]
@@ -196,7 +192,7 @@ def test_c04_interpolation_identities():
                 ids = encode_sentence(s_toks, task.src_vocab, True)
                 enc = encode(ids, params)
                 mem = sentence_memory(s_toks, enc.h, lex, task.tgt_vocab, 3)
-                if not mem.entries:
+                if not mem.size:
                     continue
                 spy = _MassSpy(MemoryHook(mem, mparams, params))
                 hooked = beam_search(ids, params, beam=2, memory_hook=spy)

@@ -1,5 +1,6 @@
 import argparse
 import inspect
+import logging
 import re
 from dataclasses import fields
 
@@ -344,6 +345,33 @@ class TestTrainMemoryRejectsUselessLexicon:
             with pytest.raises(ValueError, match=r"useless\.tsv: .*would train nothing"):
                 main(argv)
         assert not (d / "new_mem.ckpt").exists()
+
+
+class TestTranslateRejectsUnusableLexicon:
+    def _translate(self, d, *extra):
+        return main(["translate", "--src", str(d / "test.src"),
+                     "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
+                     "--ckpt", str(d / "model.ckpt"), "--lexicon", str(d / "oov.tsv"),
+                     "--mem-ckpt", str(d / "mem.ckpt"), "--out", str(d / "out.txt"), *extra])
+
+    def test_no_usable_target_rejected_naming_the_file(self, model_files):
+        d, _, _ = model_files
+        # the target is outside the target vocabulary, and so is its only stand-in
+        save_lexicon(Lexicon({("s00", "zz_oov"): (0.9, 0.9)}), str(d / "oov.tsv"))
+        (d / "sim.tgt").write_text("zz_oov\tzz_other\n", encoding="utf-8")
+        for extra in ([], ["--sim-tgt", str(d / "sim.tgt")]):
+            with pytest.raises(ValueError, match=r"oov\.tsv: no lexicon entry has a target"):
+                self._translate(d, *extra)
+        assert not (d / "out.txt").exists()
+
+    def test_stand_in_makes_a_target_usable_and_the_rest_is_logged(self, model_files, caplog):
+        d, _, _ = model_files
+        save_lexicon(Lexicon({("s00", "zz_oov"): (0.9, 0.9), ("s01", "zz_other"): (0.9, 0.9)}),
+                     str(d / "oov.tsv"))
+        (d / "sim.tgt").write_text("zz_oov\tt00\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="mnmt.cli"):
+            assert self._translate(d, "--sim-tgt", str(d / "sim.tgt")) == 0
+        assert f"{d / 'oov.tsv'}: 1 of 2 lexicon entries" in caplog.text
 
 
 def test_model_snapshot_keys_are_nmt_config_fields_then_seed():

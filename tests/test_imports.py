@@ -82,3 +82,12 @@ def test_only_the_model_runs_the_decoder_step():
                      else {node.attr} if isinstance(node, ast.Attribute) else set())
             offenders += [f"{path.name}:{node.lineno}: {name}" for name in names & step_names]
     assert offenders == []
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so a check in the package raises instead
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+    assert offenders == []

@@ -28,8 +28,6 @@ from mnmt.lexicon import Lexicon, train_ibm1
 from mnmt.corpus import ParallelCorpus
 from mnmt.memory import (
     EmptyLexiconError,
-    LocalMemoryEntry,
-    MemoryEntry,
     MemoryHook,
     MemoryParams,
     MergedMemory,
@@ -38,12 +36,10 @@ from mnmt.memory import (
     chunk_loss,
     entry_matrix,
     apply_oov_substitution,
-    build_local_memory,
     init_memory_params,
     interpolate_posterior,
     make_memory_hook,
     memory_attention,
-    merge_memory,
     sentence_memory,
     train_memory_attention,
     training_chunk,
@@ -75,74 +71,90 @@ def setup():
 
 
 class TestBuildLocalMemory:
+    """Which lexicon candidates `sentence_memory` enters, at which positions."""
+
     def test_top_k_per_position(self, setup):
         cfg, params, src_vocab, tgt_vocab = setup
         enc = encode([src_vocab.id_of("a"), EOS_ID], params)
-        entries = build_local_memory(["a"], enc.h, small_lexicon(), 2, tgt_vocab)
-        assert [(e.target_token, e.source_pos) for e in entries] == [("x", 0), ("y", 0)]
-        np.testing.assert_array_equal(entries[0].h_src, enc.h[0])
+        mem = sentence_memory(["a"], enc.h, small_lexicon(), tgt_vocab, 2)
+        assert mem.labels.tolist() == [tgt_vocab.id_of("x"), tgt_vocab.id_of("y")]
+        assert mem.pos.tolist() == [[0], [0]]
+        assert mem.weight.tolist() == [[0.5], [0.4]]
+        np.testing.assert_array_equal(mem.h, enc.h[[0, 0]])
 
     def test_unknown_tokens_contribute_nothing(self, setup):
         cfg, params, src_vocab, tgt_vocab = setup
         enc = encode([3, EOS_ID], params)
-        assert build_local_memory(["qqq"], enc.h, small_lexicon(), 3, tgt_vocab) == []
+        mem = sentence_memory(["qqq"], enc.h, small_lexicon(), tgt_vocab, 3)
+        assert mem.size == 0
+        assert mem.h.shape == (0, enc.h.shape[1])
 
     def test_repeated_word_keeps_both_positions(self, setup):
         cfg, params, src_vocab, tgt_vocab = setup
         a = src_vocab.id_of("a")
         enc = encode([a, a, EOS_ID], params)
-        entries = build_local_memory(["a", "a"], enc.h, small_lexicon(), 1, tgt_vocab)
-        assert [e.source_pos for e in entries] == [0, 1]
-        assert not np.array_equal(entries[0].h_src, entries[1].h_src)
+        mem = sentence_memory(["a", "a"], enc.h, small_lexicon(), tgt_vocab, 1)
+        assert mem.labels.tolist() == [tgt_vocab.id_of("x")]
+        assert mem.pos.tolist() == [[0, 1]]
+        assert mem.weight.tolist() == [[0.5, 0.5]]
+        assert not np.array_equal(enc.h[0], enc.h[1])
+        np.testing.assert_allclose(mem.h[0], 0.5 * enc.h[0] + 0.5 * enc.h[1], rtol=1e-15)
 
     def test_out_of_vocabulary_candidate_skipped(self, setup):
         cfg, params, src_vocab, _ = setup
         tgt_vocab = vocab_of(["y"])  # "x" is not representable
         enc = encode([src_vocab.id_of("a"), EOS_ID], params)
-        entries = build_local_memory(["a"], enc.h, small_lexicon(), 2, tgt_vocab)
-        assert [e.target_token for e in entries] == ["y"]
+        mem = sentence_memory(["a"], enc.h, small_lexicon(), tgt_vocab, 2)
+        assert mem.labels.tolist() == [tgt_vocab.id_of("y")]
 
 
-def _entry(token, tid, pos, h, p_st):
-    return LocalMemoryEntry(token, tid, pos, np.asarray(h, dtype=float), p_st)
+def _merged(groups, rows):
+    return MergedMemory.from_groups(groups, np.asarray(rows, dtype=float))
 
 
 class TestMergeMemory:
+    """How `MergedMemory.from_groups` lays out and blends each label's group."""
+
     def test_weights_already_normalized(self):
-        mem = merge_memory([
-            _entry("y", 7, 0, [1.0, 0.0], 0.7),
-            _entry("y", 7, 1, [0.0, 1.0], 0.3),
-        ])
+        mem = _merged({7: [(0, 0.7), (1, 0.3)]}, [[1.0, 0.0], [0.0, 1.0]])
         assert mem.size == 1
-        np.testing.assert_allclose(mem.entries[0].h_blend, [0.7, 0.3])
+        np.testing.assert_allclose(mem.h[0], [0.7, 0.3])
 
     def test_single_entry_ignores_probability_scale(self):
-        mem = merge_memory([_entry("y", 7, 2, [0.2, -0.4], 0.05)])
-        np.testing.assert_allclose(mem.entries[0].h_blend, [0.2, -0.4])
+        mem = _merged({7: [(2, 0.05)]}, [[0.0, 0.0], [0.0, 0.0], [0.2, -0.4]])
+        np.testing.assert_allclose(mem.h[0], [0.2, -0.4])
 
     def test_renormalizes_small_weights(self):
-        mem = merge_memory([
-            _entry("y", 7, 0, [1.0, 0.0], 0.2),
-            _entry("y", 7, 1, [0.0, 1.0], 0.2),
-        ])
-        np.testing.assert_allclose(mem.entries[0].h_blend, [0.5, 0.5])
+        mem = _merged({7: [(0, 0.2), (1, 0.2)]}, [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(mem.h[0], [0.5, 0.5])
+
+    def test_zero_total_blends_uniformly(self):
+        mem = _merged({7: [(0, 0.0), (1, 0.0)]}, [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(mem.h[0], [0.5, 0.5])
+        assert mem.weight.tolist() == [[0.0, 0.0]]
 
     def test_unique_labels_and_hull(self):
         rng = np.random.default_rng(0)
-        entries = []
+        rows = rng.normal(size=(6, 3))
+        groups = {}
         for pos in range(6):
-            tid = int(rng.integers(4, 8))
-            entries.append(_entry(f"w{tid}", tid, pos, rng.normal(size=3), float(rng.random())))
-        mem = merge_memory(entries)
-        labels = [e.label_id for e in mem.entries]
-        assert len(labels) == len(set(labels))
-        for entry in mem.entries:
-            group = np.stack([e.h_src for e in entries if e.target_id == entry.label_id])
-            assert (entry.h_blend >= group.min(axis=0) - 1e-12).all()
-            assert (entry.h_blend <= group.max(axis=0) + 1e-12).all()
+            groups.setdefault(int(rng.integers(4, 8)), []).append((pos, float(rng.random())))
+        mem = MergedMemory.from_groups(groups, rows)
+        assert mem.labels.dtype == np.int64 and mem.labels.tolist() == list(groups)
+        width = max(len(g) for g in groups.values())
+        assert mem.pos.shape == mem.weight.shape == (len(groups), width)
+        for i, group in enumerate(groups.values()):
+            positions, raw = zip(*group)
+            assert mem.pos[i].tolist() == [*positions, *[-1] * (width - len(group))]
+            assert mem.weight[i].tolist() == [*raw, *[0.0] * (width - len(group))]
+            hull = rows[list(positions)]
+            assert (mem.h[i] >= hull.min(axis=0) - 1e-12).all()
+            assert (mem.h[i] <= hull.max(axis=0) + 1e-12).all()
 
     def test_empty_input(self):
-        assert merge_memory([]).size == 0
+        mem = _merged({}, np.zeros((2, 3)))
+        assert mem.size == 0
+        assert mem.h.shape == (0, 3) and mem.pos.shape == mem.weight.shape == (0, 0)
 
 
 def _uw(mem, mparams, params):
@@ -151,8 +163,8 @@ def _uw(mem, mparams, params):
 
 class TestMemoryAttention:
     def _mem(self, rng, hidden, n=3):
-        entries = [_entry(f"w{i}", 4 + i, i, rng.normal(size=2 * hidden), 0.5) for i in range(n)]
-        return merge_memory(entries)
+        return MergedMemory.from_groups({4 + i: [(i, 0.5)] for i in range(n)},
+                                        rng.normal(size=(n, 2 * hidden)))
 
     def test_single_entry_gets_all_attention(self, setup):
         cfg, params, _, _ = setup
@@ -185,8 +197,8 @@ class TestMemoryAttention:
 
         for row in range(4):
             scores = []
-            for e in mem.entries:
-                u = np.concatenate([emb[proxy[e.label_id]], e.h_blend])
+            for label, h_blend in zip(mem.labels, mem.h):
+                u = np.concatenate([emb[proxy[label]], h_blend])
                 pre = (s[row] @ mparams.pset["mem_Ws"].data + u @ mparams.pset["mem_Wu"].data
                        + emb[y_prev[row]] @ mparams.pset["mem_Wy"].data)
                 scores.append(mparams.pset["mem_v"].data @ np.tanh(pre))
@@ -210,9 +222,10 @@ class TestMemoryAttention:
 
     def test_empty_memory_rejected(self, setup):
         cfg, params, _, _ = setup
+        empty = _merged({}, np.zeros((1, 2 * cfg.hidden_dim)))
         with pytest.raises(ValueError):
-            MemoryHook(MergedMemory([]), init_memory_params(cfg, 0), params)
-        assert make_memory_hook(MergedMemory([]), init_memory_params(cfg, 0), params) is None
+            MemoryHook(empty, init_memory_params(cfg, 0), params)
+        assert make_memory_hook(empty, init_memory_params(cfg, 0), params) is None
 
     def test_gradient_check_on_attention_loss(self, setup):
         cfg, params, _, _ = setup
@@ -240,12 +253,11 @@ class TestMemoryHook:
         mparams = init_memory_params(cfg, 5, beta=beta)
         for t in mparams.pset.params.values():
             t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
-        mem = merge_memory([_entry(f"w{i}", 4 + i, i, rng.normal(size=2 * cfg.hidden_dim), 0.5)
-                            for i in range(3)])
         # one extended label past the vocabulary, borrowing the embedding of id 5
         ext = len(tgt_vocab)
-        mem.entries.append(MemoryEntry(ext, rng.normal(size=2 * cfg.hidden_dim), [(0, 1.0)]))
-        mem.oov_labels[ext] = ("oov_word", 5)
+        groups = {4: [(0, 0.5)], 5: [(1, 0.5)], 6: [(2, 0.5)], ext: [(3, 1.0)]}
+        mem = MergedMemory.from_groups(groups, rng.normal(size=(4, 2 * cfg.hidden_dim)),
+                                       {ext: ("oov_word", 5)})
         return MemoryHook(mem, mparams, params), params, rng
 
     def test_rows_match_one_row_calls(self, setup):
@@ -292,7 +304,7 @@ def _blend(p_nmt, alpha, mem, beta):
 
 class TestInterpolatePosterior:
     def _one_entry_mem(self, label_id):
-        return merge_memory([_entry("w", label_id, 0, [0.0, 0.0], 0.5)])
+        return _merged({label_id: [(0, 0.5)]}, [[0.0, 0.0]])
 
     def test_blend_arithmetic(self):
         mem = self._one_entry_mem(0)
@@ -319,9 +331,7 @@ class TestInterpolatePosterior:
         for _ in range(25):
             k = int(rng.integers(1, 5))
             labels = rng.choice(10, size=k, replace=False)
-            mem = merge_memory([
-                _entry(f"w{l}", int(l), i, [0.0], 0.5) for i, l in enumerate(labels)
-            ])
+            mem = _merged({int(l): [(i, 0.5)] for i, l in enumerate(labels)}, np.zeros((k, 1)))
             p_nmt = rng.dirichlet(np.ones(10), size=3)
             alpha = rng.dirichlet(np.ones(k), size=3)
             for beta in (0.0, 1 / 3, 1.0):
@@ -329,7 +339,7 @@ class TestInterpolatePosterior:
                 np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_rows_are_independent(self):
-        mem = merge_memory([_entry("a", 2, 0, [0.0], 0.5), _entry("b", 0, 1, [0.0], 0.5)])
+        mem = _merged({2: [(0, 0.5)], 0: [(1, 0.5)]}, [[0.0], [0.0]])
         p_nmt = np.array([[0.1, 0.2, 0.7], [0.5, 0.25, 0.25]])
         alpha = np.array([[0.4, 0.6], [1.0, 0.0]])
         p = _blend(p_nmt, alpha, mem, beta=0.5)
@@ -337,9 +347,10 @@ class TestInterpolatePosterior:
                                        [0.25, 0.125, 0.125 + 0.5]])
 
     def test_duplicate_labels_rejected(self):
-        mem = MergedMemory([MemoryEntry(1, np.zeros(1), [(0, 1.0)]),
-                            MemoryEntry(1, np.zeros(1), [(1, 1.0)])])
-        with pytest.raises(AssertionError):
+        # from_groups cannot build one; a raised error, unlike an assert, survives python -O
+        mem = MergedMemory(np.array([1, 1]), np.zeros((2, 1)), np.array([[0], [1]]),
+                           np.ones((2, 1)))
+        with pytest.raises(ValueError, match="unique"):
             mem.label_ids(3)
 
     def test_label_beyond_extension_rejected(self):
@@ -353,7 +364,7 @@ class TestInterpolatePosterior:
         p_nmt = np.array([[0.4, 0.6]])
         for beta in (0.0, 1 / 3, 1.0):
             np.testing.assert_array_equal(
-                _blend(p_nmt, np.zeros((1, 0)), MergedMemory([]), beta), p_nmt
+                _blend(p_nmt, np.zeros((1, 0)), _merged({}, [[0.0]]), beta), p_nmt
             )
 
     def test_beta_out_of_range(self):
@@ -412,13 +423,14 @@ class TestInjectOovTargets:
         enc = encode([src_vocab.id_of(t) for t in tokens] + [EOS_ID], params)
         mem = sentence_memory(tokens, enc.h, lex, tgt_vocab, k=2, record=record, sim=sim)
 
-        labels = {e.label_id for e in mem.entries}
+        labels = mem.labels.tolist()
         ext_id = len(tgt_vocab)
         assert ext_id in labels                        # the true translation is decodable
         assert tgt_vocab.id_of("sim_t") not in labels  # the stand-in's own translation is gone
         assert mem.oov_labels[ext_id] == ("oov_t", tgt_vocab.id_of("sim_t"))
-        entry = next(e for e in mem.entries if e.label_id == ext_id)
-        np.testing.assert_array_equal(entry.h_blend, enc.h[0])
+        entry = labels.index(ext_id)
+        assert mem.pos[entry].tolist() == [0]
+        np.testing.assert_array_equal(mem.h[entry], enc.h[0])
         assert mem.proxy_ids(len(tgt_vocab))[ext_id] == tgt_vocab.id_of("sim_t")
 
     def test_in_vocab_translation_becomes_plain_entry(self):
@@ -429,7 +441,7 @@ class TestInjectOovTargets:
         tokens, record = apply_oov_substitution(["oov_s"], src_vocab, sim)
         enc = encode([src_vocab.id_of(t) for t in tokens] + [EOS_ID], params)
         mem = sentence_memory(tokens, enc.h, lex, tgt_vocab, k=1, record=record, sim=sim)
-        assert [e.label_id for e in mem.entries] == [tgt_vocab.id_of("d1")]
+        assert mem.labels.tolist() == [tgt_vocab.id_of("d1")]
         assert mem.oov_labels == {}
 
     def test_no_similar_target_is_skipped_and_reported(self):
@@ -439,7 +451,7 @@ class TestInjectOovTargets:
         enc = encode([src_vocab.id_of(t) for t in tokens] + [EOS_ID], params)
         mem = sentence_memory(tokens, enc.h, lex, tgt_vocab, k=1, record=record, sim=sim)
         assert mem.injection_skipped == [(0, "oov_s", "oov_t")]
-        assert all(e.label_id < len(tgt_vocab) for e in mem.entries)
+        assert (mem.labels < len(tgt_vocab)).all()
 
     def test_no_lexicon_entry_is_skipped_and_reported(self):
         src_vocab, tgt_vocab, cfg, params, lex, sim = self._setup()
@@ -489,15 +501,20 @@ def test_one_pass_memory_matches_two_pass_reference(case):
                                                           record, sim)
     assert mem.oov_labels == oov_labels
     assert mem.injection_skipped == skipped
-    got = {e.label_id: e for e in mem.entries}
-    assert len(got) == len(mem.entries)
-    assert got.keys() == {e.label_id for e in want}
+    labels = mem.labels.tolist()
+    assert len(set(labels)) == len(labels)
+    assert set(labels) == {e.label_id for e in want}
+    width = max((len(e.contributors) for e in want), default=0)
+    assert mem.pos.shape == mem.weight.shape == (len(labels), width)
     proxy = mem.proxy_ids(len(tgt_vocab))
     for ref in want:
-        entry = got[ref.label_id]
-        assert proxy[entry.label_id] == ref.embed_id
-        assert sorted(entry.contributors) == sorted(ref.contributors)
-        np.testing.assert_array_equal(entry.h_blend, ref.h_blend)
+        i = labels.index(ref.label_id)
+        assert proxy[ref.label_id] == ref.embed_id
+        n = len(ref.contributors)
+        assert (mem.pos[i, n:] == -1).all() and (mem.weight[i, n:] == 0.0).all()
+        got = zip(mem.pos[i, :n].tolist(), mem.weight[i, :n].tolist())
+        assert sorted(got) == sorted(ref.contributors)
+        assert mem.h[i].tobytes() == ref.h_blend.tobytes()
 
 
 def oracle_task():
@@ -545,6 +562,20 @@ class TestTrainMemoryAttention:
         # updates give its state s_3, and nothing decodes past that column
         assert advances == [True, True, True, False]
 
+    def test_records_keep_no_decoder_backward(self, monkeypatch):
+        pairs, src_vocab, tgt_vocab, params, mparams, lex = oracle_task()
+        caches = []
+        real = memory_module.decode_sequence
+
+        def spy(*args):
+            out = real(*args)
+            caches.append(out[2])
+            return out
+
+        monkeypatch.setattr(memory_module, "decode_sequence", spy)
+        train_memory_attention(pairs, src_vocab, tgt_vocab, params, mparams, lex, epochs=1)
+        assert caches == [None]
+
     def test_logs_positions_coverage_and_epochs(self, caplog):
         pairs, src_vocab, tgt_vocab, params, mparams, lex = oracle_task()
         with caplog.at_level(logging.INFO, logger="mnmt.memory"):
@@ -587,8 +618,8 @@ class TestTrainMemoryAttention:
             for k, n in ((3, 2), (1, 4))])
         chunk_loss(chunk, mparams.pset)
         assert len(calls) == 1
-        mem = merge_memory([_entry(f"w{i}", 4 + i, i, rng.normal(size=2 * h), 0.5)
-                            for i in range(3)])
+        mem = MergedMemory.from_groups({4 + i: [(i, 0.5)] for i in range(3)},
+                                       rng.normal(size=(3, 2 * h)))
         hook = MemoryHook(mem, mparams, params)
         vocab = params["tgt_embed"].data.shape[0]
         hook(rng.normal(size=(2, h)), np.array([4, 5]), np.full((2, vocab), 1.0 / vocab))

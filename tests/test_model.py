@@ -24,12 +24,11 @@ from conftest import (
 from mnmt import model, numerics
 from mnmt.corpus import BOS_ID, EOS_ID, Batch, make_batches, pad_batch
 from mnmt.memory import (
-    LocalMemoryEntry,
     MemoryHook,
+    MergedMemory,
     TrainingRecord,
     chunk_loss,
     init_memory_params,
-    merge_memory,
     training_chunk,
 )
 from mnmt.model import (
@@ -204,7 +203,7 @@ def test_beam_search_builds_no_tensor(monkeypatch):
     enc = encode(src, params)
     mparams = init_memory_params(cfg, 7)
     mparams.pset["mem_v"].data[...] = 0.5
-    mem = merge_memory([LocalMemoryEntry(f"w{i}", 4 + i, i, enc.h[i], 0.5) for i in range(3)])
+    mem = MergedMemory.from_groups({4 + i: [(i, 0.5)] for i in range(3)}, enc.h)
     built = []
     real_init = numerics.Loss.__init__
 
@@ -261,7 +260,7 @@ class TestNonFinite:
         cfg = NmtConfig(src_vocab_size=10, tgt_vocab_size=10, embed_dim=6, hidden_dim=8)
         mparams = init_memory_params(cfg, 0)
         mparams.pset["mem_Ws"].data[...] = 1e308
-        mem = merge_memory([LocalMemoryEntry("w", 4, 0, np.ones(16), 0.5)])
+        mem = MergedMemory.from_groups({4: [(0, 0.5)]}, np.ones((1, 16)))
         hook = MemoryHook(mem, mparams, params)
         with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
             hook(np.ones((2, 8)), np.array([4, 5]), np.full((2, 10), 0.1))
@@ -647,3 +646,20 @@ def test_decoder_node_gradient_check():
         return sum_all(mul(node, out_w))
 
     assert grad_check(on_tape(loss), params, max_samples_per_tensor=20) < 1e-4
+
+
+def test_decode_sequence_without_gradients_keeps_no_backward_records():
+    # the same z and s_prev, bit for bit, and no [T, B, S, H] attention records
+    rng = np.random.default_rng(5)
+    _, params = tiny_params(seed=5)
+    batch = _padded_batch(rng, 3, 5, 4, vocab=10)
+    enc = encode_batch(batch.src, batch.src_mask, params)
+    y_in = np.concatenate([np.full((3, 1), BOS_ID), batch.tgt[:, :-1]], axis=1)
+    z, s_prev, cache = decode_sequence(enc, y_in, params)
+    with numerics.no_grad():
+        assert not numerics.grad_enabled()
+        z_fwd, s_prev_fwd, cache_fwd = decode_sequence(enc, y_in, params)
+    assert numerics.grad_enabled()
+    assert cache is not None and cache_fwd is None
+    assert z_fwd.tobytes() == z.tobytes()
+    assert s_prev_fwd.tobytes() == s_prev.tobytes()
