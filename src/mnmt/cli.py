@@ -22,6 +22,7 @@ from .corpus import (
     encode_sentence,
     load_parallel_corpus,
     make_batches,
+    read_lines,
 )
 from .lexicon import Lexicon, check_ibm1_settings, load_lexicon, save_lexicon, train_ibm1
 from .memory import (
@@ -47,6 +48,14 @@ from .model import (
 from .numerics import ParamSet, grad_check
 
 logger = logging.getLogger(__name__)
+
+# how a config file's value or a flag's text becomes its RunConfig field's type
+_CASTS = {"int": int, "float": float, "str": str}
+# the config keys whose flag is not --key-with-dashes
+_FLAG_OF_KEY = {"beam_size": "beam", "memory_k": "k", "train_steps": "steps",
+                "memory_epochs": "epochs"}
+# what train-memory stores with the memory it trains, and translate reads back
+_MEMORY_KEYS = ("beta", "memory_k")
 
 
 @dataclass
@@ -84,51 +93,66 @@ class RunConfig(NmtConfig):
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        values = cls.file_values(path)
-        try:
-            return cls(**values)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        return _layered_config([(path, cls.file_values(path))])
 
     @classmethod
     def file_values(cls, path: str) -> dict:
         """The keys a config file sets, with their values cast to the field types."""
         types = {f.name: f.type for f in fields(cls)}
-        casts = {"int": int, "float": float, "str": str}
         values = {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in types:
-                    raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
-                try:
-                    values[key] = casts[types[key]](raw)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from exc
+        for lineno, line in enumerate(read_lines(path), start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key not in types:
+                raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+            try:
+                values[key] = _CASTS[types[key]](raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from exc
         return values
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The config file's values, then the flags': each flag's dest is its config key."""
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+def _config_layers(args: argparse.Namespace) -> list[tuple[str, dict]]:
+    """(source, values) of the config file, then of the flags: each flag's dest is its key."""
     flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
              if getattr(args, f.name, None) is not None}
-    cfg = dataclasses.replace(cfg, **flags)
+    return [(args.config or "", RunConfig.file_values(args.config) if args.config else {}),
+            ("", flags)]
+
+
+def _layered_config(layers: list[tuple[str, dict]]) -> RunConfig:
+    """The defaults with each layer's values over them, the last layer winning.  A layer
+    whose values fail RunConfig's checks is rejected, named by its source if it has one."""
+    cfg = RunConfig()
+    for source, values in layers:
+        try:
+            cfg = dataclasses.replace(cfg, **values)
+        except (TypeError, ValueError) as exc:
+            if not source:
+                raise
+            raise ValueError(f"{source}: {exc}") from exc
     logger.info("resolved config: %s", dataclasses.asdict(cfg))
     logger.info("seed: %d", cfg.seed)
     return cfg
 
 
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    return _layered_config(_config_layers(args))
+
+
+def _flag(key: str) -> str:
+    return "--" + _FLAG_OF_KEY.get(key, key.replace("_", "-"))
+
+
 def _require(cfg: RunConfig, *keys: str) -> None:
     missing = [k for k in keys if not getattr(cfg, k)]
     if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        print(f"error: missing required option(s): {flags}", file=sys.stderr)
+        print(f"error: missing required option(s): {', '.join(map(_flag, missing))}",
+              file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -138,28 +162,40 @@ def _load_or_build_vocab(path: str, side: list[list[str]], max_size: int) -> Voc
     return build_vocabulary(side, max_size)
 
 
-def _load_vocab_for(path: str, params: ParamSet, embed_name: str) -> Vocabulary:
-    """Load a vocabulary file that must index exactly the checkpoint's embedding rows."""
-    vocab = Vocabulary.load(path)
-    n_rows = params[embed_name].data.shape[0]
-    if len(vocab) != n_rows:
-        raise ValueError(f"{path}: vocabulary has {len(vocab)} tokens, but the checkpoint's "
-                         f"{embed_name} has {n_rows} rows")
-    return vocab
+def _load_model(cfg: RunConfig) -> tuple[ParamSet, Vocabulary, Vocabulary]:
+    """The translation model at ``cfg.ckpt`` and its source and target vocabularies,
+    each of which must index exactly its embedding's rows."""
+    _, arrays = load_checkpoint(cfg.ckpt)
+    params = params_from_arrays(arrays)
+    vocabs = []
+    for path, embed in ((cfg.vocab_src, "src_embed"), (cfg.vocab_tgt, "tgt_embed")):
+        vocab = Vocabulary.load(path)
+        n_rows = params[embed].data.shape[0]
+        if len(vocab) != n_rows:
+            raise ValueError(f"{path}: vocabulary has {len(vocab)} tokens, but the checkpoint's "
+                             f"{embed} has {n_rows} rows")
+        vocabs.append(vocab)
+    return params, *vocabs
+
+
+def _model_widths(nmt_params: ParamSet) -> NmtConfig:
+    """The translation model's E and H, read from its arrays."""
+    return NmtConfig(embed_dim=nmt_params["tgt_embed"].data.shape[1],
+                     hidden_dim=nmt_params["dec_init_W"].data.shape[0])
 
 
 def _memory_params_for(path: str, arrays: dict[str, np.ndarray], nmt_params: ParamSet) -> ParamSet:
     """Memory-net parameters whose shapes fit the translation model's E and H."""
-    e = nmt_params["tgt_embed"].data.shape[1]
-    h = nmt_params["dec_init_W"].data.shape[0]
-    want = init_memory_params(NmtConfig(embed_dim=e, hidden_dim=h), 0).pset
+    widths = _model_widths(nmt_params)
+    want = init_memory_params(widths, 0).pset
     missing = [n for n in want.names() if n not in arrays]
     if missing:
         raise ValueError(f"{path}: not a memory checkpoint, missing {', '.join(missing)}")
     for name in want.names():
         if arrays[name].shape != want[name].data.shape:
             raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, but the "
-                             f"translation model (E={e}, H={h}) needs {want[name].data.shape}")
+                             f"translation model (E={widths.embed_dim}, "
+                             f"H={widths.hidden_dim}) needs {want[name].data.shape}")
     return params_from_arrays(arrays)
 
 
@@ -232,7 +268,7 @@ def translate_lines(
 def _cmd_build_vocab(args) -> int:
     cfg = _resolve_config(args)
     _require(cfg, "src", "out")
-    lines = [l.split() for l in _read_text_lines(cfg.src)]
+    lines = [l.split() for l in read_lines(cfg.src)]
     vocab = build_vocabulary(lines, args.max_size or cfg.src_vocab_size)
     vocab.save(cfg.out)
     print(f"wrote {len(vocab)} tokens to {cfg.out}")
@@ -277,13 +313,9 @@ def _cmd_train_memory(args) -> int:
     cfg = _resolve_config(args)
     _require(cfg, "src", "tgt", "vocab_src", "vocab_tgt", "lexicon", "ckpt", "mem_ckpt")
     corpus = load_parallel_corpus(cfg.src, cfg.tgt)
-    ck_cfg, arrays = load_checkpoint(cfg.ckpt)
-    nmt_params = params_from_arrays(arrays)
-    src_vocab = _load_vocab_for(cfg.vocab_src, nmt_params, "src_embed")
-    tgt_vocab = _load_vocab_for(cfg.vocab_tgt, nmt_params, "tgt_embed")
-    model_cfg = _nmt_config_from_snapshot(ck_cfg)
-    lex = load_lexicon(cfg.lexicon)
-    mparams = init_memory_params(model_cfg, cfg.seed, cfg.beta)
+    nmt_params, src_vocab, tgt_vocab = _load_model(cfg)
+    lex = _load_usable_lexicon(cfg.lexicon, tgt_vocab, None)
+    mparams = init_memory_params(_model_widths(nmt_params), cfg.seed, cfg.beta)
     losses = train_memory_attention(
         corpus.pairs, src_vocab, tgt_vocab, nmt_params, mparams, lex,
         epochs=cfg.memory_epochs, lr=cfg.memory_lr, k=cfg.memory_k,
@@ -292,7 +324,7 @@ def _cmd_train_memory(args) -> int:
         raise ValueError(f"{cfg.lexicon}: no reference word of the corpus is among its "
                          "sentence's lexicon candidates; the memory would train nothing")
     save_checkpoint(cfg.mem_ckpt, mparams.pset,
-                    {"kind": "memory", "beta": cfg.beta, "memory_k": cfg.memory_k,
+                    {"kind": "memory", **{key: getattr(cfg, key) for key in _MEMORY_KEYS},
                      **_model_keys(cfg)})
     tail = f" (loss {losses[0]:.4f} -> {losses[-1]:.4f})" if losses else ""
     print(f"wrote memory checkpoint {cfg.mem_ckpt}{tail}")
@@ -300,33 +332,28 @@ def _cmd_train_memory(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    cfg = _resolve_config(args)
+    layers = _config_layers(args)
+    cfg = _layered_config(layers)
     _require(cfg, "src", "vocab_src", "vocab_tgt", "ckpt", "out")
-    if cfg.mem_ckpt and not cfg.lexicon:
-        print("error: --mem-ckpt needs --lexicon to build sentence memories", file=sys.stderr)
+    if bool(cfg.lexicon) != bool(cfg.mem_ckpt):
+        print("error: --lexicon and --mem-ckpt go together: decoding with memory needs both",
+              file=sys.stderr)
         raise SystemExit(2)
-    _, arrays = load_checkpoint(cfg.ckpt)
-    nmt_params = params_from_arrays(arrays)
-    src_vocab = _load_vocab_for(cfg.vocab_src, nmt_params, "src_embed")
-    tgt_vocab = _load_vocab_for(cfg.vocab_tgt, nmt_params, "tgt_embed")
+    nmt_params, src_vocab, tgt_vocab = _load_model(cfg)
     sim = None
     if cfg.sim_src or cfg.sim_tgt:
         sim = SimilarWordMap.load(cfg.sim_src or None, cfg.sim_tgt or None)
-    lexicon = _load_usable_lexicon(cfg.lexicon, tgt_vocab, sim) if cfg.lexicon else None
-    mparams = None
+    lexicon = mparams = None
     if cfg.mem_ckpt:
-        mem_cfg, mem_arrays = load_checkpoint(cfg.mem_ckpt)
-        # --beta, then the config file, then the value stored with the memory
-        beta_set = args.beta is not None or (
-            bool(args.config) and "beta" in RunConfig.file_values(args.config))
-        beta = cfg.beta if beta_set else float(mem_cfg.get("beta", cfg.beta))
-        pset = _memory_params_for(cfg.mem_ckpt, mem_arrays, nmt_params)
-        mparams = MemoryParams(pset, beta)
-    lines = _read_text_lines(cfg.src)
+        lexicon = _load_usable_lexicon(cfg.lexicon, tgt_vocab, sim)
+        stored, mem_arrays = load_checkpoint(cfg.mem_ckpt)
+        # the flags, then the config file, then what the memory checkpoint stores
+        cfg = _layered_config([(cfg.mem_ckpt, {key: stored[key] for key in _MEMORY_KEYS
+                                               if key in stored}), *layers])
+        mparams = MemoryParams(_memory_params_for(cfg.mem_ckpt, mem_arrays, nmt_params), cfg.beta)
     outputs = translate_lines(
-        lines, src_vocab, tgt_vocab, nmt_params, cfg.beam_size, cfg.max_decode_len,
-        lexicon=lexicon if mparams is not None else None,
-        mparams=mparams, k=cfg.memory_k, sim=sim,
+        read_lines(cfg.src), src_vocab, tgt_vocab, nmt_params, cfg.beam_size,
+        cfg.max_decode_len, lexicon=lexicon, mparams=mparams, k=cfg.memory_k, sim=sim,
     )
     with open(cfg.out, "w", encoding="utf-8") as f:
         for line in outputs:
@@ -336,8 +363,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    hyps = [l.split() for l in _read_text_lines(args.hyp)]
-    refs = [l.split() for l in _read_text_lines(args.ref)]
+    hyps = [l.split() for l in read_lines(args.hyp)]
+    refs = [l.split() for l in read_lines(args.ref)]
     report = corpus_bleu(hyps, refs)
     recalled = recalled_words(hyps, refs)
     print(f"BLEU: {report.bleu:.2f}")
@@ -401,39 +428,15 @@ def _model_keys(cfg: RunConfig) -> dict:
     return {name: getattr(cfg, name) for name in [f.name for f in fields(NmtConfig)] + ["seed"]}
 
 
-def _nmt_config_from_snapshot(snapshot: dict) -> NmtConfig:
-    names = {f.name for f in fields(NmtConfig)}
-    return NmtConfig(**{k: v for k, v in snapshot.items() if k in names})
-
-
-def _read_text_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f]
-
-
 # --- argument parsing --------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    specs = {
-        "config": dict(type=str),
-        "src": dict(type=str),
-        "tgt": dict(type=str),
-        "vocab-src": dict(type=str, dest="vocab_src"),
-        "vocab-tgt": dict(type=str, dest="vocab_tgt"),
-        "lexicon": dict(type=str),
-        "sim-src": dict(type=str, dest="sim_src"),
-        "sim-tgt": dict(type=str, dest="sim_tgt"),
-        "ckpt": dict(type=str),
-        "mem-ckpt": dict(type=str, dest="mem_ckpt"),
-        "beam": dict(type=int, dest="beam_size"),
-        "beta": dict(type=float),
-        "k": dict(type=int, dest="memory_k"),
-        "seed": dict(type=int),
-        "out": dict(type=str),
-    }
-    for name in names:
-        p.add_argument(f"--{name}", **specs[name])
+def _add_config_flags(p: argparse.ArgumentParser, *keys: str) -> None:
+    """--config, then one flag per config key, parsed as the key's field type into the key."""
+    types = {f.name: f.type for f in fields(RunConfig)}
+    p.add_argument("--config", type=str)
+    for key in keys:
+        p.add_argument(_flag(key), dest=key, type=_CASTS[types[key]])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,31 +444,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-vocab", help="build a vocabulary file from a corpus side")
-    _add_common(p, "config", "src", "out", "seed")
+    _add_config_flags(p, "src", "out")
     p.add_argument("--max-size", type=int, dest="max_size")
     p.set_defaults(func=_cmd_build_vocab)
 
     p = sub.add_parser("train-lexicon", help="estimate a word-mapping table by EM")
-    _add_common(p, "config", "src", "tgt", "out", "seed")
+    _add_config_flags(p, "src", "tgt", "out")
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--floor", type=float, default=0.01)
     p.set_defaults(func=_cmd_train_lexicon)
 
     p = sub.add_parser("train", help="train the translation model")
-    _add_common(p, "config", "src", "tgt", "vocab-src", "vocab-tgt", "ckpt", "seed")
-    p.add_argument("--steps", type=int, dest="train_steps")
+    _add_config_flags(p, "src", "tgt", "vocab_src", "vocab_tgt", "ckpt", "seed", "train_steps")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("train-memory", help="train the memory attention (model frozen)")
-    _add_common(p, "config", "src", "tgt", "vocab-src", "vocab-tgt", "lexicon",
-                "ckpt", "mem-ckpt", "beta", "k", "seed")
-    p.add_argument("--epochs", type=int, dest="memory_epochs")
+    _add_config_flags(p, "src", "tgt", "vocab_src", "vocab_tgt", "lexicon", "ckpt",
+                      "mem_ckpt", "beta", "memory_k", "seed", "memory_epochs")
     p.set_defaults(func=_cmd_train_memory)
 
     p = sub.add_parser("translate", help="decode a file of source sentences")
-    _add_common(p, "config", "src", "vocab-src", "vocab-tgt", "lexicon",
-                "sim-src", "sim-tgt", "ckpt", "mem-ckpt", "beam", "beta", "k",
-                "seed", "out")
+    _add_config_flags(p, "src", "vocab_src", "vocab_tgt", "lexicon", "sim_src", "sim_tgt",
+                      "ckpt", "mem_ckpt", "beam_size", "beta", "memory_k", "out")
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("score", help="BLEU and recalled-word diagnostics")

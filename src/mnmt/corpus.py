@@ -28,7 +28,7 @@ class CorpusAlignmentError(ValueError):
 
 
 class CorpusEncodingError(ValueError):
-    """A corpus file contains bytes that are not valid UTF-8."""
+    """A text input contains bytes that are not valid UTF-8."""
 
 
 class EmptyTrainingSetError(ValueError):
@@ -70,8 +70,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f]
+        tokens = read_lines(path)
         try:
             return cls(tokens)
         except ValueError as exc:
@@ -103,7 +102,9 @@ class Batch:
         return self.src.shape[0]
 
 
-def _read_lines(path: str) -> list[str]:
+def read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, split at each \\n, \\r\\n or \\r as text mode splits
+    them; invalid UTF-8 raises CorpusEncodingError naming the file and the line."""
     with open(path, "rb") as f:
         raw = f.read()
     lines = []
@@ -121,8 +122,8 @@ def load_parallel_corpus(src_path: str, tgt_path: str) -> ParallelCorpus:
     Pairs where either side is empty after stripping are dropped and counted
     in ``dropped_empty``.
     """
-    src_lines = _read_lines(src_path)
-    tgt_lines = _read_lines(tgt_path)
+    src_lines = read_lines(src_path)
+    tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise CorpusAlignmentError(f"{len(src_lines)} vs {len(tgt_lines)}")
     pairs = []

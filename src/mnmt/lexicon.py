@@ -13,7 +13,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import ParallelCorpus
+from .corpus import ParallelCorpus, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -149,31 +149,29 @@ def load_lexicon(path: str) -> Lexicon:
     """Parse a 4-column TSV lexicon; duplicate (source, target) rows last-win."""
     entries: dict[tuple[str, str], tuple[float, float]] = {}
     duplicates = 0
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise LexiconFormatError(
-                    f"{path}: line {lineno}: expected 4 tab-separated fields, got {len(fields)}"
-                )
-            s, t, raw_ts, raw_st = fields
-            try:
-                p_ts = float(raw_ts)
-                p_st = float(raw_st)
-            except ValueError as exc:
-                raise LexiconFormatError(
-                    f"{path}: line {lineno}: non-numeric probability"
-                ) from exc
-            if not (0.0 <= p_ts <= 1.0 and 0.0 <= p_st <= 1.0):
-                raise LexiconFormatError(
-                    f"{path}: line {lineno}: probability outside [0, 1]"
-                )
-            if (s, t) in entries:
-                duplicates += 1
-            entries[(s, t)] = (p_ts, p_st)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise LexiconFormatError(
+                f"{path}: line {lineno}: expected 4 tab-separated fields, got {len(fields)}"
+            )
+        s, t, raw_ts, raw_st = fields
+        try:
+            p_ts = float(raw_ts)
+            p_st = float(raw_st)
+        except ValueError as exc:
+            raise LexiconFormatError(
+                f"{path}: line {lineno}: non-numeric probability"
+            ) from exc
+        if not (0.0 <= p_ts <= 1.0 and 0.0 <= p_st <= 1.0):
+            raise LexiconFormatError(
+                f"{path}: line {lineno}: probability outside [0, 1]"
+            )
+        if (s, t) in entries:
+            duplicates += 1
+        entries[(s, t)] = (p_ts, p_st)
     if duplicates:
         logger.warning("%s: %d duplicate rows (last occurrence wins)", path, duplicates)
     return Lexicon(entries, duplicates=duplicates)

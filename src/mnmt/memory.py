@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS_ID, Vocabulary, encode_sentence, pad_batch
+from .corpus import BOS_ID, Vocabulary, encode_sentence, pad_batch, read_lines
 from .lexicon import Lexicon, lexicon_lookup
 from .model import INIT_SCALE, NmtConfig, decode_sequence, encode_batch
 # not called here: bench/layers.py wraps memory.encode by name and needs it to exist
@@ -133,14 +133,13 @@ def _load_side(path: str) -> dict[str, list[str]]:
     """word<TAB>stand-in<TAB>... lines; a line without a word or a stand-in is dropped."""
     side: dict[str, list[str]] = {}
     dropped = 0
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            word, *cands = line.rstrip("\n").split("\t")
-            stand_ins = list(dict.fromkeys(c for c in cands if c))
-            if not word or not stand_ins:
-                dropped += 1
-                continue
-            side[word] = stand_ins
+    for line in read_lines(path):
+        word, *cands = line.split("\t")
+        stand_ins = list(dict.fromkeys(c for c in cands if c))
+        if not word or not stand_ins:
+            dropped += 1
+            continue
+        side[word] = stand_ins
     if dropped:
         logger.warning("%s: dropped %d lines without a word and a stand-in", path, dropped)
     if not side:

@@ -9,8 +9,8 @@ import pytest
 from conftest import desk_config, make_mapped_task
 from mnmt import cli
 from mnmt.cli import RunConfig, main
-from mnmt.checkpoint import checkpoint_checksum, save_checkpoint
-from mnmt.corpus import build_vocabulary
+from mnmt.checkpoint import checkpoint_checksum, load_checkpoint, save_checkpoint
+from mnmt.corpus import CorpusEncodingError, build_vocabulary
 from mnmt.lexicon import Lexicon, save_lexicon
 from mnmt import memory
 from mnmt.memory import init_memory_params
@@ -97,6 +97,12 @@ class TestConfigFlags:
         raw = {"int": "7", "float": "0.5", "str": "x"}[RUN_KEYS[key]]
         cfg = cli._resolve_config(cli.build_parser().parse_args([command, flag, raw]))
         assert str(getattr(cfg, key)) == raw
+
+    def test_seed_only_where_a_random_number_is_drawn(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert {command for command, p in sub.choices.items()
+                if "--seed" in p._option_string_actions} == {"train", "train-memory", "gradcheck"}
 
     def test_flag_beats_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -245,7 +251,7 @@ class TestCommands:
 
 @pytest.fixture
 def model_files(workdir):
-    """Vocabularies, lexicon, an untrained model and a memory stored with beta 0.25."""
+    """Vocabularies, lexicon, an untrained model and a memory stored with beta 0.25, k 5."""
     d, task = workdir
     src_vocab = build_vocabulary([s for s, _ in task.train_pairs], max_size=40)
     tgt_vocab = build_vocabulary([t for _, t in task.train_pairs], max_size=40)
@@ -255,12 +261,25 @@ def model_files(workdir):
     cfg = desk_config(len(src_vocab), len(tgt_vocab), embed=8, hidden=10)
     save_checkpoint(str(d / "model.ckpt"), init_nmt_params(cfg, 0), {"kind": "nmt"})
     save_checkpoint(str(d / "mem.ckpt"), init_memory_params(cfg, 0).pset,
-                    {"kind": "memory", "beta": 0.25})
+                    {"kind": "memory", "beta": 0.25, "memory_k": 5})
     (d / "test.src").write_text(" ".join(task.train_pairs[0][0]) + "\n", encoding="utf-8")
     return d, src_vocab, tgt_vocab
 
 
 class TestTranslateBeta:
+    @staticmethod
+    def _translate(d, monkeypatch, *extra):
+        """(beta, k) translate decodes with, given the extra arguments."""
+        seen = []
+        monkeypatch.setattr(cli, "translate_lines", lambda lines, *a, mparams, k, **kw:
+                            seen.append((mparams.beta, k)) or lines)
+        assert main(["translate", "--config", str(d / "desk.cfg"), "--src", str(d / "test.src"),
+                     "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
+                     "--ckpt", str(d / "model.ckpt"), "--lexicon", str(d / "lex.tsv"),
+                     "--mem-ckpt", str(d / "mem.ckpt"), "--out", str(d / "out.txt"),
+                     *extra]) == 0
+        return seen[0]
+
     @pytest.mark.parametrize("file_beta, flag, want", [
         (None, None, 0.25),   # only the memory checkpoint stores beta
         (0.5, None, 0.5),     # the config file overrides the checkpoint
@@ -271,15 +290,71 @@ class TestTranslateBeta:
         if file_beta is not None:
             with open(d / "desk.cfg", "a", encoding="utf-8") as f:
                 f.write(f"beta = {file_beta}\n")
-        seen = []
-        monkeypatch.setattr(cli, "translate_lines",
-                            lambda lines, *a, mparams, **kw: seen.append(mparams.beta) or lines)
-        argv = ["translate", "--config", str(d / "desk.cfg"), "--src", str(d / "test.src"),
-                "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
-                "--ckpt", str(d / "model.ckpt"), "--lexicon", str(d / "lex.tsv"),
-                "--mem-ckpt", str(d / "mem.ckpt"), "--out", str(d / "out.txt")]
-        assert main(argv + (["--beta", flag] if flag else [])) == 0
-        assert seen == [want]
+        beta, _ = self._translate(d, monkeypatch, *(["--beta", flag] if flag else []))
+        assert beta == want
+
+    @pytest.mark.parametrize("file_k, flag, want", [
+        (None, None, 5),  # only the memory checkpoint stores memory_k
+        (4, None, 4),     # the config file overrides the checkpoint
+        (4, "2", 2),      # the flag overrides both
+    ])
+    def test_memory_k_flag_then_file_then_checkpoint(self, model_files, monkeypatch,
+                                                     file_k, flag, want):
+        d, _, _ = model_files
+        if file_k is not None:
+            with open(d / "desk.cfg", "a", encoding="utf-8") as f:
+                f.write(f"memory_k = {file_k}\n")
+        _, k = self._translate(d, monkeypatch, *(["--k", flag] if flag else []))
+        assert k == want
+
+    def test_stored_value_that_fails_the_checks_names_the_checkpoint(self, model_files):
+        d, src_vocab, tgt_vocab = model_files
+        cfg = desk_config(len(src_vocab), len(tgt_vocab), embed=8, hidden=10)
+        save_checkpoint(str(d / "mem.ckpt"), init_memory_params(cfg, 0).pset,
+                        {"kind": "memory", "beta": 0.25, "memory_k": 0})
+        with pytest.raises(ValueError, match=r"mem\.ckpt: memory_k must be >= 1"):
+            main(["translate", "--src", str(d / "test.src"), "--vocab-src", str(d / "vocab.src"),
+                  "--vocab-tgt", str(d / "vocab.tgt"), "--ckpt", str(d / "model.ckpt"),
+                  "--lexicon", str(d / "lex.tsv"), "--mem-ckpt", str(d / "mem.ckpt"),
+                  "--out", str(d / "out.txt")])
+
+
+class TestMemoryFlagsPair:
+    @pytest.mark.parametrize("flag, name", [("--lexicon", "lex.tsv"), ("--mem-ckpt", "mem.ckpt")])
+    def test_one_without_the_other_exits_2(self, model_files, capsys, flag, name):
+        d, _, _ = model_files
+        with pytest.raises(SystemExit) as exc:
+            main(["translate", "--src", str(d / "test.src"), "--vocab-src", str(d / "vocab.src"),
+                  "--vocab-tgt", str(d / "vocab.tgt"), "--ckpt", str(d / "model.ckpt"),
+                  flag, str(d / name), "--out", str(d / "out.txt")])
+        assert exc.value.code == 2
+        assert "--lexicon and --mem-ckpt" in capsys.readouterr().err
+        assert not (d / "out.txt").exists()
+
+
+class TestInvalidUtf8:
+    """Every text input names the file and the line of its first invalid byte."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("translate", "--vocab-src"), ("translate", "--lexicon"), ("translate", "--sim-src"),
+        ("translate", "--config"), ("translate", "--src"), ("score", "--hyp"),
+        ("build-vocab", "--src"),
+    ])
+    def test_rejected_naming_file_and_line(self, model_files, command, flag):
+        d, _, _ = model_files
+        bad = d / "bad.txt"
+        bad.write_bytes(b"ok\n\xff\xfe bad\n")
+        given = {
+            "translate": {"--src": d / "test.src", "--vocab-src": d / "vocab.src",
+                          "--vocab-tgt": d / "vocab.tgt", "--ckpt": d / "model.ckpt",
+                          "--lexicon": d / "lex.tsv", "--mem-ckpt": d / "mem.ckpt",
+                          "--out": d / "out.txt"},
+            "score": {"--hyp": d / "test.src", "--ref": d / "test.src"},
+            "build-vocab": {"--src": d / "test.src", "--out": d / "vocab.out"},
+        }[command] | {flag: bad}
+        with pytest.raises(CorpusEncodingError,
+                           match=f"^{re.escape(str(bad))}: invalid UTF-8 on line 2$"):
+            main([command, *(str(a) for pair in given.items() for a in pair)])
 
 
 class TestVocabularyMismatch:
@@ -332,6 +407,37 @@ class TestMemoryCheckpointMismatch:
         assert len((d / "out.txt").read_text(encoding="utf-8").splitlines()) == 1
 
 
+class TestTrainMemory:
+    def test_checkpoint_without_config_snapshot(self, model_files):
+        # model.ckpt stores only {"kind": "nmt"}: the memory's widths come from its arrays
+        d, src_vocab, tgt_vocab = model_files
+        assert main(["train-memory", "--src", str(d / "train.src"), "--tgt", str(d / "train.tgt"),
+                     "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
+                     "--ckpt", str(d / "model.ckpt"), "--lexicon", str(d / "lex.tsv"),
+                     "--mem-ckpt", str(d / "new_mem.ckpt"), "--epochs", "1"]) == 0
+        _, arrays = load_checkpoint(str(d / "new_mem.ckpt"))
+        want = init_memory_params(desk_config(len(src_vocab), len(tgt_vocab), embed=8,
+                                              hidden=10), 0).pset
+        assert {n: a.shape for n, a in arrays.items()} == {n: want[n].data.shape
+                                                            for n in want.names()}
+
+    def test_lexicon_without_usable_target_rejected_before_any_record(self, model_files,
+                                                                      monkeypatch):
+        d, _, _ = model_files
+        save_lexicon(Lexicon({("s00", "zz_oov"): (0.9, 0.9)}), str(d / "oov.tsv"))
+
+        def no_records(*args, **kwargs):
+            raise AssertionError("memory records built for an unusable lexicon")
+
+        monkeypatch.setattr(memory, "_training_records", no_records)
+        with pytest.raises(ValueError, match=r"oov\.tsv: no lexicon entry has a target"):
+            main(["train-memory", "--src", str(d / "train.src"), "--tgt", str(d / "train.tgt"),
+                  "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
+                  "--ckpt", str(d / "model.ckpt"), "--lexicon", str(d / "oov.tsv"),
+                  "--mem-ckpt", str(d / "new_mem.ckpt")])
+        assert not (d / "new_mem.ckpt").exists()
+
+
 class TestTrainMemoryRejectsUselessLexicon:
     def test_no_trainable_position_writes_nothing(self, model_files):
         d, _, _ = model_files
@@ -380,4 +486,3 @@ def test_model_snapshot_keys_are_nmt_config_fields_then_seed():
     assert list(keys) == [f.name for f in fields(NmtConfig)] + ["seed"]
     assert keys["embed_dim"] == 7 and keys["lr"] == 0.5 and keys["seed"] == 9
     assert isinstance(cfg, NmtConfig)
-    assert cli._nmt_config_from_snapshot(keys) == NmtConfig(embed_dim=7, lr=0.5)

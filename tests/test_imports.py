@@ -91,3 +91,29 @@ def test_no_assert_statement_in_the_package():
                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_only_read_lines_opens_a_text_input():
+    # every text input goes through corpus.read_lines, which names the file and
+    # the line on invalid UTF-8; the only other reads are of checkpoint bytes
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = (node.func.id if isinstance(node.func, ast.Name)
+                        else node.func.attr if isinstance(node.func, ast.Attribute) else "")
+                if name in {"read_text", "read_bytes", "loadtxt", "genfromtxt"}:
+                    readers.append(f"{path.name}:{func.name}: {name}")
+                elif name == "open":
+                    modes = list(node.args[1:2]) + [k.value for k in node.keywords
+                                                           if k.arg == "mode"]
+                    mode = modes[0].value if modes else "r"
+                    if not set(mode) & set("wax+"):
+                        readers.append(f"{path.name}:{func.name}: open {mode}")
+    assert sorted(readers) == ["checkpoint.py:checkpoint_checksum: open rb",
+                               "checkpoint.py:load_checkpoint: open rb",
+                               "corpus.py:read_lines: open rb"]
