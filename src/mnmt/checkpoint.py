@@ -120,9 +120,3 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 def params_from_arrays(arrays: dict[str, np.ndarray]) -> ParamSet:
     """The arrays packed into one parameter store, in file order."""
     return ParamSet(arrays)
-
-
-def checkpoint_checksum(path: str) -> str:
-    """Hex digest of the whole file, for determinism checks."""
-    with open(path, "rb") as f:
-        return hashlib.blake2b(f.read(), digest_size=16).hexdigest()

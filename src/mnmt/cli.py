@@ -92,10 +92,6 @@ class RunConfig(NmtConfig):
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        return _layered_config([(path, cls.file_values(path))])
-
-    @classmethod
     def file_values(cls, path: str) -> dict:
         """The keys a config file sets, with their values cast to the field types."""
         types = {f.name: f.type for f in fields(cls)}
@@ -156,12 +152,6 @@ def _require(cfg: RunConfig, *keys: str) -> None:
         raise SystemExit(2)
 
 
-def _load_or_build_vocab(path: str, side: list[list[str]], max_size: int) -> Vocabulary:
-    if path:
-        return Vocabulary.load(path)
-    return build_vocabulary(side, max_size)
-
-
 def _load_model(cfg: RunConfig) -> tuple[ParamSet, Vocabulary, Vocabulary]:
     """The translation model at ``cfg.ckpt`` and its source and target vocabularies,
     each of which must index exactly its embedding's rows."""
@@ -199,19 +189,27 @@ def _memory_params_for(path: str, arrays: dict[str, np.ndarray], nmt_params: Par
     return params_from_arrays(arrays)
 
 
-def _load_usable_lexicon(path: str, tgt_vocab: Vocabulary, sim: SimilarWordMap | None) -> Lexicon:
-    """The lexicon at ``path``.  Entries whose target is outside the target vocabulary
-    and has no in-vocabulary stand-in are logged; a lexicon of only those is rejected."""
+def _load_usable_lexicon(path: str, src_vocab: Vocabulary, tgt_vocab: Vocabulary,
+                         sim: SimilarWordMap | None) -> Lexicon:
+    """The lexicon at ``path``.  An entry is usable if its target is in the target
+    vocabulary or, as sentence_memory borrows one, if its source word is outside the
+    source vocabulary and both words have an in-vocabulary stand-in in ``sim``.
+    Unusable entries are logged; a lexicon of only those is rejected."""
     lex = load_lexicon(path)
-    stand_ins = sim.target if sim is not None else {}
-    unusable = sum(1 for _, t in lex.entries if t not in tgt_vocab
-                   and not any(c in tgt_vocab for c in stand_ins.get(t, ())))
+    sim = sim or SimilarWordMap()
+
+    def has_stand_in(side: dict[str, list[str]], word: str, vocab: Vocabulary) -> bool:
+        return any(c in vocab for c in side.get(word, ()))
+
+    unusable = sum(1 for s, t in lex.entries if t not in tgt_vocab and not (
+        s not in src_vocab and has_stand_in(sim.source, s, src_vocab)
+        and has_stand_in(sim.target, t, tgt_vocab)))
     if unusable:
         logger.warning("%s: %d of %d lexicon entries have a target outside the target "
-                       "vocabulary and no in-vocabulary stand-in", path, unusable, len(lex))
+                       "vocabulary that no memory can borrow", path, unusable, len(lex))
     if unusable == len(lex):
         raise ValueError(f"{path}: no lexicon entry has a target in the target vocabulary "
-                         "or an in-vocabulary stand-in; every sentence memory would be empty")
+                         "or one a memory can borrow; every sentence memory would be empty")
     return lex
 
 
@@ -267,11 +265,13 @@ def translate_lines(
 
 def _cmd_build_vocab(args) -> int:
     cfg = _resolve_config(args)
-    _require(cfg, "src", "out")
-    lines = [l.split() for l in read_lines(cfg.src)]
-    vocab = build_vocabulary(lines, args.max_size or cfg.src_vocab_size)
-    vocab.save(cfg.out)
-    print(f"wrote {len(vocab)} tokens to {cfg.out}")
+    _require(cfg, "src", "tgt", "vocab_src", "vocab_tgt")
+    corpus = load_parallel_corpus(cfg.src, cfg.tgt)
+    for side, path, size in ((0, cfg.vocab_src, cfg.src_vocab_size),
+                             (1, cfg.vocab_tgt, cfg.tgt_vocab_size)):
+        vocab = build_vocabulary([pair[side] for pair in corpus.pairs], size)
+        vocab.save(path)
+        print(f"wrote {len(vocab)} tokens to {path}")
     return 0
 
 
@@ -290,10 +290,10 @@ def _cmd_train_lexicon(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    _require(cfg, "src", "tgt", "ckpt")
+    _require(cfg, "src", "tgt", "vocab_src", "vocab_tgt", "ckpt")
     corpus = load_parallel_corpus(cfg.src, cfg.tgt)
-    src_vocab = _load_or_build_vocab(cfg.vocab_src, [p[0] for p in corpus.pairs], cfg.src_vocab_size)
-    tgt_vocab = _load_or_build_vocab(cfg.vocab_tgt, [p[1] for p in corpus.pairs], cfg.tgt_vocab_size)
+    src_vocab = Vocabulary.load(cfg.vocab_src)
+    tgt_vocab = Vocabulary.load(cfg.vocab_tgt)
     cfg.src_vocab_size = len(src_vocab)
     cfg.tgt_vocab_size = len(tgt_vocab)
     encoded = [
@@ -314,7 +314,7 @@ def _cmd_train_memory(args) -> int:
     _require(cfg, "src", "tgt", "vocab_src", "vocab_tgt", "lexicon", "ckpt", "mem_ckpt")
     corpus = load_parallel_corpus(cfg.src, cfg.tgt)
     nmt_params, src_vocab, tgt_vocab = _load_model(cfg)
-    lex = _load_usable_lexicon(cfg.lexicon, tgt_vocab, None)
+    lex = _load_usable_lexicon(cfg.lexicon, src_vocab, tgt_vocab, None)
     mparams = init_memory_params(_model_widths(nmt_params), cfg.seed, cfg.beta)
     losses = train_memory_attention(
         corpus.pairs, src_vocab, tgt_vocab, nmt_params, mparams, lex,
@@ -324,8 +324,7 @@ def _cmd_train_memory(args) -> int:
         raise ValueError(f"{cfg.lexicon}: no reference word of the corpus is among its "
                          "sentence's lexicon candidates; the memory would train nothing")
     save_checkpoint(cfg.mem_ckpt, mparams.pset,
-                    {"kind": "memory", **{key: getattr(cfg, key) for key in _MEMORY_KEYS},
-                     **_model_keys(cfg)})
+                    {"kind": "memory", **{key: getattr(cfg, key) for key in _MEMORY_KEYS}})
     tail = f" (loss {losses[0]:.4f} -> {losses[-1]:.4f})" if losses else ""
     print(f"wrote memory checkpoint {cfg.mem_ckpt}{tail}")
     return 0
@@ -339,13 +338,17 @@ def _cmd_translate(args) -> int:
         print("error: --lexicon and --mem-ckpt go together: decoding with memory needs both",
               file=sys.stderr)
         raise SystemExit(2)
+    if cfg.sim_tgt and not (cfg.sim_src and cfg.mem_ckpt):
+        print("error: --sim-tgt needs --sim-src and --mem-ckpt: only the memory at a "
+              "substituted source word reads it", file=sys.stderr)
+        raise SystemExit(2)
     nmt_params, src_vocab, tgt_vocab = _load_model(cfg)
     sim = None
     if cfg.sim_src or cfg.sim_tgt:
         sim = SimilarWordMap.load(cfg.sim_src or None, cfg.sim_tgt or None)
     lexicon = mparams = None
     if cfg.mem_ckpt:
-        lexicon = _load_usable_lexicon(cfg.lexicon, tgt_vocab, sim)
+        lexicon = _load_usable_lexicon(cfg.lexicon, src_vocab, tgt_vocab, sim)
         stored, mem_arrays = load_checkpoint(cfg.mem_ckpt)
         # the flags, then the config file, then what the memory checkpoint stores
         cfg = _layered_config([(cfg.mem_ckpt, {key: stored[key] for key in _MEMORY_KEYS
@@ -382,7 +385,7 @@ def _cmd_gradcheck(args) -> int:
     from .corpus import Batch
     from .memory import TrainingRecord, chunk_loss, training_chunk
 
-    seed = args.seed if args.seed is not None else 0
+    seed = args.seed
     cfg = NmtConfig(src_vocab_size=20, tgt_vocab_size=20, embed_dim=8, hidden_dim=12,
                     beam_size=2, batch_size=2, lr=0.001)
     rng = np.random.default_rng(seed)
@@ -424,7 +427,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _model_keys(cfg: RunConfig) -> dict:
-    """The checkpoint snapshot: NmtConfig's fields, in order, then the seed."""
+    """The translation checkpoint's snapshot: NmtConfig's fields, in order, then the seed."""
     return {name: getattr(cfg, name) for name in [f.name for f in fields(NmtConfig)] + ["seed"]}
 
 
@@ -443,9 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mnmt")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-vocab", help="build a vocabulary file from a corpus side")
-    _add_config_flags(p, "src", "out")
-    p.add_argument("--max-size", type=int, dest="max_size")
+    p = sub.add_parser("build-vocab", help="build both vocabulary files from the pair corpus")
+    _add_config_flags(p, "src", "tgt", "vocab_src", "vocab_tgt")
     p.set_defaults(func=_cmd_build_vocab)
 
     p = sub.add_parser("train-lexicon", help="estimate a word-mapping table by EM")
@@ -475,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("gradcheck", help="finite-difference check at desk scale")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -63,10 +63,6 @@ class NmtConfig:
         if self.max_decode_len < 0:
             raise ValueError("max_decode_len must be >= 0")
 
-    @property
-    def output_dim(self) -> int:
-        return self.embed_dim
-
 
 @dataclass
 class EncodedSource:

@@ -343,10 +343,6 @@ class ParamSet:
                 out.append(span)
         return out
 
-    def value_bytes(self) -> bytes:
-        """Concatenated raw parameter bytes, for freeze/determinism checks."""
-        return b"".join(self.params[n].data.tobytes() for n in sorted(self.params))
-
 
 def clip_gradients(pset: ParamSet) -> float:
     """Scale the written gradients in place so their global L2 norm is <= GRAD_CLIP.

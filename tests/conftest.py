@@ -2,7 +2,9 @@
 test-only references the package is checked against: plain-numpy decoders,
 a generic reverse-mode tape and per-op oracles built on it."""
 
+import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -124,6 +126,16 @@ def quick_train(task: SynthTask, cfg: NmtConfig, seed: int, steps: int):
     params = init_nmt_params(cfg, seed)
     losses = train_model(batches, params, cfg.lr, steps)
     return params, losses
+
+
+def checkpoint_checksum(path) -> str:
+    """Hex digest of a whole file, for determinism checks."""
+    return hashlib.blake2b(Path(path).read_bytes(), digest_size=16).hexdigest()
+
+
+def value_bytes(pset: numerics.ParamSet) -> bytes:
+    """A parameter store's raw values in name order, for freeze/determinism checks."""
+    return b"".join(pset[n].data.tobytes() for n in sorted(pset.names()))
 
 
 def _sigmoid(v):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    checkpoint_checksum,
     desk_config,
     greedy_reference,
     make_copy_task,
@@ -22,7 +23,7 @@ from conftest import (
     table_hook,
 )
 from mnmt.bleu import bleu, brevity_penalty, ngram_precisions, recalled_words
-from mnmt.checkpoint import checkpoint_checksum, save_checkpoint
+from mnmt.checkpoint import save_checkpoint
 from mnmt.cli import main as cli_main
 from mnmt.cli import translate_lines
 from mnmt.corpus import BOS_ID, EOS_ID, Batch, ParallelCorpus, encode_sentence
@@ -345,8 +346,10 @@ def test_c10_determinism(tmp_path):
             "hidden_dim = 12\nbatch_size = 8\nlr = 0.01\ntrain_steps = 30\n",
             encoding="utf-8",
         )
-        args = ["train", "--config", str(cfg), "--src", str(src), "--tgt", str(tgt),
-                "--seed", "11"]
+        files = ["--config", str(cfg), "--src", str(src), "--tgt", str(tgt),
+                 "--vocab-src", str(tmp_path / "c.vsrc"), "--vocab-tgt", str(tmp_path / "c.vtgt")]
+        assert cli_main(["build-vocab", *files]) == 0
+        args = ["train", *files, "--seed", "11"]
         assert cli_main([*args, "--ckpt", str(tmp_path / "one.ckpt")]) == 0
         assert cli_main([*args, "--ckpt", str(tmp_path / "two.ckpt")]) == 0
         assert (checkpoint_checksum(str(tmp_path / "one.ckpt"))

@@ -3,10 +3,10 @@ import re
 import numpy as np
 import pytest
 
+from conftest import checkpoint_checksum
 from mnmt import checkpoint
 from mnmt.checkpoint import (
     CheckpointError,
-    checkpoint_checksum,
     deserialize,
     load_checkpoint,
     params_from_arrays,

@@ -2,15 +2,17 @@ import argparse
 import inspect
 import logging
 import re
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from conftest import desk_config, make_mapped_task
+from conftest import checkpoint_checksum, desk_config, make_mapped_task
 from mnmt import cli
 from mnmt.cli import RunConfig, main
-from mnmt.checkpoint import checkpoint_checksum, load_checkpoint, save_checkpoint
-from mnmt.corpus import CorpusEncodingError, build_vocabulary
+from mnmt.checkpoint import load_checkpoint, save_checkpoint
+from mnmt.corpus import CorpusEncodingError, Vocabulary, build_vocabulary, load_parallel_corpus
 from mnmt.lexicon import Lexicon, save_lexicon
 from mnmt import memory
 from mnmt.memory import init_memory_params
@@ -39,12 +41,19 @@ def workdir(tmp_path):
     return tmp_path, task
 
 
+def _vocab_args(d):
+    """build-vocab's arguments over the workdir's pair corpus, each side capped by desk.cfg."""
+    return ["--config", str(d / "desk.cfg"), "--src", str(d / "train.src"),
+            "--tgt", str(d / "train.tgt"), "--vocab-src", str(d / "vocab.src"),
+            "--vocab-tgt", str(d / "vocab.tgt")]
+
+
 class TestRunConfig:
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("no_such_key = 3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no_such_key"):
-            RunConfig.from_file(str(bad))
+            RunConfig.file_values(str(bad))
 
     def test_bad_value_names_file_line_and_key(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -55,7 +64,8 @@ class TestRunConfig:
     def test_comments_and_types(self, tmp_path):
         good = tmp_path / "good.cfg"
         good.write_text("# comment\nlr = 0.25\nbeam_size = 7\n", encoding="utf-8")
-        cfg = RunConfig.from_file(str(good))
+        cfg = cli._resolve_config(cli.build_parser().parse_args(
+            ["translate", "--config", str(good)]))
         assert cfg.lr == 0.25 and cfg.beam_size == 7
 
     def test_memory_defaults_of_signatures_are_the_config_defaults(self):
@@ -83,7 +93,7 @@ RUN_KEYS = {f.name: f.type for f in fields(RunConfig)}
 
 class TestConfigFlags:
     # the flags a subcommand keeps to itself: no config key has their meaning
-    LOCAL = {"help", "config", "max_size", "iters", "floor"}
+    LOCAL = {"help", "config", "iters", "floor"}
 
     def test_every_flag_is_a_config_key_or_local(self):
         assert {dest for _, _, dest in CONFIG_FLAGS} - set(RUN_KEYS) == self.LOCAL
@@ -157,10 +167,7 @@ class TestCommands:
     @pytest.mark.filterwarnings("ignore:hypotheses too short")
     def test_full_pipeline(self, workdir, capsys):
         d, task = workdir
-        assert main(["build-vocab", "--src", str(d / "train.src"),
-                     "--max-size", "40", "--out", str(d / "vocab.src")]) == 0
-        assert main(["build-vocab", "--src", str(d / "train.tgt"),
-                     "--max-size", "40", "--out", str(d / "vocab.tgt")]) == 0
+        assert main(["build-vocab", *_vocab_args(d)]) == 0
         assert main(["train-lexicon", "--src", str(d / "train.src"),
                      "--tgt", str(d / "train.tgt"), "--iters", "5",
                      "--floor", "0.05", "--out", str(d / "lex.tsv")]) == 0
@@ -198,10 +205,7 @@ class TestCommands:
 
     def test_translate_beta_zero_matches_no_memory(self, workdir):
         d, task = workdir
-        for name in ("vocab.src", "vocab.tgt"):
-            side = "train.src" if name.endswith("src") else "train.tgt"
-            main(["build-vocab", "--src", str(d / side), "--max-size", "40",
-                  "--out", str(d / name)])
+        main(["build-vocab", *_vocab_args(d)])
         main(["train-lexicon", "--src", str(d / "train.src"), "--tgt", str(d / "train.tgt"),
               "--iters", "5", "--out", str(d / "lex.tsv")])
         main(["train", "--config", str(d / "desk.cfg"),
@@ -227,10 +231,7 @@ class TestCommands:
 
     def test_train_is_deterministic(self, workdir):
         d, _ = workdir
-        for name in ("vocab.src", "vocab.tgt"):
-            side = "train.src" if name.endswith("src") else "train.tgt"
-            main(["build-vocab", "--src", str(d / side), "--max-size", "40",
-                  "--out", str(d / name)])
+        main(["build-vocab", *_vocab_args(d)])
         args = ["train", "--config", str(d / "desk.cfg"),
                 "--src", str(d / "train.src"), "--tgt", str(d / "train.tgt"),
                 "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
@@ -238,6 +239,33 @@ class TestCommands:
         main([*args, "--ckpt", str(d / "a.ckpt")])
         main([*args, "--ckpt", str(d / "b.ckpt")])
         assert checkpoint_checksum(str(d / "a.ckpt")) == checkpoint_checksum(str(d / "b.ckpt"))
+
+    def test_build_vocab_writes_both_sides_of_the_pairs_train_reads(self, tmp_path):
+        # the pair ("a a", "") is dropped, so "b" outranks "a" on the source side
+        (tmp_path / "p.src").write_text("a a\nb a\nb c\nd e f g h i j\n", encoding="utf-8")
+        (tmp_path / "p.tgt").write_text("\nx y\ny z\nu v w\n", encoding="utf-8")
+        (tmp_path / "p.cfg").write_text("src_vocab_size = 10\ntgt_vocab_size = 6\n",
+                                        encoding="utf-8")
+        assert main(["build-vocab", "--config", str(tmp_path / "p.cfg"),
+                     "--src", str(tmp_path / "p.src"), "--tgt", str(tmp_path / "p.tgt"),
+                     "--vocab-src", str(tmp_path / "v.src"),
+                     "--vocab-tgt", str(tmp_path / "v.tgt")]) == 0
+        pairs = load_parallel_corpus(str(tmp_path / "p.src"), str(tmp_path / "p.tgt")).pairs
+        src = Vocabulary.load(str(tmp_path / "v.src"))
+        tgt = Vocabulary.load(str(tmp_path / "v.tgt"))
+        assert src.tokens == build_vocabulary([s for s, _ in pairs], 10).tokens
+        assert tgt.tokens == build_vocabulary([t for _, t in pairs], 6).tokens
+        assert (len(src), len(tgt)) == (10, 6)
+        assert src.tokens[4:6] == ["b", "a"]
+
+    def test_train_without_vocabulary_files_exits_2(self, workdir, capsys):
+        d, _ = workdir
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(d / "desk.cfg"), "--src", str(d / "train.src"),
+                  "--tgt", str(d / "train.tgt"), "--ckpt", str(d / "model.ckpt")])
+        assert exc.value.code == 2
+        assert "--vocab-src, --vocab-tgt" in capsys.readouterr().err
+        assert not (d / "model.ckpt").exists()
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
@@ -331,6 +359,22 @@ class TestMemoryFlagsPair:
         assert "--lexicon and --mem-ckpt" in capsys.readouterr().err
         assert not (d / "out.txt").exists()
 
+    @pytest.mark.parametrize("missing", ["--sim-src", "--mem-ckpt"])
+    def test_sim_tgt_without_sim_src_or_memory_exits_2(self, tmp_path, capsys, missing):
+        # every path is missing, so opening any file would raise FileNotFoundError
+        given = {flag: str(tmp_path / name) for flag, name in (
+            ("--src", "test.src"), ("--vocab-src", "v.src"), ("--vocab-tgt", "v.tgt"),
+            ("--ckpt", "model.ckpt"), ("--lexicon", "lex.tsv"), ("--mem-ckpt", "mem.ckpt"),
+            ("--sim-src", "sim.src"), ("--sim-tgt", "sim.tgt"), ("--out", "out.txt"))}
+        del given[missing]
+        if missing == "--mem-ckpt":
+            del given["--lexicon"]
+        with pytest.raises(SystemExit) as exc:
+            main(["translate", *(a for pair in given.items() for a in pair)])
+        assert exc.value.code == 2
+        assert "--sim-tgt needs --sim-src and --mem-ckpt" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+
 
 class TestInvalidUtf8:
     """Every text input names the file and the line of its first invalid byte."""
@@ -350,7 +394,9 @@ class TestInvalidUtf8:
                           "--lexicon": d / "lex.tsv", "--mem-ckpt": d / "mem.ckpt",
                           "--out": d / "out.txt"},
             "score": {"--hyp": d / "test.src", "--ref": d / "test.src"},
-            "build-vocab": {"--src": d / "test.src", "--out": d / "vocab.out"},
+            "build-vocab": {"--config": d / "desk.cfg", "--src": d / "train.src",
+                            "--tgt": d / "train.tgt", "--vocab-src": d / "v.src",
+                            "--vocab-tgt": d / "v.tgt"},
         }[command] | {flag: bad}
         with pytest.raises(CorpusEncodingError,
                            match=f"^{re.escape(str(bad))}: invalid UTF-8 on line 2$"):
@@ -421,6 +467,18 @@ class TestTrainMemory:
         assert {n: a.shape for n, a in arrays.items()} == {n: want[n].data.shape
                                                             for n in want.names()}
 
+    def test_memory_snapshot_holds_only_what_translate_reads(self, model_files):
+        # the config file's widths (E=8, H=10) must not be restated beside the arrays
+        d, _, _ = model_files
+        assert main(["train-memory", "--config", str(d / "desk.cfg"),
+                     "--src", str(d / "train.src"), "--tgt", str(d / "train.tgt"),
+                     "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
+                     "--ckpt", str(d / "model.ckpt"), "--lexicon", str(d / "lex.tsv"),
+                     "--mem-ckpt", str(d / "new_mem.ckpt"), "--epochs", "1"]) == 0
+        stored, _ = load_checkpoint(str(d / "new_mem.ckpt"))
+        assert sorted(stored) == ["beta", "kind", "memory_k"]
+        assert stored["kind"] == "memory"
+
     def test_lexicon_without_usable_target_rejected_before_any_record(self, model_files,
                                                                       monkeypatch):
         d, _, _ = model_files
@@ -460,23 +518,39 @@ class TestTranslateRejectsUnusableLexicon:
                      "--ckpt", str(d / "model.ckpt"), "--lexicon", str(d / "oov.tsv"),
                      "--mem-ckpt", str(d / "mem.ckpt"), "--out", str(d / "out.txt"), *extra])
 
+    @staticmethod
+    def _sim_maps(d, src_line, tgt_line):
+        (d / "sim.src").write_text(src_line, encoding="utf-8")
+        (d / "sim.tgt").write_text(tgt_line, encoding="utf-8")
+        return ["--sim-src", str(d / "sim.src"), "--sim-tgt", str(d / "sim.tgt")]
+
     def test_no_usable_target_rejected_naming_the_file(self, model_files):
         d, _, _ = model_files
-        # the target is outside the target vocabulary, and so is its only stand-in
-        save_lexicon(Lexicon({("s00", "zz_oov"): (0.9, 0.9)}), str(d / "oov.tsv"))
-        (d / "sim.tgt").write_text("zz_oov\tzz_other\n", encoding="utf-8")
-        for extra in ([], ["--sim-tgt", str(d / "sim.tgt")]):
+        # the OOV source word has an in-vocabulary stand-in, but the target is outside
+        # the target vocabulary, and so is its only stand-in
+        save_lexicon(Lexicon({("zz_src", "zz_oov"): (0.9, 0.9)}), str(d / "oov.tsv"))
+        for extra in ([], self._sim_maps(d, "zz_src\ts00\n", "zz_oov\tzz_other\n")):
             with pytest.raises(ValueError, match=r"oov\.tsv: no lexicon entry has a target"):
                 self._translate(d, *extra)
         assert not (d / "out.txt").exists()
 
-    def test_stand_in_makes_a_target_usable_and_the_rest_is_logged(self, model_files, caplog):
+    def test_in_vocabulary_source_word_is_never_borrowed_for(self, model_files):
         d, _, _ = model_files
+        # s00 is in the source vocabulary, so it is never substituted and no memory
+        # enters its target through zz_oov's stand-in
         save_lexicon(Lexicon({("s00", "zz_oov"): (0.9, 0.9), ("s01", "zz_other"): (0.9, 0.9)}),
                      str(d / "oov.tsv"))
-        (d / "sim.tgt").write_text("zz_oov\tt00\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"oov\.tsv: no lexicon entry has a target"):
+            self._translate(d, *self._sim_maps(d, "zz_src\ts00\n", "zz_oov\tt00\n"))
+        assert not (d / "out.txt").exists()
+
+    def test_stand_in_makes_a_target_usable_and_the_rest_is_logged(self, model_files, caplog):
+        d, _, _ = model_files
+        # both entries' target has a stand-in, but only the OOV source word is substituted
+        save_lexicon(Lexicon({("zz_src", "zz_oov"): (0.9, 0.9), ("s01", "zz_oov"): (0.9, 0.9)}),
+                     str(d / "oov.tsv"))
         with caplog.at_level(logging.WARNING, logger="mnmt.cli"):
-            assert self._translate(d, "--sim-tgt", str(d / "sim.tgt")) == 0
+            assert self._translate(d, *self._sim_maps(d, "zz_src\ts00\n", "zz_oov\tt00\n")) == 0
         assert f"{d / 'oov.tsv'}: 1 of 2 lexicon entries" in caplog.text
 
 
@@ -486,3 +560,15 @@ def test_model_snapshot_keys_are_nmt_config_fields_then_seed():
     assert list(keys) == [f.name for f in fields(NmtConfig)] + ["seed"]
     assert keys["embed_dim"] == 7 and keys["lr"] == 0.5 and keys["seed"] == 9
     assert isinstance(cfg, NmtConfig)
+
+
+def test_readme_commands_parse():
+    # every `mnmt ...` line of README's sh blocks, continuation lines joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [shlex.split(line, comments=True)
+                for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv[:1] == ["mnmt"]]
+    assert {argv[1] for argv in commands} >= {"build-vocab", "train", "translate"}
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])

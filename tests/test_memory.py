@@ -20,6 +20,7 @@ from conftest import (
     tape_chunk_loss,
     tape_memory_scores,
     tape_nodes,
+    value_bytes,
 )
 from mnmt import memory as memory_module
 from mnmt import model as model_module
@@ -653,12 +654,12 @@ class TestTrainMemoryAttention:
         task = make_mapped_task(n_common=5, n_train=6, seed=1)
         cfg = desk_config(len(task.src_vocab), len(task.tgt_vocab), embed=6, hidden=6)
         params, _ = quick_train(task, cfg, seed=1, steps=5)
-        before = params.value_bytes()
+        before = value_bytes(params)
         lex = train_ibm1(ParallelCorpus(task.train_pairs), iterations=5)
         mparams = init_memory_params(cfg, 1)
         train_memory_attention(task.train_pairs, task.src_vocab, task.tgt_vocab,
                                params, mparams, lex, epochs=3, lr=0.05)
-        assert params.value_bytes() == before
+        assert value_bytes(params) == before
 
     def test_empty_lexicon_rejected(self):
         task = make_mapped_task(n_common=4, n_train=3, seed=0)

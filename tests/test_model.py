@@ -20,6 +20,7 @@ from conftest import (
     tape_encode_batch,
     tape_loss,
     tape_nodes,
+    value_bytes,
 )
 from mnmt import model, numerics
 from mnmt.corpus import BOS_ID, EOS_ID, Batch, make_batches, pad_batch
@@ -69,10 +70,6 @@ def zeroed(params: ParamSet) -> ParamSet:
 
 
 class TestConfig:
-    def test_output_dim_is_tied_to_embedding(self):
-        cfg = NmtConfig(embed_dim=64)
-        assert cfg.output_dim == 64
-
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError):
             NmtConfig(hidden_dim=0)
@@ -150,7 +147,7 @@ class TestDecoderStep:
     def test_readout_width_is_output_dim(self):
         cfg, params = tiny_params(seed=2)
         _, z = _step(np.zeros(cfg.hidden_dim), 5, encode([4, EOS_ID], params), params)
-        assert z.shape == (cfg.output_dim,)
+        assert z.shape == (cfg.embed_dim,)
 
 
 def _padded_batch(rng, b, s_len, t_len, vocab=15):
@@ -376,7 +373,7 @@ class TestTrainStep:
         for _ in range(2):
             _, params = tiny_params(seed=5, src_v=20, tgt_v=20)
             losses = [train_step(batch, params, 0.01) for _ in range(5)]
-            runs.append((losses, params.value_bytes()))
+            runs.append((losses, value_bytes(params)))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
