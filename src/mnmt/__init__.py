@@ -30,8 +30,6 @@ from .memory import (
     SimilarWordMap,
     apply_oov_substitution,
     init_memory_params,
-    interpolate_posterior,
-    memory_attention,
     train_memory_attention,
 )
 from .bleu import BleuReport, bleu, brevity_penalty, ngram_precisions, recalled_words

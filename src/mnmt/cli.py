@@ -16,6 +16,7 @@ from .bleu import recalled_words
 from .checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
 from .corpus import (
     EOS_ID,
+    EmptyTrainingSetError,
     Vocabulary,
     build_vocabulary,
     decode_ids,
@@ -300,7 +301,10 @@ def _cmd_train(args) -> int:
         (encode_sentence(s, src_vocab, True), encode_sentence(t, tgt_vocab, True))
         for s, t in corpus.pairs
     ]
-    batches = make_batches(encoded, cfg.batch_size, cfg.max_len, cfg.seed)
+    try:
+        batches = make_batches(encoded, cfg.batch_size, cfg.max_len, cfg.seed)
+    except EmptyTrainingSetError as exc:
+        raise EmptyTrainingSetError(f"{cfg.src}, {cfg.tgt}: {exc}") from exc
     params = init_nmt_params(cfg, cfg.seed)
     losses = train_model(batches, params, cfg.lr, cfg.train_steps)
     logger.info("loss %.4f -> %.4f over %d steps", losses[0], losses[-1], len(losses))
@@ -488,7 +492,3 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

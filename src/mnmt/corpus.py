@@ -21,6 +21,7 @@ EOS_TOKEN = "<eos>"
 UNK_TOKEN = "<unk>"
 
 CONTROL_TOKENS = (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN)
+MIN_VOCAB_SIZE = len(CONTROL_TOKENS) + 1  # the control tokens and one word
 
 
 class CorpusAlignmentError(ValueError):
@@ -145,8 +146,8 @@ def build_vocabulary(corpus_side: list[list[str]], max_size: int) -> Vocabulary:
 
     Ties are broken by first occurrence order so builds are deterministic.
     """
-    if max_size < 5:
-        raise ValueError(f"max_size must be >= 5, got {max_size}")
+    if max_size < MIN_VOCAB_SIZE:
+        raise ValueError(f"max_size must be >= {MIN_VOCAB_SIZE}, got {max_size}")
     counts: Counter[str] = Counter()
     first_seen: dict[str, int] = {}
     pos = 0
@@ -200,7 +201,8 @@ def make_batches(
     if n_dropped:
         logger.info("dropped %d over-length pairs (max_len=%d)", n_dropped, max_len)
     if not kept:
-        raise EmptyTrainingSetError("all pairs dropped by the length filter")
+        raise EmptyTrainingSetError("all pairs dropped by the length filter: no pair has both "
+                                    f"sides, EOS included, within max_len = {max_len}")
     for s, t in kept:
         if not t or t[-1] != EOS_ID:
             raise ValueError("every target sequence must end with EOS")

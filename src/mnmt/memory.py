@@ -204,43 +204,12 @@ def score_entries(s_prev: np.ndarray, y_emb: np.ndarray, uw: np.ndarray,
     return check_finite(np.matmul(act, pset["mem_v"].data)), act
 
 
-def memory_attention(s_prev: np.ndarray, y_emb: np.ndarray, uw: np.ndarray,
-                     pset: ParamSet) -> np.ndarray:
-    """[n, K] attention of n decoder states (with their previous-word embeddings)
-    over the K merged entries whose u @ mem_Wu is ``uw``; each row sums to 1."""
-    return masked_softmax(score_entries(s_prev, y_emb, uw, pset)[0], None)
-
-
-def interpolate_posterior(
-    p_nmt: np.ndarray,
-    alpha_m: np.ndarray,
-    labels: np.ndarray,
-    n_oov: int,
-    beta: float,
-) -> np.ndarray:
-    """beta * memory attention + (1 - beta) * model posterior, row by row.
-
-    ``p_nmt`` is [n, V] and ``alpha_m`` [n, K]; ``labels`` holds each entry's
-    output label id, checked by `MergedMemory.label_ids`.  Memory mass lands
-    on those labels; the ``n_oov`` OOV labels extend the rows past the
-    vocabulary and receive memory mass only.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if not len(labels):
-        return p_nmt
-    n, vocab = p_nmt.shape
-    out = np.zeros((n, vocab + n_oov))
-    out[:, :vocab] = (1.0 - beta) * p_nmt
-    out[:, labels] += beta * alpha_m
-    return out
-
-
 class MemoryHook:
     """Row-wise posterior transformer plugged into beam search.
 
     Each entry's u @ mem_Wu, the label ids and the proxy ids are computed
-    once, here; a call scores every row against them and interpolates.
+    once, here, over a non-empty memory whose ``beta`` `MemoryParams` has
+    checked; a call scores every row against them and interpolates.
     """
 
     def __init__(self, mem: MergedMemory, mparams: MemoryParams, nmt_params: ParamSet):
@@ -254,10 +223,15 @@ class MemoryHook:
         self.proxy_ids = mem.proxy_ids(self.tgt_embed.shape[0])  # read by beam_search too
 
     def __call__(self, s_prev: np.ndarray, y_prev: np.ndarray, p_nmt: np.ndarray) -> np.ndarray:
+        """beta * memory attention + (1 - beta) * ``p_nmt``, row by row; the OOV
+        labels widen the rows past the vocabulary and take memory mass only."""
         y_emb = self.tgt_embed[self.proxy_ids[y_prev]]
-        alpha = memory_attention(s_prev, y_emb, self.uw, self.mparams.pset)
-        return interpolate_posterior(p_nmt, alpha, self.labels, len(self.mem.oov_labels),
-                                     self.mparams.beta)
+        alpha = masked_softmax(score_entries(s_prev, y_emb, self.uw, self.mparams.pset)[0])
+        n, vocab = p_nmt.shape
+        out = np.zeros((n, vocab + len(self.mem.oov_labels)))
+        out[:, :vocab] = (1.0 - self.mparams.beta) * p_nmt
+        out[:, self.labels] += self.mparams.beta * alpha
+        return out
 
 
 def make_memory_hook(

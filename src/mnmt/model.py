@@ -9,18 +9,23 @@ equals the embedding width.
 The encoder, the decoder and the readout are plain-array forward/backward
 pairs; `teacher_forced_loss` chains them into one loss, whose closure runs
 their backwards and writes every parameter's gradient.
+
+A source mask (1 real, 0 padding) is checked once, when `EncodedSource` is
+built, and carried as the attention bias that every decoder step adds to
+its scores: 0 at a real position, -inf at padding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, Batch
+from .corpus import BOS_ID, EOS_ID, MIN_VOCAB_SIZE, Batch
 from .numerics import (
     Loss,
+    MaskedSoftmaxError,
     ParamSet,
     adam_step,
     backward,
@@ -54,10 +59,10 @@ class NmtConfig:
     batch_size: int = 80
 
     def __post_init__(self):
-        for name in ("src_vocab_size", "tgt_vocab_size", "embed_dim", "hidden_dim",
-                     "beam_size", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for name, low in (("src_vocab_size", MIN_VOCAB_SIZE), ("tgt_vocab_size", MIN_VOCAB_SIZE),
+                          ("embed_dim", 1), ("hidden_dim", 1), ("beam_size", 1), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.max_decode_len < 0:
@@ -76,6 +81,12 @@ class EncodedSource:
     uh: np.ndarray        # states @ att_U, [B, S, hidden_dim]
     mask: np.ndarray      # [B, S]
     s0: np.ndarray        # initial decoder state, [B, hidden_dim]
+    bias: np.ndarray = field(init=False)  # [B, S] 0 at a real position, -inf at padding
+
+    def __post_init__(self):
+        if not (self.mask.sum(axis=-1) > 0).all():
+            raise MaskedSoftmaxError("source mask with a row of no real position")
+        self.bias = np.where(self.mask > 0, 0.0, -np.inf)
 
     @property
     def h(self) -> np.ndarray:
@@ -222,7 +233,7 @@ def step_forward(s_prev: np.ndarray, y_proj: np.ndarray, enc: EncodedSource,
     hid = s_prev.shape[1]
     sp = s_prev @ w.s_w
     att = np.tanh(check_finite(sp[:, None, :hid] + enc.uh))        # [n, S, H]
-    alpha = masked_softmax(att @ w.att_v, enc.mask)                 # [n, S]
+    alpha = masked_softmax(att @ w.att_v + enc.bias)                # [n, S]
     c = np.matmul(alpha[:, None, :], enc.states)[:, 0]              # [n, 2H]
     cp = c @ w.c_w
     z, which = maxout(y_proj[:, 3 * hid :] + sp[:, 3 * hid :] + cp[:, 3 * hid :])
@@ -423,38 +434,39 @@ def beam_search(
 
     tokens = np.zeros((1, 0), dtype=np.int64)  # [n_live, step]
     log_probs = np.zeros(1)
+    # the live prefixes' lexicographic order: all are distinct and of one length,
+    # so a candidate's tokens compare as (its prefix's rank, its new token)
+    prefix_rank = np.zeros(1, dtype=np.int64)
     states = enc.s0
     finished: list[Hypothesis] = []
     w = DecoderWeights(params)
-    while len(tokens) and len(finished) < beam:
-        n, length = tokens.shape
-        y_prev = tokens[:, -1] if length else np.full(n, BOS_ID, dtype=np.int64)
-        emb_ids = y_prev if proxy is None else proxy[y_prev]
-        s_new, z, _ = step_forward(states, w.project(emb_ids), enc, w, True)
-        p = masked_softmax(z @ w.embed.T, None)
-        if memory_hook is not None:
-            p = memory_hook(states, y_prev, p)
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):  # log(0) = -inf; such a token is never offered
+        while len(tokens) and len(finished) < beam:
+            n, length = tokens.shape
+            y_prev = tokens[:, -1] if length else np.full(n, BOS_ID, dtype=np.int64)
+            emb_ids = y_prev if proxy is None else proxy[y_prev]
+            s_new, z, _ = step_forward(states, w.project(emb_ids), enc, w, True)
+            p = masked_softmax(z @ w.embed.T)
+            if memory_hook is not None:
+                p = memory_hook(states, y_prev, p)
             lp = np.log(p)
-        top = np.argsort(-lp, axis=1, kind="stable")[:, :beam]  # ties toward lower ids
-        row, tid = np.repeat(np.arange(n), top.shape[1]), top.ravel()
-        keep = p[row, tid] > 0.0
-        row, tid = row[keep], tid[keep]
-        cand_lp = log_probs[row] + lp[row, tid]
-        # the pool order (-log_prob, tokens): all prefixes have one length,
-        # so tokens compare as (rank of the prefix, new token)
-        prefix_rank = np.zeros(n, dtype=np.int64)
-        if length:
-            prefix_rank[np.lexsort(tokens.T[::-1])] = np.arange(n)
-        order = np.lexsort((tid, prefix_rank[row], -cand_lp))
-        done = (tid[order] == EOS_ID) | (length + 1 >= max_len)
-        for i in order[done]:
-            finished.append(Hypothesis(tokens[row[i]].tolist() + [int(tid[i])],
-                                       float(cand_lp[i]), True))
-        live = order[~done][:beam]
-        tokens = np.concatenate([tokens[row[live]], tid[live, None]], axis=1)
-        log_probs = cand_lp[live]
-        states = s_new[row[live]]
+            top = np.argsort(-lp, axis=1, kind="stable")[:, :beam]  # ties toward lower ids
+            row, tid = np.repeat(np.arange(n), top.shape[1]), top.ravel()
+            keep = p[row, tid] > 0.0
+            row, tid = row[keep], tid[keep]
+            cand_lp = log_probs[row] + lp[row, tid]
+            order = np.lexsort((tid, prefix_rank[row], -cand_lp))  # the pool: (-log_prob, tokens)
+            done = (tid[order] == EOS_ID) | (length + 1 >= max_len)
+            for i in order[done]:
+                finished.append(Hypothesis(tokens[row[i]].tolist() + [int(tid[i])],
+                                           float(cand_lp[i]), True))
+            live = order[~done][:beam]
+            tokens = np.concatenate([tokens[row[live]], tid[live, None]], axis=1)
+            log_probs = cand_lp[live]
+            states = s_new[row[live]]
+            rank_keys = (tid[live], prefix_rank[row[live]])
+            prefix_rank = np.empty(len(live), dtype=np.int64)
+            prefix_rank[np.lexsort(rank_keys)] = np.arange(len(live))
     if not finished:
         raise ValueError("beam search found no hypothesis with positive probability")
     return max(finished, key=lambda h: (h.normalized_score(), [-t for t in h.tokens]))

@@ -7,6 +7,10 @@ backward in reverse time; it and the decoder are built from `gru_cell`,
 `maxout`, `masked_softmax` and `sigmoid`.  `cross_entropy` /
 `cross_entropy_backward` closes both losses.
 
+Masks are additive: `masked_softmax` gives probability 0 to an entry the
+caller set to -inf, and checks nothing; whoever builds a mask checks once
+that each row keeps a real position (`model.EncodedSource`).
+
 A loss is a `Loss`: its value, plus one closure that runs the stage
 backwards in reverse and writes every parameter's gradient into the
 parameter set's store.  `backward(loss)` calls that closure.  Inside
@@ -39,7 +43,7 @@ class GradientError(RuntimeError):
 
 
 class MaskedSoftmaxError(ValueError):
-    """Softmax received an input with every entry masked."""
+    """A mask row has no real position, so a softmax over it has nothing to weigh."""
 
 
 _grad_enabled = True
@@ -113,12 +117,8 @@ def row_sums(ids: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
 # --- softmax family ------------------------------------------------------
 
 
-def masked_softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Plain-array softmax over the last axis; entries where ``mask`` is 0 are 0."""
-    if mask is not None:
-        if not (mask.sum(axis=-1) > 0).all():
-            raise MaskedSoftmaxError("softmax input with all entries masked")
-        x = np.where(mask > 0, x, -np.inf)
+def masked_softmax(x: np.ndarray) -> np.ndarray:
+    """Plain-array softmax over the last axis; an entry at -inf gets probability 0."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 

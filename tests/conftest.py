@@ -667,8 +667,9 @@ def take(a, index):
 
 
 def softmax(logits, mask=None):
-    """Numerically stable softmax over the last axis; masked entries are 0."""
-    out = numerics.masked_softmax(logits.data, mask)
+    """Numerically stable softmax over the last axis; entries where ``mask`` is 0 are 0."""
+    x = logits.data if mask is None else np.where(mask > 0, logits.data, -np.inf)
+    out = numerics.masked_softmax(x)
 
     def bw(g):
         inner = (g * out).sum(axis=-1, keepdims=True)

@@ -1,8 +1,11 @@
 import argparse
 import inspect
 import logging
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +15,13 @@ from conftest import checkpoint_checksum, desk_config, make_mapped_task
 from mnmt import cli
 from mnmt.cli import RunConfig, main
 from mnmt.checkpoint import load_checkpoint, save_checkpoint
-from mnmt.corpus import CorpusEncodingError, Vocabulary, build_vocabulary, load_parallel_corpus
+from mnmt.corpus import (
+    CorpusEncodingError,
+    EmptyTrainingSetError,
+    Vocabulary,
+    build_vocabulary,
+    load_parallel_corpus,
+)
 from mnmt.lexicon import Lexicon, save_lexicon
 from mnmt import memory
 from mnmt.memory import init_memory_params
@@ -134,6 +143,7 @@ class TestConfigRejectedBeforeInput:
     @pytest.mark.parametrize("key, value", [
         ("beam_size", "0"), ("train_steps", "0"), ("max_len", "0"), ("memory_k", "0"),
         ("memory_epochs", "-1"), ("memory_lr", "0"), ("beta", "1.5"), ("seed", "-1"),
+        ("src_vocab_size", "3"), ("tgt_vocab_size", "4"),
     ])
     def test_from_file_names_key_and_file(self, tmp_path, key, value):
         path = tmp_path / "bad.cfg"
@@ -257,6 +267,44 @@ class TestCommands:
         assert tgt.tokens == build_vocabulary([t for _, t in pairs], 6).tokens
         assert (len(src), len(tgt)) == (10, 6)
         assert src.tokens[4:6] == ["b", "a"]
+
+    def test_build_vocab_rejects_a_size_below_five_naming_key_and_file(self, workdir):
+        # four control tokens and one word: the floor is a config check, before the corpus
+        d, _ = workdir
+        small = d / "small.cfg"
+        small.write_text("src_vocab_size = 3\n", encoding="utf-8")
+        args = _vocab_args(d)
+        args[1] = str(small)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(small))}: src_vocab_size must be >= 5$"):
+            main(["build-vocab", *args])
+        assert not (d / "vocab.src").exists()
+
+    def test_length_filter_names_max_len_and_the_corpus(self, workdir):
+        d, _ = workdir
+        assert main(["build-vocab", *_vocab_args(d)]) == 0
+        with open(d / "desk.cfg", "a", encoding="utf-8") as f:
+            f.write("max_len = 1\n")
+        src, tgt = str(d / "train.src"), str(d / "train.tgt")
+        with pytest.raises(EmptyTrainingSetError,
+                           match=f"^{re.escape(src)}, {re.escape(tgt)}: all pairs dropped by "
+                                 "the length filter: .* max_len = 1$"):
+            main(["train", "--config", str(d / "desk.cfg"), "--src", src, "--tgt", tgt,
+                  "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
+                  "--ckpt", str(d / "model.ckpt")])
+        assert not (d / "model.ckpt").exists()
+
+    def test_python_dash_m_mnmt_runs_the_command_line(self, tmp_path):
+        hyp = tmp_path / "hyp"
+        hyp.write_text("a b c d e\n", encoding="utf-8")
+        src_dir = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "mnmt", "score", "--hyp", str(hyp),
+                               "--ref", str(hyp)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "BLEU: 100.00\n"
 
     def test_train_without_vocabulary_files_exits_2(self, workdir, capsys):
         d, _ = workdir

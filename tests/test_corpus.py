@@ -183,7 +183,7 @@ class TestMakeBatches:
         assert sum(b.size for b in batches) == 1
 
     def test_all_dropped_raises(self):
-        with pytest.raises(EmptyTrainingSetError):
+        with pytest.raises(EmptyTrainingSetError, match="max_len = 5$"):
             make_batches(self._pairs([30]), batch_size=1, max_len=5, seed=0)
 
     def test_target_must_end_with_eos(self):

@@ -38,14 +38,12 @@ from mnmt.memory import (
     entry_matrix,
     apply_oov_substitution,
     init_memory_params,
-    interpolate_posterior,
     make_memory_hook,
-    memory_attention,
     sentence_memory,
     train_memory_attention,
     training_chunk,
 )
-from mnmt.model import encode, init_nmt_params
+from mnmt.model import NmtConfig, beam_search, encode, init_nmt_params
 from mnmt.numerics import ParamSet, backward, grad_check
 
 
@@ -162,6 +160,16 @@ def _uw(mem, mparams, params):
     return entry_matrix(mem, params["tgt_embed"].data) @ mparams.pset["mem_Wu"].data
 
 
+def _attention(mem, mparams, params, s_prev, y_prev):
+    """The memory attention a MemoryHook interpolates: its rows at beta = 1, which
+    put all their mass on the entries' labels, read at those labels."""
+    hook = MemoryHook(mem, MemoryParams(mparams.pset, beta=1.0), params)
+    vocab = params["tgt_embed"].data.shape[0]
+    out = hook(s_prev, np.asarray(y_prev), np.full((len(s_prev), vocab), 1.0 / vocab))
+    np.testing.assert_array_equal(np.delete(out, hook.labels, axis=1), 0.0)
+    return out[:, hook.labels]
+
+
 class TestMemoryAttention:
     def _mem(self, rng, hidden, n=3):
         return MergedMemory.from_groups({4 + i: [(i, 0.5)] for i in range(n)},
@@ -171,16 +179,14 @@ class TestMemoryAttention:
         cfg, params, _, _ = setup
         mparams = init_memory_params(cfg, 1)
         mem = self._mem(np.random.default_rng(0), cfg.hidden_dim, n=1)
-        alpha = memory_attention(np.zeros((2, cfg.hidden_dim)), params["tgt_embed"].data[[4, 5]],
-                                 _uw(mem, mparams, params), mparams.pset)
+        alpha = _attention(mem, mparams, params, np.zeros((2, cfg.hidden_dim)), [4, 5])
         np.testing.assert_allclose(alpha, [[1.0], [1.0]])
 
     def test_zero_score_vector_gives_uniform(self, setup):
         cfg, params, _, _ = setup
         mparams = init_memory_params(cfg, 1)  # mem_v starts at zero
         mem = self._mem(np.random.default_rng(0), cfg.hidden_dim)
-        alpha = memory_attention(np.ones((1, cfg.hidden_dim)), params["tgt_embed"].data[[4]],
-                                 _uw(mem, mparams, params), mparams.pset)
+        alpha = _attention(mem, mparams, params, np.ones((1, cfg.hidden_dim)), [4])
         np.testing.assert_allclose(alpha, np.full((1, 3), 1 / 3), atol=1e-12)
 
     def test_matches_direct_evaluation(self, setup):
@@ -192,7 +198,7 @@ class TestMemoryAttention:
         s = rng.normal(size=(4, cfg.hidden_dim))
         y_prev = [5, 4, 6, 5]
         emb = params["tgt_embed"].data
-        alpha = memory_attention(s, emb[y_prev], _uw(mem, mparams, params), mparams.pset)
+        alpha = _attention(mem, mparams, params, s, y_prev)
         assert alpha.shape == (4, 3)
         proxy = mem.proxy_ids(len(emb))
 
@@ -298,54 +304,77 @@ class TestMemoryHook:
         assert sorted(calls) == ["entries", "labels"]
 
 
-def _blend(p_nmt, alpha, mem, beta):
-    return interpolate_posterior(p_nmt, alpha, mem.label_ids(p_nmt.shape[1]),
-                                 len(mem.oov_labels), beta)
+def _blend(p_nmt, labels, beta, oov_labels=None, seed=0):
+    """A MemoryHook's rows over ``p_nmt`` [n, V], for a memory of one entry per label
+    under random scorer weights, and the attention it interpolates, from
+    `score_entries` and a softmax written out here."""
+    rng = np.random.default_rng(seed)
+    (n, vocab), embed, hid = p_nmt.shape, 3, 2
+    mparams = init_memory_params(NmtConfig(embed_dim=embed, hidden_dim=hid), seed, beta=beta)
+    for t in mparams.pset.params.values():
+        t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
+    nmt_params = ParamSet({"tgt_embed": rng.normal(size=(vocab, embed))})
+    mem = MergedMemory.from_groups({int(l): [(i, 0.5)] for i, l in enumerate(labels)},
+                                   rng.normal(size=(len(labels), 2 * hid)), oov_labels)
+    s_prev, y_prev = rng.normal(size=(n, hid)), rng.integers(0, vocab, size=n)
+    y_emb = nmt_params["tgt_embed"].data[y_prev]
+    scores = memory_module.score_entries(s_prev, y_emb, _uw(mem, mparams, nmt_params),
+                                         mparams.pset)[0]
+    alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
+    hook = MemoryHook(mem, mparams, nmt_params)
+    return hook(s_prev, y_prev, p_nmt), alpha / alpha.sum(axis=1, keepdims=True)
 
 
 class TestInterpolatePosterior:
-    def _one_entry_mem(self, label_id):
-        return _merged({label_id: [(0, 0.5)]}, [[0.0, 0.0]])
+    """The arithmetic of `MemoryHook.__call__`: (1 - beta) * p_nmt + beta * attention."""
 
     def test_blend_arithmetic(self):
-        mem = self._one_entry_mem(0)
-        p = _blend(np.array([[0.3, 0.7]]), np.array([[0.9]]), mem, beta=1 / 3)
-        assert p[0, 0] == pytest.approx(1 / 3 * 0.9 + 2 / 3 * 0.3)
+        p, alpha = _blend(np.array([[0.3, 0.7]]), [0, 1], beta=1 / 3)
+        assert 0.0 < alpha[0, 0] < 1.0
+        assert p[0, 0] == pytest.approx(1 / 3 * alpha[0, 0] + 2 / 3 * 0.3)
+        assert p[0, 1] == pytest.approx(1 / 3 * alpha[0, 1] + 2 / 3 * 0.7)
 
     def test_beta_zero_is_identity_on_vocab(self):
-        mem = self._one_entry_mem(1)
         p_nmt = np.array([[0.25, 0.75], [0.5, 0.5]])
-        p = _blend(p_nmt, np.array([[1.0], [1.0]]), mem, beta=0.0)
+        p, _ = _blend(p_nmt, [1], beta=0.0)
         np.testing.assert_array_equal(p[:, :2], p_nmt)
 
     def test_four_word_example(self):
         # memory holds one word with full attention; the rest keep (1-beta) mass
-        mem = self._one_entry_mem(0)
-        p_nmt = np.full((1, 4), 0.25)
-        p = _blend(p_nmt, np.array([[1.0]]), mem, beta=1 / 3)
+        p, alpha = _blend(np.full((1, 4), 0.25), [0], beta=1 / 3)
+        assert alpha[0, 0] == 1.0
         assert p[0, 0] == pytest.approx(0.5)
         np.testing.assert_allclose(p[0, 1:], [1 / 6, 1 / 6, 1 / 6])
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_conserved_for_all_betas(self):
         rng = np.random.default_rng(0)
-        for _ in range(25):
+        for trial in range(25):
             k = int(rng.integers(1, 5))
-            labels = rng.choice(10, size=k, replace=False)
-            mem = _merged({int(l): [(i, 0.5)] for i, l in enumerate(labels)}, np.zeros((k, 1)))
+            labels = [int(l) for l in rng.choice(10, size=k, replace=False)]
+            oov = {10: ("oov", int(labels[0]))} if trial % 2 else None
             p_nmt = rng.dirichlet(np.ones(10), size=3)
-            alpha = rng.dirichlet(np.ones(k), size=3)
             for beta in (0.0, 1 / 3, 1.0):
-                p = _blend(p_nmt, alpha, mem, beta)
+                p, _ = _blend(p_nmt, labels + ([10] if oov else []), beta, oov, seed=trial)
+                assert p.shape == (3, 11 if oov else 10)
                 np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_rows_are_independent(self):
-        mem = _merged({2: [(0, 0.5)], 0: [(1, 0.5)]}, [[0.0], [0.0]])
         p_nmt = np.array([[0.1, 0.2, 0.7], [0.5, 0.25, 0.25]])
-        alpha = np.array([[0.4, 0.6], [1.0, 0.0]])
-        p = _blend(p_nmt, alpha, mem, beta=0.5)
-        np.testing.assert_allclose(p, [[0.05 + 0.3, 0.1, 0.35 + 0.2],
-                                       [0.25, 0.125, 0.125 + 0.5]])
+        p, alpha = _blend(p_nmt, [2, 0], beta=0.5)
+        np.testing.assert_allclose(p, [[0.05 + 0.5 * alpha[0, 1], 0.1, 0.35 + 0.5 * alpha[0, 0]],
+                                       [0.25 + 0.5 * alpha[1, 1], 0.125,
+                                        0.125 + 0.5 * alpha[1, 0]]], rtol=1e-12)
+
+    def test_oov_labels_widen_rows_with_memory_mass_only(self):
+        rng = np.random.default_rng(4)
+        p_nmt, beta = rng.dirichlet(np.ones(4), size=3), 1 / 3
+        p, alpha = _blend(p_nmt, [1, 4, 5], beta, {4: ("oov_a", 2), 5: ("oov_b", 3)})
+        want = np.zeros((3, 6))
+        want[:, :4] = (1 - beta) * p_nmt
+        want[:, [1, 4, 5]] += beta * alpha
+        np.testing.assert_allclose(p, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(p[:, 4:], beta * alpha[:, 1:], rtol=1e-12)
 
     def test_duplicate_labels_rejected(self):
         # from_groups cannot build one; a raised error, unlike an assert, survives python -O
@@ -355,22 +384,29 @@ class TestInterpolatePosterior:
             mem.label_ids(3)
 
     def test_label_beyond_extension_rejected(self):
-        mem = self._one_entry_mem(3)
+        mem = _merged({3: [(0, 0.5)]}, [[0.0, 0.0]])
         with pytest.raises(ValueError, match="beyond"):
             mem.label_ids(3)
         mem.oov_labels[3] = ("oov", 0)
         np.testing.assert_array_equal(mem.label_ids(3), [3])
 
-    def test_empty_memory_identity(self):
-        p_nmt = np.array([[0.4, 0.6]])
+    def test_empty_memory_identity(self, setup):
+        # an empty memory gets no hook, so decoding keeps the model's posterior
+        cfg, params, _, _ = setup
+        empty = _merged({}, np.zeros((1, 2 * cfg.hidden_dim)))
+        plain = beam_search([4, 5, EOS_ID], params, beam=2)
         for beta in (0.0, 1 / 3, 1.0):
-            np.testing.assert_array_equal(
-                _blend(p_nmt, np.zeros((1, 0)), _merged({}, [[0.0]]), beta), p_nmt
-            )
+            hook = make_memory_hook(empty, init_memory_params(cfg, 0, beta=beta), params)
+            assert hook is None
+            hyp = beam_search([4, 5, EOS_ID], params, 2, None, hook)
+            assert (hyp.tokens, hyp.log_prob) == (plain.tokens, plain.log_prob)
 
-    def test_beta_out_of_range(self):
-        with pytest.raises(ValueError):
-            _blend(np.array([[1.0]]), np.array([[1.0]]), self._one_entry_mem(0), 1.5)
+    def test_beta_out_of_range(self, setup):
+        # MemoryParams checks beta once; the hook reads it as given
+        cfg = setup[0]
+        for beta in (1.5, -0.1):
+            with pytest.raises(ValueError, match="beta"):
+                init_memory_params(cfg, 0, beta=beta)
 
 
 class TestOovSubstitution:

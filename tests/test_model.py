@@ -23,7 +23,7 @@ from conftest import (
     value_bytes,
 )
 from mnmt import model, numerics
-from mnmt.corpus import BOS_ID, EOS_ID, Batch, make_batches, pad_batch
+from mnmt.corpus import BOS_ID, EOS_ID, PAD_ID, Batch, make_batches, pad_batch
 from mnmt.memory import (
     MemoryHook,
     MergedMemory,
@@ -49,10 +49,12 @@ from mnmt.model import (
     train_step,
 )
 from mnmt.numerics import (
+    MaskedSoftmaxError,
     NonFiniteError,
     ParamSet,
     backward,
     grad_check,
+    masked_softmax,
     no_grad,
 )
 
@@ -92,6 +94,28 @@ class TestEncode:
             encode([10], params)
         with pytest.raises(ValueError):
             encode([], params)
+
+    def test_all_padding_row_rejected_at_construction(self):
+        # attention over a row with no real position has nothing to weigh; the
+        # encoding refuses it before any decoder step runs
+        _, params = tiny_params()
+        src, mask = np.array([[4, EOS_ID], [PAD_ID, PAD_ID]]), np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(MaskedSoftmaxError):
+            encode_batch(src, mask, params)
+        enc = encode_batch(src[:1], mask[:1], params)
+        with pytest.raises(MaskedSoftmaxError):
+            EncodedSource(enc.states, enc.uh, np.zeros((1, 2)), enc.s0)
+
+    def test_bias_masks_attention_scores_bit_for_bit(self):
+        # adding the bias gives the bytes masking the scores to -inf gives, -0.0 included
+        _, params = tiny_params()
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        enc = encode_batch(np.array([[4, 5, EOS_ID], [6, EOS_ID, PAD_ID]]), mask, params)
+        np.testing.assert_array_equal(enc.bias, [[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf]])
+        scores = np.random.default_rng(0).normal(size=(2, 3))
+        scores[0, 1] = scores[1, 0] = -0.0
+        assert (masked_softmax(scores + enc.bias).tobytes()
+                == masked_softmax(np.where(mask > 0, scores, -np.inf)).tobytes())
 
     def test_reversal_swaps_direction_roles(self):
         # swapping the two direction parameter blocks and reversing the input
@@ -443,6 +467,25 @@ class TestBeamSearch:
         assert wide.tokens == best[0]
         assert wide.normalized_score() == pytest.approx(best[1], abs=1e-12)
 
+    def test_ties_between_longer_prefixes_rank_by_the_whole_prefix(self):
+        _, params = tiny_params(src_v=11, tgt_v=11)
+        a, b, d, e, f, g, z = 4, 5, 6, 7, 8, 9, 10
+        table = {
+            BOS_ID: {a: 0.5, b: 0.5},
+            a: {e: 0.6, z: 0.4},
+            b: {d: 0.6, z: 0.4},
+            # (a, e) and (b, d) tie, and so do their four children, for two slots:
+            # (a, e) is the lower prefix although its last token is the higher
+            d: {f: 0.5, g: 0.5},
+            e: {f: 0.5, g: 0.5},
+            f: {EOS_ID: 0.5, z: 0.5},
+            g: {EOS_ID: 1.0},
+        }
+        hook = table_hook(table, 11)
+        wide = beam_search([4, EOS_ID], params, beam=2, max_len=6, memory_hook=hook)
+        assert wide.tokens == [a, e, g, EOS_ID]
+        assert (wide.tokens, wide.log_prob) == reference_beam([4, EOS_ID], params, 2, 6, hook)
+
     def test_all_zero_hook_raises(self):
         _, params = tiny_params()
         with pytest.raises(ValueError, match="no hypothesis with positive probability"):
@@ -547,7 +590,7 @@ def _rounded(s_prev, y_prev, p):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), vocab=st.integers(6, 12), src_len=st.integers(0, 5),
-       beam=st.integers(1, 5), max_len=st.integers(1, 8),
+       beam=st.integers(1, 5), max_len=st.integers(1, 16),
        hook_kind=st.sampled_from(["none", "extended", "rounded"]))
 def test_batched_beam_matches_one_row_reference(seed, vocab, src_len, beam, max_len, hook_kind):
     _, params = tiny_params(seed=seed, src_v=vocab, tgt_v=vocab)

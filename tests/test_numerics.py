@@ -24,7 +24,6 @@ from mnmt.model import NmtConfig, init_nmt_params, teacher_forced_loss
 from mnmt.numerics import (
     GradientError,
     Loss,
-    MaskedSoftmaxError,
     NonFiniteError,
     ParamSet,
     adam_step,
@@ -68,9 +67,9 @@ class TestSoftmax:
         assert out[0, 1] == 0.0
         np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
 
-    def test_all_masked_raises(self):
-        with pytest.raises(MaskedSoftmaxError):
-            softmax(constant(np.array([[1.0, 2.0]])), np.array([[0.0, 0.0]]))
+    def test_entry_at_minus_inf_gets_exactly_zero(self):
+        out = numerics.masked_softmax(np.array([[5.0, -np.inf, 5.0], [-np.inf, 0.0, -np.inf]]))
+        np.testing.assert_array_equal(out, [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
 
 
 def _packed(pset):
