@@ -44,13 +44,6 @@ def _precision_counts(hyps, refs, n_max):
     return matched, total
 
 
-def ngram_precisions(hyps: list[TokenList], refs: list[TokenList], n_max: int = 4) -> list[float]:
-    """Clipped modified n-gram precisions, pooled over the whole corpus."""
-    _check_aligned(hyps, refs)
-    matched, total = _precision_counts(hyps, refs, n_max)
-    return [m / t if t else 0.0 for m, t in zip(matched, total)]
-
-
 def brevity_penalty(hyp_len: int, ref_len: int) -> float:
     if hyp_len == 0:
         return 0.0

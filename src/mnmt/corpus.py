@@ -73,9 +73,13 @@ class Vocabulary:
     def load(cls, path: str) -> "Vocabulary":
         tokens = read_lines(path)
         try:
-            return cls(tokens)
+            vocab = cls(tokens)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        if len(vocab) < MIN_VOCAB_SIZE:  # a model over control tokens reads every word as <unk>
+            raise ValueError(f"{path}: vocabulary has {len(vocab)} tokens, needs at least "
+                             f"{MIN_VOCAB_SIZE}: the control tokens and one word")
+        return vocab
 
 
 @dataclass
@@ -84,9 +88,6 @@ class ParallelCorpus:
 
     pairs: list[tuple[list[str], list[str]]]
     dropped_empty: int = 0
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass
@@ -97,10 +98,6 @@ class Batch:
     src_mask: np.ndarray   # [B, S] float64
     tgt: np.ndarray        # [B, T] int64
     tgt_mask: np.ndarray   # [B, T] float64
-
-    @property
-    def size(self) -> int:
-        return self.src.shape[0]
 
 
 def read_lines(path: str) -> list[str]:

@@ -34,14 +34,13 @@ class Lexicon:
     entries: dict[tuple[str, str], tuple[float, float]]
     # source -> [(target, p_t_given_s)] sorted by descending probability,
     # ties broken lexicographically by target token
-    by_source: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+    by_source: dict[str, list[tuple[str, float]]] = field(init=False)
     # per-direction EM log-likelihood trajectory (empty for loaded lexica)
     log_likelihood: dict[str, list[float]] = field(default_factory=dict)
     duplicates: int = 0
 
     def __post_init__(self):
-        if not self.by_source:
-            self.by_source = _index_by_source(self.entries)
+        self.by_source = _index_by_source(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -24,8 +24,10 @@ import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, MIN_VOCAB_SIZE, Batch
 from .numerics import (
+    GradientError,
     Loss,
     MaskedSoftmaxError,
+    NonFiniteError,
     ParamSet,
     adam_step,
     backward,
@@ -100,7 +102,6 @@ class Hypothesis:
 
     tokens: list[int]
     log_prob: float
-    finished: bool = False
 
     def normalized_score(self) -> float:
         return self.log_prob / max(1, len(self.tokens))
@@ -390,8 +391,15 @@ def teacher_forced_loss(batch: Batch, params: ParamSet) -> Loss:
 
 
 def train_model(batches: list[Batch], params: ParamSet, lr: float, steps: int) -> list[float]:
-    """Cycle through the batch list for a fixed number of Adam steps."""
-    return [train_step(batches[i % len(batches)], params, lr) for i in range(steps)]
+    """Cycle through the batch list for a fixed number of Adam steps; a non-finite
+    value or gradient is re-raised with the step it arose in."""
+    losses = []
+    for i in range(steps):
+        try:
+            losses.append(train_step(batches[i % len(batches)], params, lr))
+        except (NonFiniteError, GradientError) as exc:
+            raise type(exc)(f"train step {i + 1} of {steps}: {exc}") from exc
+    return losses
 
 
 PosteriorHook = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -459,7 +467,7 @@ def beam_search(
             done = (tid[order] == EOS_ID) | (length + 1 >= max_len)
             for i in order[done]:
                 finished.append(Hypothesis(tokens[row[i]].tolist() + [int(tid[i])],
-                                           float(cand_lp[i]), True))
+                                           float(cand_lp[i])))
             live = order[~done][:beam]
             tokens = np.concatenate([tokens[row[live]], tid[live, None]], axis=1)
             log_probs = cand_lp[live]

@@ -309,9 +309,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Param:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
     def names(self) -> list[str]:
         return list(self.params)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnmt.bleu import bleu, brevity_penalty, ngram_precisions, recalled_words
+from mnmt.bleu import bleu, brevity_penalty, recalled_words
 
 SENT = st.lists(st.sampled_from("abcdefg"), min_size=4, max_size=10)
 
@@ -12,19 +12,21 @@ SENT = st.lists(st.sampled_from("abcdefg"), min_size=4, max_size=10)
 class TestNgramPrecisions:
     def test_identity_is_perfect(self):
         hyp = [["a", "b", "c", "d"]]
-        assert ngram_precisions(hyp, hyp) == [1.0, 1.0, 1.0, 1.0]
+        assert bleu(hyp, hyp).precisions == (1.0, 1.0, 1.0, 1.0)
 
     def test_clipping(self):
         # reference contains a single "the": 3 hypothesis unigrams, 1 clipped match
-        ps = ngram_precisions([["the", "the", "the"]], [["the", "cat"]])
+        with pytest.warns(UserWarning, match="too short"):
+            ps = bleu([["the", "the", "the"]], [["the", "cat"]]).precisions
         assert ps[0] == pytest.approx(1.0 / 3.0)
 
     def test_disjoint(self):
-        assert ngram_precisions([["a", "b"]], [["c", "d"]])[0] == 0.0
+        with pytest.warns(UserWarning, match="too short"):
+            assert bleu([["a", "b"]], [["c", "d"]]).precisions[0] == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            ngram_precisions([["a"]], [])
+            bleu([["a"]], [])
 
 
 class TestBrevityPenalty:

@@ -294,6 +294,16 @@ class TestCommands:
                   "--ckpt", str(d / "model.ckpt")])
         assert not (d / "model.ckpt").exists()
 
+    def test_train_rejects_a_control_token_only_vocabulary_naming_the_file(self, workdir):
+        d, _ = workdir
+        v4 = d / "v4"
+        build_vocabulary([], 5).save(str(v4))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(v4))}: vocabulary has 4 tokens"):
+            main(["train", "--config", str(d / "desk.cfg"), "--src", str(d / "train.src"),
+                  "--tgt", str(d / "train.tgt"), "--vocab-src", str(v4), "--vocab-tgt", str(v4),
+                  "--ckpt", str(d / "model.ckpt")])
+        assert not (d / "model.ckpt").exists()
+
     def test_python_dash_m_mnmt_runs_the_command_line(self, tmp_path):
         hyp = tmp_path / "hyp"
         hyp.write_text("a b c d e\n", encoding="utf-8")

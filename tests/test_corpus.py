@@ -153,7 +153,7 @@ class TestMakeBatches:
 
     def test_uneven_split(self):
         batches = make_batches(self._pairs([2, 2, 2]), batch_size=2, max_len=10, seed=0)
-        assert [b.size for b in batches] == [2, 1]
+        assert [len(b.src) for b in batches] == [2, 1]
 
     def test_same_seed_same_order(self):
         pairs = self._pairs([1, 2, 3, 4, 5])
@@ -171,7 +171,7 @@ class TestMakeBatches:
         def rows(batches):
             out = []
             for bt in batches:
-                for i in range(bt.size):
+                for i in range(len(bt.src)):
                     out.append(tuple(bt.src[i][bt.src_mask[i] > 0]))
             return sorted(out)
 
@@ -180,7 +180,7 @@ class TestMakeBatches:
     def test_drops_overlength_pairs(self):
         pairs = self._pairs([2, 30])
         batches = make_batches(pairs, batch_size=4, max_len=10, seed=0)
-        assert sum(b.size for b in batches) == 1
+        assert sum(len(b.src) for b in batches) == 1
 
     def test_all_dropped_raises(self):
         with pytest.raises(EmptyTrainingSetError, match="max_len = 5$"):

@@ -6,6 +6,7 @@ from pathlib import Path
 import mnmt
 
 SRC = Path(mnmt.__file__).parent
+BENCH = SRC.parents[1] / "bench"
 TAPE_ONLY = {"mul", "sum_all", "transpose", "reshape", "tanh", "concat", "take", "softmax"}
 
 
@@ -116,3 +117,28 @@ def test_only_read_lines_opens_a_text_input():
                         readers.append(f"{path.name}:{func.name}: open {mode}")
     assert sorted(readers) == ["checkpoint.py:load_checkpoint: open rb",
                                "corpus.py:read_lines: open rb"]
+
+
+def test_every_definition_in_the_package_has_a_user_in_the_program():
+    # a function, class or method that only tests reach leaves the package;
+    # the program is the package and the bench, and an import is not a use
+    used = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, defs):
+                continue
+            names = [node.name]
+            if isinstance(node, ast.ClassDef):
+                names += [f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, defs) and not item.name.startswith("__")]
+            unused += [f"{path.stem}.{name}" for name in names
+                       if name.rsplit(".", 1)[-1] not in used]
+    assert unused == []

@@ -473,7 +473,6 @@ class TestInjectOovTargets:
     def test_in_vocab_translation_becomes_plain_entry(self):
         src_vocab, tgt_vocab, cfg, params, lex, sim = self._setup()
         lex.entries[("oov_s", "d1")] = (0.9, 0.9)
-        lex.by_source = {}
         lex.__post_init__()
         tokens, record = apply_oov_substitution(["oov_s"], src_vocab, sim)
         enc = encode([src_vocab.id_of(t) for t in tokens] + [EOS_ID], params)
@@ -493,7 +492,6 @@ class TestInjectOovTargets:
     def test_no_lexicon_entry_is_skipped_and_reported(self):
         src_vocab, tgt_vocab, cfg, params, lex, sim = self._setup()
         del lex.entries[("oov_s", "oov_t")]
-        lex.by_source = {}
         lex.__post_init__()
         tokens, record = apply_oov_substitution(["oov_s"], src_vocab, sim)
         enc = encode([src_vocab.id_of(t) for t in tokens] + [EOS_ID], params)

