@@ -46,7 +46,10 @@ def serialize(tensors: dict[str, np.ndarray], config: dict) -> bytes:
         parts.append(name_bytes)
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        data = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"tensor {name!r} is not finite in float32")
+        parts.append(data.tobytes())
     payload = b"".join(parts)
     return payload + _checksum(payload)
 
@@ -85,6 +88,8 @@ def deserialize(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         n = int(np.prod(dims)) if rank else 1
         data = np.frombuffer(take(4 * n), dtype="<f4").reshape(dims)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"tensor {name!r} has non-finite values")
         tensors[name] = data.astype(np.float64)
     if off != len(payload):
         raise CheckpointError("trailing bytes after last tensor")

@@ -242,22 +242,13 @@ def translate_lines(
             tokens, record = apply_oov_substitution(tokens, src_vocab, sim)
         src_ids = encode_sentence(tokens, src_vocab, append_eos=True)
         enc = encode(src_ids, nmt_params)
-        hook = None
-        mem = None
+        hook = mem = None
         if lexicon is not None and mparams is not None:
             mem = sentence_memory(tokens, enc.h, lexicon, tgt_vocab, k, record, sim)
             hook = make_memory_hook(mem, mparams, nmt_params)
-        hyp = beam_search(src_ids, nmt_params, beam,
-                          max_decode_len if max_decode_len > 0 else None, hook, enc=enc)
-        toks = []
-        for tid in hyp.tokens:
-            if tid == EOS_ID:
-                break
-            if mem is not None and tid in mem.oov_labels:
-                toks.append(mem.oov_labels[tid][0])
-            elif tid < len(tgt_vocab):
-                toks.extend(decode_ids([tid], tgt_vocab))
-        out_lines.append(" ".join(toks))
+        hyp = beam_search(src_ids, nmt_params, beam, max_decode_len, hook, enc=enc)
+        words = tgt_vocab.tokens if mem is None else mem.words(tgt_vocab)
+        out_lines.append(" ".join(decode_ids(hyp.tokens, words)))
     return out_lines
 
 
@@ -372,7 +363,10 @@ def _cmd_translate(args) -> int:
 def _cmd_score(args) -> int:
     hyps = [l.split() for l in read_lines(args.hyp)]
     refs = [l.split() for l in read_lines(args.ref)]
-    report = corpus_bleu(hyps, refs)
+    try:
+        report = corpus_bleu(hyps, refs)
+    except ValueError as exc:
+        raise ValueError(f"{args.hyp}, {args.ref}: {exc}") from exc
     recalled = recalled_words(hyps, refs)
     print(f"BLEU: {report.bleu:.2f}")
     if args.breakdown:

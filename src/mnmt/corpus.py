@@ -61,9 +61,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self.index.get(token, UNK_ID)
 
-    def token_of(self, token_id: int) -> str:
-        return self.tokens[token_id]
-
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
             for tok in self.tokens:
@@ -118,7 +115,7 @@ def load_parallel_corpus(src_path: str, tgt_path: str) -> ParallelCorpus:
     """Read two line-aligned text files into token-list pairs.
 
     Pairs where either side is empty after stripping are dropped and counted
-    in ``dropped_empty``.
+    in ``dropped_empty``; a corpus of no other pair is rejected.
     """
     src_lines = read_lines(src_path)
     tgt_lines = read_lines(tgt_path)
@@ -135,6 +132,8 @@ def load_parallel_corpus(src_path: str, tgt_path: str) -> ParallelCorpus:
         pairs.append((s_toks, t_toks))
     if dropped:
         logger.info("dropped %d empty pairs", dropped)
+    if not pairs:
+        raise EmptyTrainingSetError(f"{src_path}, {tgt_path}: no pair has words on both sides")
     return ParallelCorpus(pairs, dropped_empty=dropped)
 
 
@@ -168,15 +167,15 @@ def encode_sentence(tokens: list[str], vocab: Vocabulary, append_eos: bool) -> l
     return ids
 
 
-def decode_ids(ids: list[int], vocab: Vocabulary) -> list[str]:
-    """Map ids back to tokens, stopping at EOS and skipping PAD/BOS."""
+def decode_ids(ids: list[int], words: list[str]) -> list[str]:
+    """Map ids to ``words[id]``, stopping at EOS and skipping PAD/BOS."""
     out = []
     for i in ids:
         if i == EOS_ID:
             break
         if i in (PAD_ID, BOS_ID):
             continue
-        out.append(vocab.token_of(i))
+        out.append(words[i])
     return out
 
 

@@ -105,6 +105,13 @@ class MergedMemory:
             ids[label] = stand_in
         return ids
 
+    def words(self, vocab: Vocabulary) -> list[str]:
+        """The word of every label id: the vocabulary's tokens, then the OOV labels' strings."""
+        words = vocab.tokens + [""] * len(self.oov_labels)
+        for label, (word, _) in self.oov_labels.items():
+            words[label] = word
+        return words
+
     def label_ids(self, vocab_size: int) -> np.ndarray:
         """Each entry's output label id: unique, and inside the vocabulary or its OOV extension."""
         if len(np.unique(self.labels)) != len(self.labels):
@@ -292,41 +299,38 @@ def sentence_memory(
     are entered instead of the substitute's, after every other position's.
     An in-vocabulary candidate is a plain entry; an OOV candidate gets an
     extended output label, allocated in substitution order, whose embedding
-    is borrowed from a similar in-vocabulary target word.  Decoding an
-    extended label emits the label string verbatim.  An original word
-    without candidates is recorded as skipped with target "", and an OOV
-    candidate without a stand-in with its target.
+    is borrowed from a similar in-vocabulary target word; `MergedMemory.words`
+    gives decoding its word.  An original word without candidates is
+    recorded as skipped with target "", and an OOV candidate without a
+    stand-in with its target.
     """
     subs = record.substitutions if record is not None and sim is not None else []
     substituted = {pos for pos, _, _ in subs}
+    lookups = [(pos, tok, False) for pos, tok in enumerate(tokens) if pos not in substituted]
+    lookups += [(pos, orig, True) for pos, orig, _ in subs]
     groups: dict[int, list[tuple[int, float]]] = {}  # label -> [(source position, p(s|t))]
-    for pos, tok in enumerate(tokens):
-        if pos in substituted:
-            continue
-        for tgt_tok, _ in lexicon_lookup(lex, tok, k):
-            if tgt_tok in tgt_vocab:
-                groups.setdefault(tgt_vocab.id_of(tgt_tok), []).append(
-                    (pos, lex.entries[(tok, tgt_tok)][1]))
     oov_labels: dict[int, tuple[str, int]] = {}
     ext_by_label: dict[str, int] = {}
     skipped: list[tuple[int, str, str]] = []
-    for pos, orig, _ in subs:
-        candidates = lexicon_lookup(lex, orig, k)
-        if not candidates:
-            skipped.append((pos, orig, ""))
+    for pos, word, borrow in lookups:
+        candidates = lexicon_lookup(lex, word, k)
+        if borrow and not candidates:
+            skipped.append((pos, word, ""))
         for tgt_tok, _ in candidates:
             if tgt_tok in tgt_vocab:
                 label_id = tgt_vocab.id_of(tgt_tok)
+            elif not borrow:
+                continue
             elif tgt_tok in ext_by_label:
                 label_id = ext_by_label[tgt_tok]
             else:
                 stand_ins = [c for c in sim.target.get(tgt_tok, []) if c in tgt_vocab]
                 if not stand_ins:
-                    skipped.append((pos, orig, tgt_tok))
+                    skipped.append((pos, word, tgt_tok))
                     continue
                 label_id = ext_by_label[tgt_tok] = len(tgt_vocab) + len(oov_labels)
                 oov_labels[label_id] = (tgt_tok, tgt_vocab.id_of(stand_ins[0]))
-            groups.setdefault(label_id, []).append((pos, lex.entries[(orig, tgt_tok)][1]))
+            groups.setdefault(label_id, []).append((pos, lex.entries[(word, tgt_tok)][1]))
     if skipped:
         logger.warning("OOV injection skipped %d entries", len(skipped))
     return MergedMemory.from_groups(groups, h, oov_labels, skipped)

@@ -50,6 +50,7 @@ _grad_enabled = True
 
 GRAD_CLIP = 5.0  # global L2 norm every optimiser step clips its gradients to
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+GRAD_CHECK_EPS = 1e-5  # the step of grad_check's central differences
 
 
 @contextlib.contextmanager
@@ -392,7 +393,6 @@ def adam_step(pset: ParamSet, lr: float) -> None:
 def grad_check(
     loss_fn: Callable[[ParamSet], Loss],
     pset: ParamSet,
-    eps: float = 1e-5,
     max_samples_per_tensor: int = 200,
     seed: int = 0,
 ) -> float:
@@ -426,12 +426,12 @@ def grad_check(
         for i in idxs:
             saved = flat[i]
             with no_grad():
-                flat[i] = saved + eps
+                flat[i] = saved + GRAD_CHECK_EPS
                 up = float(loss_fn(pset).data)
-                flat[i] = saved - eps
+                flat[i] = saved - GRAD_CHECK_EPS
                 down = float(loss_fn(pset).data)
             flat[i] = saved
-            gn = (up - down) / (2.0 * eps)
+            gn = (up - down) / (2.0 * GRAD_CHECK_EPS)
             ga = ga_flat[i]
             rel = abs(ga - gn) / max(1e-8, abs(ga) + abs(gn))
             worst = max(worst, rel)

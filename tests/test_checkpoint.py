@@ -93,6 +93,27 @@ class TestCorruptionDetection:
         assert checkpoint_checksum(str(path)) == checkpoint_checksum(str(path))
 
 
+class TestNonFiniteRejected:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("value", [4.5e38, np.nan])  # 4.5e38 is finite only in float64
+    def test_save_names_the_tensor_and_writes_nothing(self, pset, tmp_path, value):
+        pset["beta"].data[3] = value
+        with pytest.raises(CheckpointError, match="^tensor 'beta' is not finite in float32$"):
+            save_checkpoint(str(tmp_path / "model.ckpt"), pset, {})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_names_the_file_and_the_tensor(self, tmp_path):
+        from mnmt.checkpoint import _checksum
+
+        payload = serialize({"w": np.zeros(2)}, {})[:-8]
+        payload = payload[:-8] + np.array([1.0, np.inf], dtype="<f4").tobytes()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(payload + _checksum(payload))
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: tensor 'w' has non-finite values$"):
+            load_checkpoint(str(path))
+
+
 class _HalfWriter:
     """A binary file whose write stores half of its bytes, then fails."""
 

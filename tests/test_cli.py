@@ -325,6 +325,14 @@ class TestCommands:
         assert "--vocab-src, --vocab-tgt" in capsys.readouterr().err
         assert not (d / "model.ckpt").exists()
 
+    def test_score_line_count_mismatch_names_both_files(self, tmp_path):
+        hyp, ref = tmp_path / "hyp", tmp_path / "ref"
+        hyp.write_text("a b\n", encoding="utf-8")
+        ref.write_text("a b\n" * 4, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(hyp))}, {re.escape(str(ref))}: "
+                                             "hypothesis/reference count mismatch: 1 vs 4$"):
+            main(["score", "--hyp", str(hyp), "--ref", str(ref)])
+
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -459,6 +467,33 @@ class TestInvalidUtf8:
         with pytest.raises(CorpusEncodingError,
                            match=f"^{re.escape(str(bad))}: invalid UTF-8 on line 2$"):
             main([command, *(str(a) for pair in given.items() for a in pair)])
+
+
+class TestEmptyCorpus:
+    """A pair corpus without a pair of words on both sides is rejected as it is
+    loaded, naming both files, before any other input is read or output written."""
+
+    @pytest.mark.parametrize("command", ["build-vocab", "train-lexicon", "train", "train-memory"])
+    def test_rejected_naming_both_files(self, model_files, command):
+        d, _, _ = model_files
+        src, tgt = d / "empty.src", d / "empty.tgt"
+        src.write_text("", encoding="utf-8")
+        tgt.write_text("", encoding="utf-8")
+        model = {"--vocab-src": d / "vocab.src", "--vocab-tgt": d / "vocab.tgt"}
+        given = {
+            "build-vocab": {"--vocab-src": d / "v.src", "--vocab-tgt": d / "v.tgt"},
+            "train-lexicon": {"--out": d / "l.tsv"},
+            "train": model | {"--ckpt": d / "new.ckpt"},
+            "train-memory": model | {"--ckpt": d / "model.ckpt", "--lexicon": d / "lex.tsv",
+                                     "--mem-ckpt": d / "new_mem.ckpt"},
+        }[command]
+        outputs = [path for path in given.values() if not path.exists()]
+        with pytest.raises(EmptyTrainingSetError, match=f"^{re.escape(str(src))}, "
+                                                        f"{re.escape(str(tgt))}: no pair has "
+                                                        "words on both sides$"):
+            main([command, "--src", str(src), "--tgt", str(tgt),
+                  *(str(a) for pair in given.items() for a in pair)])
+        assert outputs and not any(path.exists() for path in outputs)
 
 
 class TestVocabularyMismatch:

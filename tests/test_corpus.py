@@ -111,7 +111,7 @@ class TestEncodeDecode:
     def test_roundtrip_identity_on_known_tokens(self, tokens):
         vocab = build_vocabulary([tokens], max_size=100)
         ids = encode_sentence(tokens, vocab, append_eos=False)
-        assert decode_ids(ids, vocab) == tokens
+        assert decode_ids(ids, vocab.tokens) == tokens
 
     def test_vocab_file_roundtrip(self, tmp_path):
         vocab = build_vocabulary([["a", "b", "c"]], max_size=10)
@@ -136,7 +136,7 @@ class TestEncodeDecode:
     def test_decode_stops_at_eos_and_skips_controls(self):
         vocab = build_vocabulary([["a", "b"]], max_size=10)
         ids = [PAD_ID, vocab.id_of("a"), EOS_ID, vocab.id_of("b")]
-        assert decode_ids(ids, vocab) == ["a"]
+        assert decode_ids(ids, vocab.tokens) == ["a"]
 
 
 class TestMakeBatches:

@@ -85,6 +85,16 @@ def test_only_the_model_runs_the_decoder_step():
     assert offenders == []
 
 
+def test_only_the_memory_reads_its_oov_labels():
+    # a memory's label table says what each label is: its embedding row
+    # (proxy_ids) and its word (words); no other module reads the labels' format
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "memory.py"
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute) and node.attr == "oov_labels"]
+    assert offenders == []
+
+
 def test_no_assert_statement_in_the_package():
     # python -O strips assert statements, so a check in the package raises instead
     offenders = [f"{path.name}:{node.lineno}"

@@ -155,6 +155,13 @@ class TestMergeMemory:
         assert mem.size == 0
         assert mem.h.shape == (0, 3) and mem.pos.shape == mem.weight.shape == (0, 0)
 
+    def test_words_name_every_label_id(self):
+        vocab = vocab_of(["x", "y"])
+        mem = _merged({len(vocab): [(0, 0.5)], vocab.id_of("y"): [(0, 0.5)]}, [[0.0, 0.0]])
+        mem.oov_labels[len(vocab)] = ("oov", vocab.id_of("x"))
+        assert mem.words(vocab) == [*vocab.tokens, "oov"]
+        assert len(vocab.tokens) == len(vocab) == 6  # the vocabulary is not extended
+
 
 def _uw(mem, mparams, params):
     return entry_matrix(mem, params["tgt_embed"].data) @ mparams.pset["mem_Wu"].data
@@ -535,6 +542,7 @@ def test_one_pass_memory_matches_two_pass_reference(case):
     want, oov_labels, skipped = reference_sentence_memory(tokens, h, lex, tgt_vocab, k,
                                                           record, sim)
     assert mem.oov_labels == oov_labels
+    assert mem.words(tgt_vocab)[len(tgt_vocab):] == [word for word, _ in oov_labels.values()]
     assert mem.injection_skipped == skipped
     labels = mem.labels.tolist()
     assert len(set(labels)) == len(labels)
