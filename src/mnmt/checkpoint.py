@@ -46,7 +46,8 @@ def serialize(tensors: dict[str, np.ndarray], config: dict) -> bytes:
         parts.append(name_bytes)
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        data = np.ascontiguousarray(arr, dtype="<f4")
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
+            data = np.ascontiguousarray(arr, dtype="<f4")
         if not np.isfinite(data).all():
             raise CheckpointError(f"tensor {name!r} is not finite in float32")
         parts.append(data.tobytes())
@@ -99,7 +100,10 @@ def deserialize(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
 def save_checkpoint(path: str, pset: ParamSet, config: dict) -> None:
     """Write atomically: a temporary file in the same directory replaces ``path``
     only once complete, so an interrupted save leaves the previous file intact."""
-    blob = serialize({name: t.data for name, t in pset.params.items()}, config)
+    try:
+        blob = serialize({name: t.data for name, t in pset.params.items()}, config)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:

@@ -120,7 +120,8 @@ def load_parallel_corpus(src_path: str, tgt_path: str) -> ParallelCorpus:
     src_lines = read_lines(src_path)
     tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
-        raise CorpusAlignmentError(f"{len(src_lines)} vs {len(tgt_lines)}")
+        raise CorpusAlignmentError(f"{src_path} has {len(src_lines)} lines, {tgt_path} has "
+                                   f"{len(tgt_lines)} ({len(src_lines)} vs {len(tgt_lines)})")
     pairs = []
     dropped = 0
     for s, t in zip(src_lines, tgt_lines):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .numerics import (
     cross_entropy_backward,
     masked_softmax,
     no_grad,
-    row_sums,
+    scatter_plan,
 )
 
 logger = logging.getLogger(__name__)
@@ -82,15 +83,17 @@ class MergedMemory:
         from zeros rank by rank, and a padded slot adds w * h = ±0.
         """
         k, r = len(groups), max(map(len, groups.values()), default=0)
-        pos = np.full((k, r), -1, dtype=np.int64)
-        weight, norm = np.zeros((k, r)), np.zeros((k, r))
-        for i, group in enumerate(groups.values()):
+        pos, weight, norm = [], [], []  # row-major [k, r], filled group by group
+        for group in groups.values():
             n, total = len(group), sum(w for _, w in group)
-            pos[i, :n], weight[i, :n] = zip(*group)
-            norm[i, :n] = [w / total for _, w in group] if total > 0.0 else 1.0 / n
+            pos += [p for p, _ in group] + [-1] * (r - n)
+            weight += [w for _, w in group] + [0.0] * (r - n)
+            norm += [w / total if total > 0.0 else 1.0 / n for _, w in group] + [0.0] * (r - n)
+        pos = np.array(pos, dtype=np.int64).reshape(k, r)
+        weight, norm = (np.array(x, dtype=np.float64).reshape(k, r) for x in (weight, norm))
         blend = np.zeros((k, h.shape[1]))
         for rank in range(r):
-            blend = blend + norm[:, rank, None] * h[pos[:, rank]]
+            blend += norm[:, rank, None] * h[pos[:, rank]]
         return cls(np.fromiter(groups, dtype=np.int64, count=k), blend, pos, weight,
                    oov_labels or {}, injection_skipped or [])
 
@@ -206,8 +209,9 @@ def score_entries(s_prev: np.ndarray, y_emb: np.ndarray, uw: np.ndarray,
     computes it once per memory.  Returns the scores and the tanh
     activations [n, K, A].
     """
-    sy = check_finite(s_prev @ pset["mem_Ws"].data + y_emb @ pset["mem_Wy"].data)
-    act = np.tanh(check_finite(uw + sy[:, None, :]))
+    sy = s_prev @ pset["mem_Ws"].data + y_emb @ pset["mem_Wy"].data
+    pre = check_finite(uw + sy[:, None, :])  # holds every element of uw and of sy: K >= 1
+    act = np.tanh(pre, out=pre)
     return check_finite(np.matmul(act, pset["mem_v"].data)), act
 
 
@@ -351,7 +355,7 @@ class TrainingRecord:
 
 @dataclass
 class TrainingChunk:
-    """Records padded to one [N, K_max] score table, N positions in all."""
+    """Records padded to one [N, K_max] score table (N positions), its scatter plan and weights."""
 
     u: np.ndarray           # [sum of K, E + 2H] every record's entry rows, stacked
     s_prev: np.ndarray      # [N, H]
@@ -359,10 +363,14 @@ class TrainingChunk:
     slot_entry: np.ndarray  # [N, K_max] row of ``u`` scored in each slot
     pad_bias: np.ndarray    # [N, K_max] 0 on a record's own entries, -1e30 past them
     target: np.ndarray      # [N]
+    n_positions: int = field(init=False)     # N
+    scatter: Callable = field(init=False)   # `scatter_plan` of ``slot_entry`` into ``u``'s rows
+    weights: np.ndarray = field(init=False)  # [N] ones, the loss's weight per position
 
-    @property
-    def n_positions(self) -> int:
-        return len(self.target)
+    def __post_init__(self):  # what no parameter changes, built once per chunk
+        self.n_positions = len(self.target)
+        self.scatter = scatter_plan(self.slot_entry, len(self.u))
+        self.weights = np.ones(self.n_positions)
 
 
 def training_chunk(records: list[TrainingRecord]) -> TrainingChunk:
@@ -393,20 +401,22 @@ def chunk_loss(chunk: TrainingChunk, pset: ParamSet) -> Loss:
     slots carry ``pad_bias``.  The loss's closure writes the gradients of
     the four scorer parameters.
     """
-    uw = check_finite(chunk.u @ pset["mem_Wu"].data)
+    uw = chunk.u @ pset["mem_Wu"].data  # every row fills a real slot, which the scorer checks
     scores, act = score_entries(chunk.s_prev, chunk.y_emb, uw[chunk.slot_entry], pset)
-    value, ce_cache = cross_entropy(scores + chunk.pad_bias, chunk.target,
-                                    np.ones(chunk.n_positions))
+    scores += chunk.pad_bias
+    value, ce_cache = cross_entropy(scores, chunk.target, chunk.weights)
 
     def write_grads():
         g = cross_entropy_backward(ce_cache)  # d scores, [N, K_max]
-        d_pre = np.multiply.outer(g, pset["mem_v"].data) * (1.0 - act * act)
+        d_v = act.reshape(-1, act.shape[-1]).T @ g.reshape(-1)  # before act's buffer is reused
+        d_pre = np.subtract(1.0, np.multiply(act, act, out=act), out=act)  # 1 - act²
+        d_pre *= np.multiply.outer(g, pset["mem_v"].data)
         d_sy = d_pre.sum(axis=1)
         pset.write_grads({
             "mem_Ws": chunk.s_prev.T @ d_sy,
-            "mem_Wu": chunk.u.T @ row_sums(chunk.slot_entry, d_pre, len(chunk.u)),
+            "mem_Wu": chunk.u.T @ chunk.scatter(d_pre),
             "mem_Wy": chunk.y_emb.T @ d_sy,
-            "mem_v": act.reshape(-1, act.shape[-1]).T @ g.reshape(-1),
+            "mem_v": d_v,
         })
 
     return Loss(value, write_grads)

@@ -5,7 +5,8 @@ forward/backward pairs: `gru_sequence` / `gru_sequence_backward` runs a
 whole GRU direction with its input GEMM hoisted out of the loop and a
 backward in reverse time; it and the decoder are built from `gru_cell`,
 `maxout`, `masked_softmax` and `sigmoid`.  `cross_entropy` /
-`cross_entropy_backward` closes both losses.
+`cross_entropy_backward` closes both losses; its cache holds the forward's
+exp(logits - row max) and their row sums, which the backward divides.
 
 Masks are additive: `masked_softmax` gives probability 0 to an entry the
 caller set to -inf, and checks nothing; whoever builds a mask checks once
@@ -97,22 +98,25 @@ def backward(loss: Loss) -> None:
     write()
 
 
-def row_sums(ids: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
-    """[n_rows, ...]: row i sums the rows of ``values`` whose id is i.
+def scatter_plan(ids: np.ndarray, n_rows: int) -> Callable[[np.ndarray], np.ndarray]:
+    """`row_sums` over fixed ``ids`` as a function of the values; the ids are sorted once, here."""
+    flat = ids.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(flat[order]) != 0])[: len(flat)]
+    rows = flat[order][starts]
 
-    The scatter-add of a gather's backward: one sort and one segmented sum
-    instead of ``np.add.at``'s per-element loop.
-    """
-    row_shape = values.shape[ids.ndim :]
-    ids = ids.reshape(-1)
-    values = values.reshape(len(ids), *row_shape)
-    out = np.zeros((n_rows, *row_shape))
-    if len(ids):
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-        out[sorted_ids[starts]] = np.add.reduceat(values[order], starts)
-    return out
+    def sums(values: np.ndarray) -> np.ndarray:
+        out = np.zeros((n_rows, *values.shape[ids.ndim :]))
+        out[rows] = np.add.reduceat(values.reshape(len(flat), *out.shape[1:])[order], starts)
+        return out
+
+    return sums
+
+
+def row_sums(ids: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """[n_rows, ...]: row i sums the rows of ``values`` whose id is i; a gather's
+    backward, one sort and one segmented sum instead of ``np.add.at``'s loop."""
+    return scatter_plan(ids, n_rows)(values)
 
 
 # --- softmax family ------------------------------------------------------
@@ -132,18 +136,19 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray):
     """
     targets = np.asarray(targets, dtype=np.int64)
     m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+    e = np.exp(logits - m)
+    total = e.sum(axis=1)
+    lse = m[:, 0] + np.log(total)
     picked = logits[np.arange(logits.shape[0]), targets]
     inv = 1.0 / weights.sum()
-    return ((lse - picked) * weights).sum() * inv, (logits, m, targets, weights, inv)
+    return ((lse - picked) * weights).sum() * inv, (e, total, targets, weights, inv)
 
 
 def cross_entropy_backward(cache) -> np.ndarray:
-    """d value / d logits of `cross_entropy`."""
-    logits, m, targets, weights, inv = cache
-    p = np.exp(logits - m)
-    p /= p.sum(axis=1, keepdims=True)
-    p[np.arange(logits.shape[0]), targets] -= 1.0
+    """d value / d logits of `cross_entropy`, in a new array; the cache is left as it was."""
+    e, total, targets, weights, inv = cache
+    p = e / total[:, None]
+    p[np.arange(len(p)), targets] -= 1.0
     return p * (weights * inv)[:, None]
 
 

@@ -94,13 +94,20 @@ class TestCorruptionDetection:
 
 
 class TestNonFiniteRejected:
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     @pytest.mark.parametrize("value", [4.5e38, np.nan])  # 4.5e38 is finite only in float64
     def test_save_names_the_tensor_and_writes_nothing(self, pset, tmp_path, value):
         pset["beta"].data[3] = value
-        with pytest.raises(CheckpointError, match="^tensor 'beta' is not finite in float32$"):
-            save_checkpoint(str(tmp_path / "model.ckpt"), pset, {})
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: tensor 'beta' is not finite in float32$"):
+            save_checkpoint(str(path), pset, {})
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_save_refuses_an_overflow_without_a_warning(self, pset, tmp_path):
+        pset["beta"].data[3] = 4.5e38
+        with pytest.raises(CheckpointError, match="tensor 'beta' is not finite in float32$"):
+            save_checkpoint(str(tmp_path / "model.ckpt"), pset, {})
 
     def test_load_names_the_file_and_the_tensor(self, tmp_path):
         from mnmt.checkpoint import _checksum

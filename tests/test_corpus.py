@@ -54,6 +54,13 @@ class TestLoadParallelCorpus:
         with pytest.raises(CorpusAlignmentError, match="3 vs 2"):
             load_parallel_corpus(src, tgt)
 
+    def test_line_count_mismatch_names_both_files(self, tmp_path):
+        src = _write(tmp_path / "one.src", ["a"])
+        tgt = _write(tmp_path / "p.tgt", ["w", "x", "y", "z"])
+        want = f"^{re.escape(src)} has 1 lines, {re.escape(tgt)} has 4 \\(1 vs 4\\)$"
+        with pytest.raises(CorpusAlignmentError, match=want):
+            load_parallel_corpus(src, tgt)
+
     def test_bad_utf8_names_line(self, tmp_path):
         src = tmp_path / "s"
         src.write_bytes(b"ok line\n\xff\xfe broken\n")

@@ -24,6 +24,7 @@ from conftest import (
 )
 from mnmt import memory as memory_module
 from mnmt import model as model_module
+from mnmt import numerics
 from mnmt.corpus import EOS_ID, build_vocabulary
 from mnmt.lexicon import Lexicon, train_ibm1
 from mnmt.corpus import ParallelCorpus
@@ -618,6 +619,22 @@ class TestTrainMemoryAttention:
         monkeypatch.setattr(memory_module, "decode_sequence", spy)
         train_memory_attention(pairs, src_vocab, tgt_vocab, params, mparams, lex, epochs=1)
         assert caches == [None]
+
+    def test_scatter_sorts_once_per_chunk(self, monkeypatch):
+        # the backward's scatter is planned when a chunk is built: more
+        # epochs make no more sorts
+        sorts = []
+        argsort = numerics.np.argsort
+        monkeypatch.setattr(numerics.np, "argsort",
+                            lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
+        counts = []
+        for epochs in (1, 3):
+            pairs, src_vocab, tgt_vocab, params, mparams, lex = oracle_task()
+            sorts.clear()
+            train_memory_attention(pairs, src_vocab, tgt_vocab, params, mparams, lex,
+                                   epochs=epochs, batch_pairs=2)
+            counts.append(len(sorts))
+        assert counts == [2, 2]  # three records with positions, in chunks of two
 
     def test_logs_positions_coverage_and_epochs(self, caplog):
         pairs, src_vocab, tgt_vocab, params, mparams, lex = oracle_task()

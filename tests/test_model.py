@@ -297,6 +297,28 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
             chunk_loss(chunk, pset)
 
+    @pytest.mark.parametrize("name", ["mem_Wu", "mem_Ws", "mem_Wy", "s_prev"])
+    def test_memory_scorer_checks_every_input(self, name):
+        # the one check, on the pre-activation, holds every element of
+        # u @ mem_Wu and of s @ mem_Ws + y @ mem_Wy
+        rng = np.random.default_rng(9)
+        params = _positive_params()
+        cfg = NmtConfig(src_vocab_size=10, tgt_vocab_size=10, embed_dim=6, hidden_dim=8)
+        mparams = init_memory_params(cfg, 0)
+        for t in mparams.pset.params.values():
+            t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
+        s_prev = rng.normal(size=(3, 8))
+        (s_prev if name == "s_prev" else mparams.pset[name].data)[1, 2] = np.inf
+        chunk = training_chunk([TrainingRecord(rng.normal(size=(2, 22)), s_prev,
+                                               rng.normal(size=(3, 6)), np.array([0, 1, 1]))])
+        mem = MergedMemory.from_groups({4: [(0, 0.5)], 6: [(1, 0.5)]}, rng.normal(size=(2, 16)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError):
+                chunk_loss(chunk, mparams.pset)
+            hook = MemoryHook(mem, mparams, params)
+            with pytest.raises(NonFiniteError):
+                hook(s_prev, np.array([4, 5, 6]), np.full((3, 10), 0.1))
+
     def test_train_model_names_the_step(self):
         # lr = 1e300 moves every weight to about 1e300 in step 1, and step 2 overflows
         _, params = tiny_params(seed=0, src_v=20, tgt_v=20, embed=4, hidden=4)

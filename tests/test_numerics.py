@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     Tensor,
@@ -37,6 +39,8 @@ from mnmt.numerics import (
     maxout,
     maxout_backward,
     no_grad,
+    row_sums,
+    scatter_plan,
     sigmoid,
 )
 
@@ -314,6 +318,53 @@ class TestCrossEntropy:
         assert grad_check(loss, pset) < 1e-7
         numerics.backward(loss(pset))
         np.testing.assert_array_equal(pset["logits"].grad[1], np.zeros(4))
+
+    def test_backward_divides_the_cached_exponentials(self):
+        # the bytes of the exponentials recomputed from the logits, and a
+        # cache that a backward leaves as it found it
+        rng = np.random.default_rng(12)
+        logits = rng.normal(size=(6, 9)) * 4.0
+        targets = np.array([0, 8, 3, 3, 1, 5])
+        weights = np.array([1.0, 0.0, 2.0, 1.0, 0.5, 1.0])
+        _, cache = cross_entropy(logits, targets, weights)
+        want = np.exp(logits - logits.max(axis=1, keepdims=True))
+        want /= want.sum(axis=1, keepdims=True)
+        want[np.arange(6), targets] -= 1.0
+        want = want * (weights * (1.0 / weights.sum()))[:, None]
+        first = cross_entropy_backward(cache)
+        assert np.array_equal(first, want)
+        assert np.array_equal(cross_entropy_backward(cache), first)
+
+
+def _reference_row_sums(ids, values, n_rows):
+    """The scatter-add as one function, sort and segmented sum in one call."""
+    row_shape = values.shape[ids.ndim :]
+    ids = ids.reshape(-1)
+    values = values.reshape(len(ids), *row_shape)
+    out = np.zeros((n_rows, *row_shape))
+    if len(ids):
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+        out[sorted_ids[starts]] = np.add.reduceat(values[order], starts)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.lists(st.integers(0, 9), max_size=24), cols=st.integers(1, 3),
+       unreached=st.integers(0, 4), width=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_planned_scatter_matches_one_call_scatter(ids, cols, unreached, width, seed):
+    # repeated ids, gaps between them and rows past the largest id that no id
+    # reaches; one plan serves several value arrays, bit for bit
+    ids = np.array(ids[: len(ids) - len(ids) % cols], dtype=np.int64).reshape(-1, cols)
+    n_rows = 10 + unreached
+    sums = scatter_plan(ids, n_rows)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        values = rng.normal(size=(*ids.shape, width))
+        want = _reference_row_sums(ids, values, n_rows)
+        assert np.array_equal(sums(values), want)
+        assert np.array_equal(row_sums(ids, values, n_rows), want)
 
 
 def _written(pset, grads):
