@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -750,3 +752,27 @@ def test_decode_sequence_without_gradients_keeps_no_backward_records():
     assert cache is not None and cache_fwd is None
     assert z_fwd.tobytes() == z.tobytes()
     assert s_prev_fwd.tobytes() == s_prev.tobytes()
+
+
+def _init_digest(pset: ParamSet) -> str:
+    """BLAKE2b of each parameter's name, shape and little-endian float64 bytes, in order."""
+    h = hashlib.blake2b(digest_size=16)
+    for name in pset.names():
+        a = pset[name].data
+        h.update(name.encode())
+        h.update(repr(a.shape).encode())
+        h.update(a.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("embed, hidden, seed, nmt, mem", [
+    (24, 32, 0, "08f3488fa2c944b8619c7a37f0897639", "d8f12f2f087d4e51bc22ad72e5cd8aaf"),
+    (24, 32, 7, "442376323edd1b5f2830607680fb3281", "77ed30bd562880e805854b162594a60b"),
+    (6, 5, 0, "4604da8d18a95bc4428c583f0c26f144", "1eff3d47c826262950bdfc62e83df59d"),
+    (6, 5, 7, "ddc81d780186a3052fcf469f7253da09", "23a29f7ad72c37659436e1c202325276"),
+])
+def test_init_draws_are_pinned(embed, hidden, seed, nmt, mem):
+    # every trained model, golden decode and benchmark quality figure starts from these bytes
+    cfg = NmtConfig(src_vocab_size=11, tgt_vocab_size=13, embed_dim=embed, hidden_dim=hidden)
+    assert _init_digest(init_nmt_params(cfg, seed)) == nmt
+    assert _init_digest(init_memory_params(cfg, seed).pset) == mem
