@@ -13,7 +13,7 @@ import numpy as np
 
 from .bleu import bleu as corpus_bleu
 from .bleu import recalled_words
-from .checkpoint import load_checkpoint, params_from_arrays, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, params_from_arrays, save_checkpoint
 from .corpus import (
     EOS_ID,
     EmptyTrainingSetError,
@@ -35,6 +35,7 @@ from .memory import (
     apply_oov_substitution,
     init_memory_params,
     make_memory_hook,
+    memory_shapes,
     sentence_memory,
     train_memory_attention,
 )
@@ -43,6 +44,7 @@ from .model import (
     beam_search,
     encode,
     init_nmt_params,
+    nmt_shapes,
     teacher_forced_loss,
     train_model,
 )
@@ -153,11 +155,34 @@ def _require(cfg: RunConfig, *keys: str) -> None:
         raise SystemExit(2)
 
 
-def _load_model(cfg: RunConfig) -> tuple[ParamSet, Vocabulary, Vocabulary]:
-    """The translation model at ``cfg.ckpt`` and its source and target vocabularies,
-    each of which must index exactly its embedding's rows."""
-    _, arrays = load_checkpoint(cfg.ckpt)
-    params = params_from_arrays(arrays)
+def _checked_params(path: str, stored: dict, arrays: dict[str, np.ndarray], kind: str,
+                    shapes: dict[str, tuple[int, ...]]) -> ParamSet:
+    """The arrays of the checkpoint at ``path`` as one ParamSet, once they are exactly the
+    tensors of ``shapes``, each at its shape, and ``stored`` says they are of ``kind``."""
+    a_kind = f"{'an' if kind == 'nmt' else 'a'} {kind} checkpoint"
+    missing = [name for name in shapes if name not in arrays]
+    if missing:
+        raise CheckpointError(f"{path}: not {a_kind}, missing {', '.join(missing)}")
+    extra = [name for name in arrays if name not in shapes]
+    if extra:
+        raise CheckpointError(f"{path}: not {a_kind}, it also holds {', '.join(extra)}")
+    for name, want in shapes.items():
+        if arrays[name].shape != want:
+            raise CheckpointError(f"{path}: {name} has shape {arrays[name].shape}, expected {want}")
+    if stored.get("kind") != kind:
+        raise CheckpointError(f"{path}: stored kind {stored.get('kind')!r}, expected {kind!r}")
+    return params_from_arrays(arrays)
+
+
+def _load_model(cfg: RunConfig) -> tuple[RunConfig, ParamSet, Vocabulary, Vocabulary]:
+    """``cfg`` with the sizes of the translation model at ``cfg.ckpt``, the model, and its
+    vocabularies, each of which must index exactly its embedding's rows.  Every tensor is
+    checked against the V, E and H read from src_embed, tgt_embed and dec_init_W (0 if absent)."""
+    stored, arrays = load_checkpoint(cfg.ckpt)
+    sizes = {key: (*np.shape(arrays.get(name)), 0, 0)[axis] for key, name, axis in (
+        ("src_vocab_size", "src_embed", 0), ("tgt_vocab_size", "tgt_embed", 0),
+        ("embed_dim", "tgt_embed", 1), ("hidden_dim", "dec_init_W", 0))}
+    params = _checked_params(cfg.ckpt, stored, arrays, "nmt", nmt_shapes(*sizes.values()))
     vocabs = []
     for path, embed in ((cfg.vocab_src, "src_embed"), (cfg.vocab_tgt, "tgt_embed")):
         vocab = Vocabulary.load(path)
@@ -166,28 +191,7 @@ def _load_model(cfg: RunConfig) -> tuple[ParamSet, Vocabulary, Vocabulary]:
             raise ValueError(f"{path}: vocabulary has {len(vocab)} tokens, but the checkpoint's "
                              f"{embed} has {n_rows} rows")
         vocabs.append(vocab)
-    return params, *vocabs
-
-
-def _model_widths(nmt_params: ParamSet) -> NmtConfig:
-    """The translation model's E and H, read from its arrays."""
-    return NmtConfig(embed_dim=nmt_params["tgt_embed"].data.shape[1],
-                     hidden_dim=nmt_params["dec_init_W"].data.shape[0])
-
-
-def _memory_params_for(path: str, arrays: dict[str, np.ndarray], nmt_params: ParamSet) -> ParamSet:
-    """Memory-net parameters whose shapes fit the translation model's E and H."""
-    widths = _model_widths(nmt_params)
-    want = init_memory_params(widths, 0).pset
-    missing = [n for n in want.names() if n not in arrays]
-    if missing:
-        raise ValueError(f"{path}: not a memory checkpoint, missing {', '.join(missing)}")
-    for name in want.names():
-        if arrays[name].shape != want[name].data.shape:
-            raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, but the "
-                             f"translation model (E={widths.embed_dim}, "
-                             f"H={widths.hidden_dim}) needs {want[name].data.shape}")
-    return params_from_arrays(arrays)
+    return dataclasses.replace(cfg, **sizes), params, *vocabs
 
 
 def _load_usable_lexicon(path: str, src_vocab: Vocabulary, tgt_vocab: Vocabulary,
@@ -308,9 +312,9 @@ def _cmd_train_memory(args) -> int:
     cfg = _resolve_config(args)
     _require(cfg, "src", "tgt", "vocab_src", "vocab_tgt", "lexicon", "ckpt", "mem_ckpt")
     corpus = load_parallel_corpus(cfg.src, cfg.tgt)
-    nmt_params, src_vocab, tgt_vocab = _load_model(cfg)
+    cfg, nmt_params, src_vocab, tgt_vocab = _load_model(cfg)
     lex = _load_usable_lexicon(cfg.lexicon, src_vocab, tgt_vocab, None)
-    mparams = init_memory_params(_model_widths(nmt_params), cfg.seed, cfg.beta)
+    mparams = init_memory_params(cfg, cfg.seed, cfg.beta)
     losses = train_memory_attention(
         corpus.pairs, src_vocab, tgt_vocab, nmt_params, mparams, lex,
         epochs=cfg.memory_epochs, lr=cfg.memory_lr, k=cfg.memory_k,
@@ -337,7 +341,7 @@ def _cmd_translate(args) -> int:
         print("error: --sim-tgt needs --sim-src and --mem-ckpt: only the memory at a "
               "substituted source word reads it", file=sys.stderr)
         raise SystemExit(2)
-    nmt_params, src_vocab, tgt_vocab = _load_model(cfg)
+    cfg, nmt_params, src_vocab, tgt_vocab = _load_model(cfg)
     sim = None
     if cfg.sim_src or cfg.sim_tgt:
         sim = SimilarWordMap.load(cfg.sim_src or None, cfg.sim_tgt or None)
@@ -345,10 +349,12 @@ def _cmd_translate(args) -> int:
     if cfg.mem_ckpt:
         lexicon = _load_usable_lexicon(cfg.lexicon, src_vocab, tgt_vocab, sim)
         stored, mem_arrays = load_checkpoint(cfg.mem_ckpt)
+        mem_pset = _checked_params(cfg.mem_ckpt, stored, mem_arrays, "memory",
+                                   memory_shapes(cfg.embed_dim, cfg.hidden_dim))
         # the flags, then the config file, then what the memory checkpoint stores
         cfg = _layered_config([(cfg.mem_ckpt, {key: stored[key] for key in _MEMORY_KEYS
                                                if key in stored}), *layers])
-        mparams = MemoryParams(_memory_params_for(cfg.mem_ckpt, mem_arrays, nmt_params), cfg.beta)
+        mparams = MemoryParams(mem_pset, cfg.beta)
     outputs = translate_lines(
         read_lines(cfg.src), src_vocab, tgt_vocab, nmt_params, cfg.beam_size,
         cfg.max_decode_len, lexicon=lexicon, mparams=mparams, k=cfg.memory_k, sim=sim,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .corpus import BOS_ID, Vocabulary, encode_sentence, pad_batch, read_lines
 from .lexicon import Lexicon, lexicon_lookup
-from .model import INIT_SCALE, NmtConfig, decode_sequence, encode_batch
+from .model import NmtConfig, decode_sequence, encode_batch, uniform_params
 # not called here: bench/layers.py wraps memory.encode by name and needs it to exist
 from .model import encode  # noqa: F401
 from .numerics import (
@@ -177,17 +177,16 @@ class MemoryParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 
 
+def memory_shapes(e: int, h: int) -> dict[str, tuple[int, ...]]:
+    """Each memory-net parameter's shape for a translation model of widths E and H,
+    in the order init_memory_params draws them; the attention width is H."""
+    return {"mem_Ws": (h, h), "mem_Wu": (e + 2 * h, h), "mem_Wy": (e, h), "mem_v": (h,)}
+
+
 def init_memory_params(cfg: NmtConfig, seed: int, beta: float = DEFAULT_BETA) -> MemoryParams:
-    rng = np.random.default_rng(seed)
-    e, h = cfg.embed_dim, cfg.hidden_dim
-    a = h
-    pset = ParamSet({
-        "mem_Ws": rng.uniform(-INIT_SCALE, INIT_SCALE, size=(h, a)),
-        "mem_Wu": rng.uniform(-INIT_SCALE, INIT_SCALE, size=(e + 2 * h, a)),
-        "mem_Wy": rng.uniform(-INIT_SCALE, INIT_SCALE, size=(e, a)),
-        "mem_v": np.zeros(a),
-    })
-    return MemoryParams(pset, beta)
+    """Uniform init; the score vector starts at zero."""
+    shapes = memory_shapes(cfg.embed_dim, cfg.hidden_dim)
+    return MemoryParams(uniform_params(shapes, seed, zero="mem_v"), beta)
 
 
 # --- attention and interpolation ------------------------------------------

@@ -107,35 +107,30 @@ class Hypothesis:
         return self.log_prob / max(1, len(self.tokens))
 
 
-def init_nmt_params(cfg: NmtConfig, seed: int) -> ParamSet:
-    """Uniform [-0.08, 0.08] init; the attention score vector starts at zero."""
+def nmt_shapes(src_v: int, tgt_v: int, e: int, h: int) -> dict[str, tuple[int, ...]]:
+    """Each translation-model parameter's shape, in the order init_nmt_params draws them."""
+    def gru(prefix: str, n_in: int) -> dict[str, tuple[int, ...]]:  # W, U and b of each gate
+        return {f"{prefix}{kind}{gate}": shape for gate in ("z", "r", "h")
+                for kind, shape in (("W", (n_in, h)), ("U", (h, h)), ("b", (h,)))}
+    return {"src_embed": (src_v, e), **gru("enc_f_", e), **gru("enc_b_", e),
+            "dec_init_W": (h, h), "att_W": (h, h), "att_U": (2 * h, h), "att_v": (h,),
+            **gru("dec_", e + 2 * h), "out_U": (e, 2 * e), "out_V": (h, 2 * e),
+            "out_C": (2 * h, 2 * e), "out_b": (2 * e,), "tgt_embed": (tgt_v, e)}
+
+
+def uniform_params(shapes: dict[str, tuple[int, ...]], seed: int, zero: str) -> ParamSet:
+    """Each parameter of ``shapes`` drawn in order from U[-INIT_SCALE, INIT_SCALE],
+    but ``zero``, which starts at zero and draws nothing."""
     rng = np.random.default_rng(seed)
-    e, h = cfg.embed_dim, cfg.hidden_dim
-    arrays: dict[str, np.ndarray] = {}
+    return ParamSet({name: np.zeros(shape) if name == zero
+                     else rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+                     for name, shape in shapes.items()})
 
-    def u(name: str, *shape: int) -> None:
-        arrays[name] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
-    u("src_embed", cfg.src_vocab_size, e)
-    for d in ("enc_f_", "enc_b_"):
-        for gate in ("z", "r", "h"):
-            u(f"{d}W{gate}", e, h)
-            u(f"{d}U{gate}", h, h)
-            u(f"{d}b{gate}", h)
-    u("dec_init_W", h, h)
-    u("att_W", h, h)
-    u("att_U", 2 * h, h)
-    arrays["att_v"] = np.zeros(h)
-    for gate in ("z", "r", "h"):
-        u(f"dec_W{gate}", e + 2 * h, h)
-        u(f"dec_U{gate}", h, h)
-        u(f"dec_b{gate}", h)
-    u("out_U", e, 2 * e)
-    u("out_V", h, 2 * e)
-    u("out_C", 2 * h, 2 * e)
-    u("out_b", 2 * e)
-    u("tgt_embed", cfg.tgt_vocab_size, e)
-    return ParamSet(arrays)
+def init_nmt_params(cfg: NmtConfig, seed: int) -> ParamSet:
+    """Uniform init; the attention score vector starts at zero."""
+    shapes = nmt_shapes(cfg.src_vocab_size, cfg.tgt_vocab_size, cfg.embed_dim, cfg.hidden_dim)
+    return uniform_params(shapes, seed, zero="att_v")
 
 
 def encode_forward(src: np.ndarray, src_mask: np.ndarray, params: ParamSet):

@@ -14,7 +14,7 @@ import pytest
 from conftest import checkpoint_checksum, desk_config, make_mapped_task
 from mnmt import cli
 from mnmt.cli import RunConfig, main
-from mnmt.checkpoint import load_checkpoint, save_checkpoint
+from mnmt.checkpoint import CheckpointError, load_checkpoint, params_from_arrays, save_checkpoint
 from mnmt.corpus import (
     CorpusEncodingError,
     EmptyTrainingSetError,
@@ -518,6 +518,57 @@ class TestVocabularyMismatch:
             main(argv)
 
 
+def _probe_checkpoint(d, probe: str):
+    """A checkpoint that is not the model of model_files in one way, and the strings
+    the error that rejects it must hold besides its path."""
+    if probe == "memory":
+        return d / "mem.ckpt", ["src_embed"]
+    stored, arrays = load_checkpoint(str(d / "model.ckpt"))
+    if probe == "no_att_v":
+        del arrays["att_v"]
+        want = ["att_v"]
+    elif probe == "att_v_5_rows":
+        arrays["att_v"] = arrays["att_v"][:5]
+        want = ["att_v", "(5,)", "(10,)"]
+    elif probe == "enc_f_Uz_4x3":
+        arrays["enc_f_Uz"] = arrays["enc_f_Uz"][:4, :3]
+        want = ["enc_f_Uz", "(4, 3)", "(10, 10)"]
+    elif probe == "extra_tensor":
+        arrays["zz_extra"] = arrays["att_v"]
+        want = ["zz_extra"]
+    else:  # a model in every tensor, stored as a memory
+        stored["kind"] = "memory"
+        want = ["kind", "'memory'", "'nmt'"]
+    bad = d / f"{probe}.ckpt"
+    save_checkpoint(str(bad), params_from_arrays(arrays), stored)
+    return bad, want
+
+
+class TestModelCheckpointMismatch:
+    """A --ckpt that is not a translation model of the vocabularies' sizes is rejected
+    as it is loaded, naming the file and the tensor, before any output is written."""
+
+    @pytest.mark.parametrize("command", ["translate", "train-memory"])
+    @pytest.mark.parametrize("probe", ["memory", "no_att_v", "att_v_5_rows", "enc_f_Uz_4x3",
+                                       "extra_tensor", "kind_memory"])
+    def test_rejected_naming_the_file_and_the_tensor(self, model_files, command, probe):
+        d, _, _ = model_files
+        bad, want = _probe_checkpoint(d, probe)
+        argv = [command, "--vocab-src", str(d / "vocab.src"), "--vocab-tgt", str(d / "vocab.tgt"),
+                "--ckpt", str(bad), "--lexicon", str(d / "lex.tsv"),
+                "--mem-ckpt", str(d / "mem.ckpt" if command == "translate" else d / "new.ckpt")]
+        if command == "translate":
+            argv += ["--src", str(d / "test.src"), "--out", str(d / "out.txt")]
+        else:
+            argv += ["--src", str(d / "train.src"), "--tgt", str(d / "train.tgt")]
+        with pytest.raises(CheckpointError) as exc:
+            main(argv)
+        assert str(exc.value).startswith(f"{bad}: ")
+        for part in want:
+            assert part in str(exc.value)
+        assert not (d / "out.txt").exists() and not (d / "new.ckpt").exists()
+
+
 class TestMemoryCheckpointMismatch:
     def _translate(self, d, mem_ckpt):
         return main(["translate", "--src", str(d / "test.src"),
@@ -539,6 +590,22 @@ class TestMemoryCheckpointMismatch:
         with pytest.raises(ValueError, match=r"model\.ckpt: not a memory checkpoint, missing "
                                              r"mem_Ws, mem_Wu, mem_Wy, mem_v"):
             self._translate(d, d / "model.ckpt")
+
+    @pytest.mark.parametrize("kind, extra, want", [
+        ("memory", True, "not a memory checkpoint, it also holds zz_extra"),
+        ("nmt", False, "stored kind 'nmt', expected 'memory'"),
+    ])
+    def test_extra_tensor_or_other_kind_rejected_naming_the_file(self, model_files, kind,
+                                                                   extra, want):
+        d, _, _ = model_files
+        stored, arrays = load_checkpoint(str(d / "mem.ckpt"))
+        if extra:
+            arrays["zz_extra"] = arrays["mem_v"]
+        bad = d / "bad_mem.ckpt"
+        save_checkpoint(str(bad), params_from_arrays(arrays), stored | {"kind": kind})
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(bad))}: {re.escape(want)}$"):
+            self._translate(d, bad)
+        assert not (d / "out.txt").exists()
 
     def test_matching_memory_accepted(self, model_files):
         d, _, _ = model_files
